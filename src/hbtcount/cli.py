@@ -144,8 +144,8 @@ def _cmd_source(args) -> list[dict]:
 def _cmd_k(args) -> list[dict]:
     src = _source_from_args(args)
     fm = sources.source_factorial_moments(src)
-    k_ratio = 1.0 + (fm.fano - 1.0) / fm.mean
-    row = {"kind": args.kind, "mean": fm.mean, "fano": fm.fano, "K": k_ratio}
+    row = {"kind": args.kind, "mean": fm.mean, "fano": fm.fano,
+           "K": fm.k_ratio}
     law = _law_from_args(args)
     if law is not None:
         sm = stats.series_moments(law, src)
@@ -165,6 +165,8 @@ def _cmd_curve(args) -> list[dict]:
 
 
 def _cmd_modes(args) -> list[dict]:
+    if args.x is None and args.sweep is None:
+        raise ValueError("modes requires --x or --sweep")
     profile = modes.ModeProfile(shape=args.profile,
                                 integer_part=args.integer_part)
     if args.x is not None:
@@ -227,16 +229,11 @@ def _cmd_simulate(args) -> list[dict]:
     return rows
 
 
-def _cmd_verify(args) -> tuple[list[dict], bool]:
+def _cmd_verify(args) -> list[dict]:
     cfg = _simulation_config(args)
     report = mc.simulate_series(cfg)
     result = mc.verify(report, _analytic_values(cfg), z_max=args.z_max)
-    rows = []
-    all_pass = True
-    for name, entry in result.items():
-        rows.append({"statistic": name, **entry})
-        all_pass = all_pass and entry["pass"]
-    return rows, all_pass
+    return [{"statistic": name, **entry} for name, entry in result.items()]
 
 
 # -- argument parser -------------------------------------------------------
@@ -257,15 +254,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--n", type=int, default=1)
+    p.set_defaults(handler=_cmd_moments)
 
     p = sub.add_parser("source", help="occupancy pmf / pgf tables")
     _add_source_flags(p)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--pgf", default=None,
                    help="comma-separated z values; prints a pgf table instead")
+    p.set_defaults(handler=_cmd_source)
 
     p = sub.add_parser("k", help="coincidence ratio for a source")
     _add_source_flags(p, with_law=True)
+    p.set_defaults(handler=_cmd_k)
 
     p = sub.add_parser("curve", help="coincidence curve K(x) over a mode sweep")
     p.add_argument("--statistics", choices=["boson", "fermion"], required=True)
@@ -276,6 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="lorentzian")
     p.add_argument("--sweep", required=True, help="x0:x1:steps")
     p.add_argument("--integer-part", action="store_true")
+    p.set_defaults(handler=_cmd_curve)
 
     p = sub.add_parser("modes", help="mode-count function M(x)")
     p.add_argument("--profile", choices=list(modes.PROFILE_SHAPES),
@@ -283,6 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default=None, help="comma-separated x values")
     p.add_argument("--sweep", default=None, help="x0:x1:steps")
     p.add_argument("--integer-part", action="store_true")
+    p.set_defaults(handler=_cmd_modes)
 
     p = sub.add_parser("aspect-grangier",
                        help="single-photon anticorrelation run table")
@@ -292,10 +294,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="gate duration over lifetime, w/tau_s")
     p.add_argument("--omega-ratio", type=float, default=None)
     p.add_argument("--reference-pump", type=float, default=ac.REFERENCE_PUMP)
+    p.set_defaults(handler=_cmd_aspect_grangier)
 
-    for name, helptext in (("simulate", "Monte Carlo estimate of K, R, F"),
-                           ("verify", "Monte Carlo check against analytics")):
+    for name, helptext, handler in (
+            ("simulate", "Monte Carlo estimate of K, R, F", _cmd_simulate),
+            ("verify", "Monte Carlo check against analytics", _cmd_verify)):
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(handler=handler)
         _add_source_flags(p, with_law=True)
         p.add_argument("--gates", type=int, default=10 ** 5)
         p.add_argument("--seed", type=int, default=None)
@@ -309,32 +314,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    status = EXIT_OK
+    args = _build_parser().parse_args(argv)
     try:
         if not 1 <= args.precision <= 15:
             raise ValueError("precision must lie in [1, 15]")
-        if args.command == "moments":
-            rows = _cmd_moments(args)
-        elif args.command == "source":
-            rows = _cmd_source(args)
-        elif args.command == "k":
-            rows = _cmd_k(args)
-        elif args.command == "curve":
-            rows = _cmd_curve(args)
-        elif args.command == "modes":
-            if args.x is None and args.sweep is None:
-                raise ValueError("modes requires --x or --sweep")
-            rows = _cmd_modes(args)
-        elif args.command == "aspect-grangier":
-            rows = _cmd_aspect_grangier(args)
-        elif args.command == "simulate":
-            rows = _cmd_simulate(args)
-        else:
-            rows, all_pass = _cmd_verify(args)
-            if not all_pass:
-                status = EXIT_CHECK_FAILED
+        rows = args.handler(args)
         text = _render(rows, args.format, args.precision)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -343,7 +327,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     _emit(text, args.out)
-    return status
+    if all(row.get("pass", True) for row in rows):
+        return EXIT_OK
+    return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -99,24 +99,10 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 def sample_occupancy(source: SourceLaw, rng: np.random.Generator,
                      size: int | None = None):
-    """Draw gate occupancies n ~ {W_n}.
-
-    Coherent sources sample Poisson; thermal bosons sum order-many
-    geometric draws (exact negative binomial); thermal fermions sample
-    binomial; partial kinds add their two independent components.
-    """
+    """Draw gate occupancies n ~ {W_n}, summing one draw per component
+    of the source in component order."""
     shape = 1 if size is None else size
-    total = np.zeros(shape, dtype=np.int64)
-    for comp in source._components():
-        if comp[0] == "poisson":
-            total += rng.poisson(comp[1], shape)
-        elif comp[0] == "nb":
-            order, b = comp[1], comp[2]
-            draws = rng.geometric(1.0 - b, size=(shape, order)) - 1
-            total += draws.sum(axis=1)
-        else:
-            order, a = comp[1], comp[2]
-            total += rng.binomial(order, a, shape)
+    total = sum(comp.sample(rng, shape) for comp in source._components)
     return int(total[0]) if size is None else total
 
 

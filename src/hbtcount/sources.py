@@ -1,12 +1,13 @@
 """Gate-occupancy distributions for coherent, thermal-boson and
 thermal-fermion sources at arbitrary polarization.
 
-Each source is reduced to one or two primitive components:
+Each source is reduced to one or two independent primitive components,
+each of which owns its pmf, pgf, moments and sampler:
 
-* a Poisson law (coherent excitation of M modes),
-* a negative binomial law of order N (thermal bosons, N = M polarized,
+* `Poisson` (coherent excitation of M modes),
+* `NegBinomial` of order N (thermal bosons, N = M polarized,
   N = 2M unpolarized, two order-M components for partial polarization),
-* a binomial law of order N (thermal fermions, same order bookkeeping).
+* `Binomial` of order N (thermal fermions, same order bookkeeping).
 
 The pmf of a two-component source is the explicit finite convolution of
 the component pmfs.  All pmfs are evaluated in log space.
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -31,6 +34,102 @@ KINDS = (
 
 TRUNCATION_MASS = 1.0 - 1e-10
 TRUNCATION_CAP = 10 ** 6
+
+
+# -- primitive components --------------------------------------------------
+# Each owns log_pmf(n), pgf(z), mean_f2() = (<n>, <n(n-1)>), sample(rng, size)
+# and max_count, the largest n with nonzero weight (None when unbounded).
+
+
+class Poisson(NamedTuple):
+    """Poisson law of the given mean (coherent excitation, K = 1)."""
+
+    mean: float
+    max_count = None
+
+    def log_pmf(self, n: int) -> float:
+        return n * math.log(self.mean) - self.mean - math.lgamma(n + 1)
+
+    def pgf(self, z: float) -> float:
+        return math.exp(self.mean * (z - 1.0))
+
+    def mean_f2(self) -> tuple[float, float]:
+        return self.mean, self.mean * self.mean
+
+    def sample(self, rng, size: int):
+        return rng.poisson(self.mean, size)
+
+
+class NegBinomial(NamedTuple):
+    """Negative binomial law of order N and ratio b (bosons, K = 1 + 1/N)."""
+
+    order: int
+    b: float
+    max_count = None
+
+    def log_pmf(self, n: int) -> float:
+        order, b = self
+        return (math.lgamma(order + n) - math.lgamma(order)
+                - math.lgamma(n + 1)
+                + order * math.log1p(-b) + (n * math.log(b) if n else 0.0))
+
+    def pgf(self, z: float) -> float:
+        order, b = self
+        if b * z >= 1.0:
+            raise DomainError("boson pgf requires b*z < 1")
+        return ((1.0 - b) / (1.0 - b * z)) ** order
+
+    def mean_f2(self) -> tuple[float, float]:
+        order, b = self
+        per_mode = b / (1.0 - b)
+        return order * per_mode, order * (order + 1) * per_mode * per_mode
+
+    def sample(self, rng, size: int):
+        """Sum of `order` geometric draws per gate, an exact NB draw."""
+        draws = rng.geometric(1.0 - self.b, size=(size, self.order)) - 1
+        return draws.sum(axis=1)
+
+
+class Binomial(NamedTuple):
+    """Binomial law of order N and occupancy a (fermions, K = 1 - 1/N)."""
+
+    order: int
+    a: float
+
+    @property
+    def max_count(self) -> int:
+        return self.order
+
+    def log_pmf(self, n: int) -> float:
+        order, a = self
+        if n > order:
+            return -math.inf
+        out = (math.lgamma(order + 1) - math.lgamma(n + 1)
+               - math.lgamma(order - n + 1))
+        if n:
+            if a == 0.0:
+                return -math.inf
+            out += n * math.log(a)
+        if order - n:
+            if a == 1.0:
+                return -math.inf
+            out += (order - n) * math.log1p(-a)
+        return out
+
+    def pgf(self, z: float) -> float:
+        return (1.0 + self.a * (z - 1.0)) ** self.order
+
+    def mean_f2(self) -> tuple[float, float]:
+        order, a = self
+        return order * a, order * (order - 1) * a * a
+
+    def sample(self, rng, size: int):
+        return rng.binomial(self.order, self.a, size)
+
+
+def _pmf(comp, n: int) -> float:
+    lp = comp.log_pmf(n)
+    return 0.0 if lp == -math.inf else math.exp(lp)
 
 
 @dataclass(frozen=True)
@@ -68,44 +167,33 @@ class SourceLaw:
 
     # -- component decomposition ------------------------------------------
 
-    def _components(self) -> list[tuple]:
-        """Primitive components ('poisson', mean) | ('nb', N, b) | ('binom', N, a)."""
+    @cached_property
+    def _components(self) -> tuple:
+        """The one or two independent primitive laws whose sum is n."""
         m, nb = self.modes, self.nbar
         if self.kind == "coherent":
-            return [("poisson", nb * m)]
+            return (Poisson(nb * m),)
         if self.kind == "boson-polarized":
-            return [("nb", m, nb / (1.0 + nb))]
+            return (NegBinomial(m, nb / (1.0 + nb)),)
         if self.kind == "boson-unpolarized":
-            return [("nb", 2 * m, nb / (2.0 + nb))]
-        if self.kind == "boson-partial":
-            n1 = 0.5 * nb * (1.0 + self.polarization)
-            n2 = 0.5 * nb * (1.0 - self.polarization)
-            comps = [("nb", m, n1 / (1.0 + n1))]
-            if n2 > 0.0:
-                comps.append(("nb", m, n2 / (1.0 + n2)))
-            return comps
+            return (NegBinomial(2 * m, nb / (2.0 + nb)),)
         if self.kind == "fermion-polarized":
-            return [("binom", m, nb)]
+            return (Binomial(m, nb),)
         if self.kind == "fermion-unpolarized":
-            return [("binom", 2 * m, 0.5 * nb)]
-        # fermion-partial
+            return (Binomial(2 * m, 0.5 * nb),)
+        # partial kinds: one order-M component per polarization channel
         n1 = 0.5 * nb * (1.0 + self.polarization)
         n2 = 0.5 * nb * (1.0 - self.polarization)
-        comps = [("binom", m, n1)]
-        if n2 > 0.0:
-            comps.append(("binom", m, n2))
-        return comps
+        if self.kind == "boson-partial":
+            return tuple(NegBinomial(m, n / (1.0 + n))
+                         for n in (n1, n2) if n > 0.0)
+        return tuple(Binomial(m, n) for n in (n1, n2) if n > 0.0)
 
     @property
     def max_count(self) -> int | None:
         """Largest n with nonzero weight, or None for unbounded support."""
-        bound = 0
-        for comp in self._components():
-            if comp[0] == "binom":
-                bound += comp[1]
-            else:
-                return None
-        return bound
+        bounds = [comp.max_count for comp in self._components]
+        return None if None in bounds else sum(bounds)
 
 
 @dataclass(frozen=True)
@@ -118,62 +206,10 @@ class FactorialMoments:
     fano: float
     mandel_q: float
 
-
-# -- primitive component pmf / pgf / moments ------------------------------
-
-
-def _component_log_pmf(comp: tuple, n: int) -> float:
-    if comp[0] == "poisson":
-        mean = comp[1]
-        return n * math.log(mean) - mean - math.lgamma(n + 1)
-    if comp[0] == "nb":
-        order, b = comp[1], comp[2]
-        return (math.lgamma(order + n) - math.lgamma(order)
-                - math.lgamma(n + 1)
-                + order * math.log1p(-b) + (n * math.log(b) if n else 0.0))
-    order, a = comp[1], comp[2]  # binom
-    if n > order:
-        return -math.inf
-    out = math.lgamma(order + 1) - math.lgamma(n + 1) - math.lgamma(order - n + 1)
-    if n:
-        if a == 0.0:
-            return -math.inf
-        out += n * math.log(a)
-    if order - n:
-        if a == 1.0:
-            return -math.inf
-        out += (order - n) * math.log1p(-a)
-    return out
-
-
-def _component_pmf(comp: tuple, n: int) -> float:
-    lp = _component_log_pmf(comp, n)
-    return 0.0 if lp == -math.inf else math.exp(lp)
-
-
-def _component_pgf(comp: tuple, z: float) -> float:
-    if comp[0] == "poisson":
-        return math.exp(comp[1] * (z - 1.0))
-    if comp[0] == "nb":
-        order, b = comp[1], comp[2]
-        if b * z >= 1.0:
-            raise DomainError("boson pgf requires b*z < 1")
-        return ((1.0 - b) / (1.0 - b * z)) ** order
-    order, a = comp[1], comp[2]
-    return (1.0 + a * (z - 1.0)) ** order
-
-
-def _component_mean_f2(comp: tuple) -> tuple[float, float]:
-    """(mean, <n(n-1)>) of one primitive component."""
-    if comp[0] == "poisson":
-        mean = comp[1]
-        return mean, mean * mean
-    if comp[0] == "nb":
-        order, b = comp[1], comp[2]
-        per_mode = b / (1.0 - b)
-        return order * per_mode, order * (order + 1) * per_mode * per_mode
-    order, a = comp[1], comp[2]
-    return order * a, order * (order - 1) * a * a
+    @property
+    def k_ratio(self) -> float:
+        """Coincidence ratio K = <n(n-1)> / <n>^2."""
+        return self.factorial2 / (self.mean * self.mean)
 
 
 # -- public operations -----------------------------------------------------
@@ -184,34 +220,26 @@ def source_pmf(src: SourceLaw, n: int) -> float:
     if n != int(n) or n < 0:
         raise ValueError("n must be a non-negative integer")
     n = int(n)
-    comps = src._components()
+    comps = src._components
     if len(comps) == 1:
-        return _component_pmf(comps[0], n)
+        return _pmf(comps[0], n)
     a, b = comps
-    return sum(_component_pmf(a, k) * _component_pmf(b, n - k)
-               for k in range(n + 1))
+    return sum(_pmf(a, k) * _pmf(b, n - k) for k in range(n + 1))
 
 
 def source_pgf(src: SourceLaw, z: float) -> float:
     """Probability generating function Phi(z) = sum W_n z^n."""
     out = 1.0
-    for comp in src._components():
-        out *= _component_pgf(comp, z)
+    for comp in src._components:
+        out *= comp.pgf(z)
     return out
 
 
 def source_factorial_moments(src: SourceLaw) -> FactorialMoments:
     """Analytic <n>, <n^2>, <n(n-1)>, Fano factor and Mandel Q."""
-    comps = src._components()
-    mean = 0.0
-    f2 = 0.0
-    means = []
-    for comp in comps:
-        m, c2 = _component_mean_f2(comp)
-        means.append(m)
-        mean += m
-        f2 += c2
-    if len(comps) == 2:
+    means, f2s = zip(*(comp.mean_f2() for comp in src._components))
+    mean, f2 = sum(means), sum(f2s)
+    if len(means) == 2:
         f2 += 2.0 * means[0] * means[1]
     second = f2 + mean
     var = second - mean * mean
@@ -241,5 +269,5 @@ def poisson_tv_distance(src: SourceLaw) -> float:
     mean = source_factorial_moments(src).mean
     poisson = SourceLaw("coherent", modes=1, nbar=mean)
     cutoff = max(support_cutoff(src), support_cutoff(poisson))
-    return 0.5 * sum(abs(source_pmf(src, n) - _component_pmf(("poisson", mean), n))
+    return 0.5 * sum(abs(source_pmf(src, n) - _pmf(Poisson(mean), n))
                      for n in range(cutoff + 1))

@@ -58,11 +58,10 @@ def series_moments(law: TernaryLaw, src: SourceLaw) -> SeriesMoments:
     var_xi = p * (1.0 - p) * fm.mean + p * p * fm.second - mean_xi * mean_xi
     var_eta = q * (1.0 - q) * fm.mean + q * q * fm.second - mean_eta * mean_eta
     cross = p * q * fm.factorial2
-    k_ratio = 1.0 + (fm.fano - 1.0) / fm.mean
     r_coeff = _ratio_prefactor(law) * (fm.fano - 1.0)
     return SeriesMoments(mean_xi=mean_xi, var_xi=var_xi,
                          mean_eta=mean_eta, var_eta=var_eta,
-                         cross=cross, k_ratio=k_ratio, r_coeff=r_coeff,
+                         cross=cross, k_ratio=fm.k_ratio, r_coeff=r_coeff,
                          fano=fm.fano, mandel_q=fm.mandel_q)
 
 

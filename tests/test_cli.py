@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +166,15 @@ class TestSimulateAndVerify:
         assert code == cli.EXIT_OK
         assert all(r["pass"] == "True" for r in read_csv(out))
 
+    def test_verify_single_fermion_mode_passes(self, capsys):
+        # K is exactly 0 for one polarized fermion mode, in the estimate
+        # and in the analytic value, so the zero stderr gives z = 0.
+        code, _ = run(["verify", "--kind", "thermal-fermion", "--modes", "1",
+                       "--nbar", "0.864", "--p", "0.2", "--q", "0.35",
+                       "--r", "0.45", "--gates", "10000", "--seed", "1"],
+                      capsys)
+        assert code == cli.EXIT_OK
+
     def test_verify_fails_with_tight_threshold(self, capsys):
         code, _ = run(["verify", "--kind", "thermal-boson", "--modes", "1",
                        "--nbar", "1.0", "--p", "0.3", "--q", "0.2",
@@ -211,3 +222,24 @@ class TestOutputHandling:
         rows = read_csv(out)
         assert float(rows[0]["pgf"]) == pytest.approx(0.367879, rel=1e-5)
         assert float(rows[1]["pgf"]) == pytest.approx(1.0)
+
+
+def readme_commands():
+    """The `hbtcount ...` lines of README's "Command line" block, as argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("hbtcount ")]
+
+
+class TestReadme:
+    def test_block_is_found(self):
+        assert len(readme_commands()) >= 4
+
+    @pytest.mark.parametrize("argv", readme_commands())
+    def test_command_line_examples_succeed(self, argv, capsys):
+        code, out = run(argv, capsys)
+        assert code == cli.EXIT_OK
+        assert out

@@ -85,6 +85,61 @@ class TestSampleOccupancy:
         assert abs(draws.mean() - 1.5) < 4 * se
 
 
+def _reference_components(src):
+    """Tag-based component parameters that the component classes reproduce."""
+    m, nb, pol = src.modes, src.nbar, src.polarization
+    if src.kind == "coherent":
+        return [("poisson", nb * m)]
+    if src.kind == "boson-polarized":
+        return [("nb", m, nb / (1.0 + nb))]
+    if src.kind == "boson-unpolarized":
+        return [("nb", 2 * m, nb / (2.0 + nb))]
+    if src.kind == "fermion-polarized":
+        return [("binom", m, nb)]
+    if src.kind == "fermion-unpolarized":
+        return [("binom", 2 * m, 0.5 * nb)]
+    n1, n2 = 0.5 * nb * (1.0 + pol), 0.5 * nb * (1.0 - pol)
+    if src.kind == "boson-partial":
+        return [("nb", m, n / (1.0 + n)) for n in (n1, n2) if n > 0.0]
+    return [("binom", m, n) for n in (n1, n2) if n > 0.0]
+
+
+def _reference_sample(src, rng, size):
+    """Poisson, geometric-matrix sum and binomial, in component order."""
+    total = np.zeros(size, dtype=np.int64)
+    for comp in _reference_components(src):
+        if comp[0] == "poisson":
+            total += rng.poisson(comp[1], size)
+        elif comp[0] == "nb":
+            draws = rng.geometric(1.0 - comp[2], size=(size, comp[1])) - 1
+            total += draws.sum(axis=1)
+        else:
+            total += rng.binomial(comp[1], comp[2], size)
+    return total
+
+
+PINNED_SOURCES = [
+    SourceLaw("coherent", modes=3, nbar=0.7),
+    SourceLaw("boson-polarized", modes=3, nbar=0.7),
+    SourceLaw("boson-unpolarized", modes=3, nbar=0.7),
+    SourceLaw("fermion-polarized", modes=3, nbar=0.7),
+    SourceLaw("fermion-unpolarized", modes=3, nbar=0.7),
+] + [SourceLaw(kind, modes=3, nbar=0.7, polarization=pol)
+     for kind in ("boson-partial", "fermion-partial")
+     for pol in (0.0, 0.5, 1.0)]
+
+
+class TestSamplerStream:
+    """The occupancy stream is pinned draw for draw, not by golden numbers."""
+
+    @pytest.mark.parametrize("src", PINNED_SOURCES, ids=repr)
+    def test_matches_reference_sampler(self, src):
+        draws = sample_occupancy(src, _block_rng(19, 2), size=4000)
+        expected = _reference_sample(src, _block_rng(19, 2), 4000)
+        assert draws.dtype == np.int64
+        assert np.array_equal(draws, expected)
+
+
 class TestWithinGateStructure:
     def test_counts_never_exceed_occupancy(self):
         cfg = SimulationConfig(

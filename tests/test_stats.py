@@ -63,9 +63,10 @@ class TestSeriesMoments:
             assert sm.k_ratio == pytest.approx(2.0)
 
     def test_single_mode_fermion_dip(self):
-        sm = series_moments(
-            LAW_A, SourceLaw("fermion-polarized", modes=1, nbar=1.0))
-        assert sm.k_ratio == pytest.approx(0.0, abs=1e-14)
+        for nbar in (1.0, 0.864):
+            sm = series_moments(
+                LAW_A, SourceLaw("fermion-polarized", modes=1, nbar=nbar))
+            assert sm.k_ratio == 0.0
 
     def test_partial_boson_closed_form(self):
         src = SourceLaw("boson-partial", modes=4, nbar=1.0, polarization=0.5)
