@@ -195,10 +195,8 @@ def _simulation_config(args) -> mc.SimulationConfig:
     law = _law_from_args(args)
     if law is None:
         raise ValueError("simulation requires --p, --q and --r")
-    seed = args.seed if args.seed is not None else (args.global_seed or 0)
     return mc.SimulationConfig(law=law, source=_source_from_args(args),
-                               gates=args.gates, seed=seed,
-                               block_size=args.block_size)
+                               gates=args.gates, seed=args.seed)
 
 
 def _analytic_values(cfg: mc.SimulationConfig) -> dict:
@@ -246,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--precision", type=int, default=6)
-    parser.add_argument("--seed", dest="global_seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moments", help="trinomial gate moments, K_n and R")
@@ -303,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         _add_source_flags(p, with_law=True)
         p.add_argument("--gates", type=int, default=10 ** 5)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--block-size", type=int, default=None)
+        # SUPPRESS keeps the global --seed unless this one is given
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         if name == "simulate":
             p.add_argument("--analytic", action="store_true")
         else:

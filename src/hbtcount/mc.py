@@ -1,12 +1,14 @@
 """Monte Carlo verification of the analytic series statistics.
 
-Gates are simulated in fixed-size blocks.  Each block draws from its own
-counter-based random stream keyed by (seed, block index), and blocks are
-reduced in index order, so results are bit-identical for a given
-configuration regardless of how blocks are scheduled.
+Gates are simulated in 64 near-equal blocks (fewer when there are fewer
+gates).  Each block draws from its own counter-based random stream keyed
+by (seed, block index), and blocks are reduced in index order, so results
+are bit-identical for a given configuration regardless of how blocks are
+scheduled.
 
 Point estimates are computed from the pooled sums; standard errors come
-from batch means over the blocks.
+from batch means over the blocks.  A fixed, moderate number of batches is
+enough for batch means (Schmeiser 1982, Oper. Res. 30:556).
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elementary import TernaryLaw
+from .errors import DomainError
 from .sources import SourceLaw
 
 DEFAULT_Z_MAX = 4.0
-
-_SUM_FIELDS = ("count", "sum_xi", "sum_eta", "sum_xi2", "sum_eta2",
-               "sum_cross", "sum_n", "sum_n2")
+BLOCKS = 64
 
 
 @dataclass(frozen=True)
@@ -31,25 +32,14 @@ class SimulationConfig:
     source: SourceLaw
     gates: int = 10 ** 6
     seed: int = 0
-    block_size: int | None = None
 
     def __post_init__(self):
         if self.gates < 2:
             raise ValueError("insufficient data: need at least 2 gates")
-        if self.block_size is not None and self.block_size < 1:
-            raise ValueError("block size must be positive")
-
-    @property
-    def effective_block_size(self) -> int:
-        if self.block_size is not None:
-            return min(self.block_size, self.gates)
-        # aim for ~64 blocks so batch-means errors are stable
-        return max(1, self.gates // 64)
 
     @property
     def n_blocks(self) -> int:
-        bs = self.effective_block_size
-        return (self.gates + bs - 1) // bs
+        return min(BLOCKS, self.gates)
 
 
 @dataclass(frozen=True)
@@ -106,59 +96,49 @@ def sample_occupancy(source: SourceLaw, rng: np.random.Generator,
     return int(total[0]) if size is None else total
 
 
-def _stats_from_sums(sums: dict) -> dict:
-    """K, R, F and the mean counts from accumulated per-gate sums."""
-    g = sums["count"]
-    mean_xi = sums["sum_xi"] / g
-    mean_eta = sums["sum_eta"] / g
-    cross = sums["sum_cross"] / g
-    var_xi = sums["sum_xi2"] / g - mean_xi ** 2
-    var_eta = sums["sum_eta2"] / g - mean_eta ** 2
-    cov = cross - mean_xi * mean_eta
-    n_mean = sums["sum_n"] / g
-    n_var = sums["sum_n2"] / g - n_mean ** 2
-    return {
-        "mean_xi": mean_xi,
-        "mean_eta": mean_eta,
-        "k": cross / (mean_xi * mean_eta)
-             if mean_xi > 0 and mean_eta > 0 else math.nan,
-        "r": cov / math.sqrt(var_xi * var_eta)
-             if var_xi > 0 and var_eta > 0 else 0.0,
-        "f": n_var / n_mean if n_mean > 0 else 0.0,
-    }
+def _stats(count, s_xi, s_eta, s_n, s_xi2, s_eta2, s_n2, s_cross):
+    """K, R, F and the mean counts, in `EstimateReport.STATISTICS` order,
+    from arrays of per-gate sums; an undefined ratio (0/0) comes out nan."""
+    mean_xi = s_xi / count
+    mean_eta = s_eta / count
+    cross = s_cross / count
+    var_xi = s_xi2 / count - mean_xi ** 2
+    var_eta = s_eta2 / count - mean_eta ** 2
+    n_mean = s_n / count
+    k = cross / (mean_xi * mean_eta)
+    r = (cross - mean_xi * mean_eta) / np.sqrt(var_xi * var_eta)
+    f = (s_n2 / count - n_mean ** 2) / n_mean
+    return k, r, f, mean_xi, mean_eta
 
 
-def _simulate_block(cfg: SimulationConfig, block_index: int) -> dict:
-    """Simulate one block of gates and return its accumulated sums.
+def _simulate_block(cfg: SimulationConfig, block_index: int) -> tuple:
+    """Simulate one block of gates and return its sums as Python ints:
+    (count, sum xi, sum eta, sum n, sum xi**2, sum eta**2, sum n**2,
+    sum xi*eta).
 
-    Within a gate the counts are drawn as xi ~ Binomial(n, p) followed by
-    eta ~ Binomial(n - xi, q/(q + r)): at most one detector is excited per
-    elementary act by construction.
+    Block i covers gates [i*g//B, (i+1)*g//B), so block sizes differ by at
+    most one.  Within a gate the counts are drawn as xi ~ Binomial(n, p)
+    followed by eta ~ Binomial(n - xi, q/(q + r)): at most one detector is
+    excited per elementary act by construction.
     """
-    bs = cfg.effective_block_size
-    start = block_index * bs
-    count = min(bs, cfg.gates - start)
+    g, b = cfg.gates, cfg.n_blocks
+    count = (block_index + 1) * g // b - block_index * g // b
     rng = _block_rng(cfg.seed, block_index)
     p, q, r = cfg.law.p, cfg.law.q, cfg.law.r
 
     n = sample_occupancy(cfg.source, rng, count)
+    # xi, eta <= n, so this bounds every int64 block sum below
+    if int(n.max()) ** 2 * count >= 2 ** 63:
+        raise DomainError("occupancy too large: block sums of squares "
+                          "would overflow int64")
     xi = rng.binomial(n, p)
     remaining = n - xi
     if q + r > 0.0:
         eta = rng.binomial(remaining, q / (q + r))
     else:
         eta = np.zeros_like(xi)
-
-    return {
-        "count": count,
-        "sum_xi": int(xi.sum()),
-        "sum_eta": int(eta.sum()),
-        "sum_xi2": int((xi.astype(np.int64) ** 2).sum()),
-        "sum_eta2": int((eta.astype(np.int64) ** 2).sum()),
-        "sum_cross": int((xi.astype(np.int64) * eta).sum()),
-        "sum_n": int(n.sum()),
-        "sum_n2": int((n ** 2).sum()),
-    }
+    return (count, int(xi.sum()), int(eta.sum()), int(n.sum()),
+            int(xi @ xi), int(eta @ eta), int(n @ n), int(xi @ eta))
 
 
 def simulate_series(cfg: SimulationConfig) -> EstimateReport:
@@ -167,32 +147,26 @@ def simulate_series(cfg: SimulationConfig) -> EstimateReport:
     return reduce_blocks(cfg, blocks)
 
 
-def reduce_blocks(cfg: SimulationConfig, blocks: list[dict]) -> EstimateReport:
-    """Deterministic ordered reduction of per-block sums into a report.
+def reduce_blocks(cfg: SimulationConfig, blocks: list[tuple]) -> EstimateReport:
+    """Reduce per-block sums into a report.
 
-    Accepts the blocks in any order (they carry no index; ordering of the
-    integer sums is immaterial for exact integer accumulation), making the
-    result independent of the execution schedule.
+    The point estimates come from the block sums pooled exactly as Python
+    ints, so they do not depend on block order.  The batch-means standard
+    errors are float reductions over the blocks in list order; blocks
+    passed in index order, as `simulate_series` does, make the whole
+    report independent of how the blocks were scheduled.
     """
     if len(blocks) != cfg.n_blocks:
         raise ValueError("block list does not match the configuration")
-    pooled = {name: sum(b[name] for b in blocks) for name in _SUM_FIELDS}
-    point = _stats_from_sums(pooled)
-
-    per_block = [_stats_from_sums(b) for b in blocks]
-    estimates = {}
-    for name in EstimateReport.STATISTICS:
-        values = np.array([s[name] for s in per_block], dtype=float)
-        if len(values) > 1:
-            stderr = float(values.std(ddof=1) / math.sqrt(len(values)))
-        else:
-            stderr = 0.0
-        estimates[name] = Estimate(value=point[name], stderr=stderr)
-    return EstimateReport(gates=cfg.gates, blocks=len(blocks),
-                          k_hat=estimates["k"], r_hat=estimates["r"],
-                          f_hat=estimates["f"],
-                          mean_xi_hat=estimates["mean_xi"],
-                          mean_eta_hat=estimates["mean_eta"])
+    pooled = tuple(sum(column) for column in zip(*blocks))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = _stats(*np.array([*blocks, pooled], dtype=float).T)
+        estimates = [
+            Estimate(value=float(col[-1]),
+                     stderr=float(col[:-1].std(ddof=1)
+                                  / math.sqrt(len(blocks))))
+            for col in table]
+    return EstimateReport(cfg.gates, len(blocks), *estimates)
 
 
 def verify(report: EstimateReport, analytic: dict,

@@ -147,6 +147,13 @@ class TestSimulateAndVerify:
         _, b = run(["simulate"] + base + ["--seed", "5"], capsys)
         assert a == b
 
+    def test_seed_defaults_to_zero(self, capsys):
+        base = ["simulate", "--kind", "coherent", "--mean", "1.0", "--p", "0.3",
+                "--q", "0.2", "--r", "0.5", "--gates", "10000"]
+        _, a = run(base, capsys)
+        _, b = run(base + ["--seed", "0"], capsys)
+        assert a == b
+
     def test_simulate_requires_law(self, capsys):
         code, _ = run(["simulate", "--kind", "coherent", "--mean", "1.0"],
                       capsys)
@@ -174,6 +181,26 @@ class TestSimulateAndVerify:
                        "--r", "0.45", "--gates", "10000", "--seed", "1"],
                       capsys)
         assert code == cli.EXIT_OK
+
+    def test_verify_uneven_gate_count_passes(self, capsys):
+        # 10000 gates are not a multiple of 64; no block may be left so
+        # short that a ratio in it is undefined.
+        code, _ = run(["verify", "--kind", "thermal-fermion", "--modes", "1",
+                       "--nbar", "0.71", "--polarization", "0.258",
+                       "--p", "0.3", "--q", "0.2", "--r", "0.5",
+                       "--gates", "10000", "--seed", "1126723668"], capsys)
+        assert code == cli.EXIT_OK
+
+    @pytest.mark.parametrize("mean,expected", [
+        ("1e7", cli.EXIT_OK), ("1e8", cli.EXIT_DOMAIN)])
+    def test_verify_large_mean_passes_or_raises(self, capsys, mean,
+                                                expected):
+        code = cli.main(["verify", "--kind", "coherent", "--mean", mean,
+                         "--p", ".3", "--q", ".2", "--r", ".5",
+                         "--gates", "100000", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == expected
+        assert err.startswith("error:") == (expected == cli.EXIT_DOMAIN)
 
     def test_verify_fails_with_tight_threshold(self, capsys):
         code, _ = run(["verify", "--kind", "thermal-boson", "--modes", "1",

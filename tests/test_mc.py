@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbtcount import (
+    DomainError,
     Estimate,
     SimulationConfig,
     SourceLaw,
@@ -145,7 +149,7 @@ class TestWithinGateStructure:
         cfg = SimulationConfig(
             law=TernaryLaw(0.45, 0.45, 0.1),
             source=SourceLaw("boson-polarized", modes=2, nbar=2.0),
-            gates=5000, seed=9, block_size=5000)
+            gates=5000, seed=9)
         rng = _block_rng(cfg.seed, 0)
         n = sample_occupancy(cfg.source, rng, size=cfg.gates)
         xi = rng.binomial(n, cfg.law.p)
@@ -246,11 +250,72 @@ class TestConfig:
                 law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
                 gates=1)
 
-    def test_block_partition_covers_all_gates(self):
+    @pytest.mark.parametrize("gates", [2, 63, 64, 65, 1000, 10000, 100000])
+    def test_block_partition_covers_all_gates(self, gates):
         cfg = SimulationConfig(
             law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
-            gates=1000, block_size=64)
-        assert cfg.n_blocks == 16
+            gates=gates)
+        counts = [_simulate_block(cfg, i)[0] for i in range(cfg.n_blocks)]
+        assert len(counts) == min(64, gates)
+        assert sum(counts) == gates
+        assert max(counts) - min(counts) <= 1
         report = simulate_series(cfg)
-        assert report.gates == 1000
-        assert report.blocks == 16
+        assert (report.gates, report.blocks) == (gates, min(64, gates))
+
+
+class TestUndefinedStatistics:
+    def test_r_is_nan_without_second_detector(self):
+        cfg = SimulationConfig(
+            law=TernaryLaw(0.5, 0.0, 0.5),
+            source=SourceLaw("coherent", modes=1, nbar=1.0),
+            gates=6400, seed=1)
+        report = simulate_series(cfg)
+        assert math.isnan(report.r_hat.value)
+        assert report.mean_eta_hat.value == 0.0
+
+    def test_degenerate_block_fails_verify(self):
+        src = SourceLaw("boson-polarized", modes=1, nbar=1.0)
+        cfg = SimulationConfig(law=LAW, source=src, gates=6400, seed=2)
+        blocks = [_simulate_block(cfg, i) for i in range(cfg.n_blocks)]
+        count, s_xi, _, s_n, s_xi2, _, s_n2, _ = blocks[5]
+        blocks[5] = (count, s_xi, 0, s_n, s_xi2, 0, s_n2, 0)
+        report = reduce_blocks(cfg, blocks)
+        assert math.isfinite(report.k_hat.value)
+        assert math.isnan(report.k_hat.stderr)
+        assert not verify(report, {"k": 2.0})["k"]["pass"]
+
+
+KINDS = ("coherent", "boson-polarized", "boson-unpolarized", "boson-partial",
+         "fermion-polarized", "fermion-unpolarized", "fermion-partial")
+
+
+class TestValidDomain:
+    """Anywhere in the valid domain: an honest report or a DomainError."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(KINDS),
+           log_nbar=st.floats(-3.0, 10.0),
+           modes=st.integers(1, 10 ** 4),
+           polarization=st.floats(0.0, 1.0),
+           gates=st.integers(2, 1000),
+           seed=st.integers(0, 2 ** 32))
+    def test_report_is_finite_or_raises(self, kind, log_nbar, modes,
+                                        polarization, gates, seed):
+        nbar = 10.0 ** log_nbar
+        if kind.startswith("fermion"):
+            nbar = min(nbar, 1.0)
+        src = SourceLaw(kind, modes=modes, nbar=nbar,
+                        polarization=polarization
+                        if kind.endswith("partial") else None)
+        cfg = SimulationConfig(law=LAW, source=src, gates=gates, seed=seed)
+        try:
+            report = simulate_series(cfg)
+        except DomainError:
+            return
+        means = (report.mean_xi_hat.value, report.mean_eta_hat.value)
+        assert all(math.isfinite(m) and m >= 0.0 for m in means)
+        f = report.f_hat.value
+        if math.isnan(f):
+            assert means == (0.0, 0.0)
+        else:
+            assert math.isfinite(f) and f >= 0.0
