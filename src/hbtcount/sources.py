@@ -249,7 +249,10 @@ def source_factorial_moments(src: SourceLaw) -> FactorialMoments:
 
 
 def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
-    """Smallest n* whose cumulative weight reaches `mass` (capped at 1e6)."""
+    """Smallest n* whose cumulative weight reaches `mass`.
+
+    Raises DomainError when the weight up to n = TRUNCATION_CAP falls short.
+    """
     bound = src.max_count
     if bound is not None:
         return bound
@@ -258,7 +261,8 @@ def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
         total += source_pmf(src, n)
         if total >= mass:
             return n
-    return TRUNCATION_CAP
+    raise DomainError(f"support cutoff: the weight up to n = {TRUNCATION_CAP}"
+                      f" is {total!r}, short of {mass!r}")
 
 
 def poisson_tv_distance(src: SourceLaw) -> float:

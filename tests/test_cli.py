@@ -243,6 +243,13 @@ class TestOutputHandling:
         rows = read_csv(out)
         assert [float(r["pmf"]) for r in rows] == pytest.approx([0, 0, 1])
 
+    def test_source_beyond_truncation_cap_is_domain_error(self, capsys):
+        code = cli.main(["source", "--kind", "coherent", "--nbar", "3e6"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DOMAIN
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_source_pgf_table(self, capsys):
         code, out = run(["source", "--kind", "coherent", "--mean", "1.0",
                          "--pgf", "0,1"], capsys)

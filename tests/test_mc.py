@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +20,31 @@ from hbtcount import (
     trinomial_pmf,
     verify,
 )
-from hbtcount.mc import _block_rng, _simulate_block
+from hbtcount.mc import (
+    HISTOGRAM_MIN_GATES,
+    _block_rng,
+    _simulate_block,
+    _thin_histogram,
+    _thin_per_gate,
+    _trinomial_table,
+)
 
 LAW = TernaryLaw(0.3, 0.2, 0.5)
+ZERO_PROBABILITY_LAWS = [TernaryLaw(0.5, 0.0, 0.5), TernaryLaw(0.5, 0.5, 0.0),
+                         TernaryLaw(1.0, 0.0, 0.0)]
+
+
+def _block_occupancy(cfg, block_index):
+    """A block's random stream and the occupancies it draws first."""
+    g, b = cfg.gates, cfg.n_blocks
+    count = (block_index + 1) * g // b - block_index * g // b
+    rng = _block_rng(cfg.seed, block_index)
+    return rng, sample_occupancy(cfg.source, rng, count)
+
+
+def _takes_histogram(cfg, block_index):
+    _, n = _block_occupancy(cfg, block_index)
+    return len(n) >= HISTOGRAM_MIN_GATES and (int(n.max()) + 1) ** 3 <= len(n)
 
 
 class TestDeterminism:
@@ -50,6 +73,19 @@ class TestDeterminism:
         backward = reduce_blocks(cfg, list(reversed(blocks)))
         assert forward.k_hat.value == backward.k_hat.value
         assert forward.r_hat.value == backward.r_hat.value
+
+    def test_mixed_paths_independent_of_schedule(self):
+        cfg = SimulationConfig(
+            law=LAW, source=SourceLaw("boson-polarized", modes=1, nbar=1.0),
+            gates=64000, seed=11)
+        paths = {_takes_histogram(cfg, i) for i in range(cfg.n_blocks)}
+        assert paths == {True, False}
+        first = simulate_series(cfg).as_dict()
+        assert simulate_series(cfg).as_dict() == first
+        backward = {i: _simulate_block(cfg, i)
+                    for i in reversed(range(cfg.n_blocks))}
+        in_order = [backward[i] for i in range(cfg.n_blocks)]
+        assert reduce_blocks(cfg, in_order).as_dict() == first
 
     def test_block_streams_are_distinct(self):
         a = _block_rng(5, 0).integers(0, 2 ** 32, 8)
@@ -145,17 +181,22 @@ class TestSamplerStream:
 
 
 class TestWithinGateStructure:
+    """The two thinning draws, run on the same occupancy vector."""
+
     def test_counts_never_exceed_occupancy(self):
-        cfg = SimulationConfig(
-            law=TernaryLaw(0.45, 0.45, 0.1),
-            source=SourceLaw("boson-polarized", modes=2, nbar=2.0),
-            gates=5000, seed=9)
-        rng = _block_rng(cfg.seed, 0)
-        n = sample_occupancy(cfg.source, rng, size=cfg.gates)
-        xi = rng.binomial(n, cfg.law.p)
-        eta = rng.binomial(n - xi, cfg.law.q / (cfg.law.q + cfg.law.r))
+        law = TernaryLaw(0.45, 0.45, 0.1)
+        src = SourceLaw("boson-polarized", modes=2, nbar=2.0)
+        n = sample_occupancy(src, _block_rng(9, 0), size=5000)
+        top = int(n.max())
+        xi, eta = _thin_per_gate(_block_rng(9, 1), law, n)
         assert np.all(xi + eta <= n)
         assert np.all(xi >= 0) and np.all(eta >= 0)
+        a, b, hist = _thin_histogram(_block_rng(9, 2), law, n, top)
+        k = np.arange(top + 1)[:, None]
+        assert np.all(hist >= 0)
+        assert hist[a + b > k].sum() == 0
+        assert np.array_equal(hist.sum(axis=1),
+                              np.bincount(n, minlength=top + 1))
 
     def test_joint_counts_match_mixture_pmf(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -163,8 +204,9 @@ class TestWithinGateStructure:
         rng = _block_rng(13, 0)
         gates = 200000
         n = sample_occupancy(src, rng, size=gates)
-        xi = rng.binomial(n, LAW.p)
-        eta = rng.binomial(n - xi, LAW.q / (LAW.q + LAW.r))
+        xi, eta = _thin_per_gate(rng, LAW, n)
+        a, b, hist = _thin_histogram(_block_rng(13, 1), LAW, n, int(n.max()))
+        cells_hist = dict(zip(zip(a, b), hist.sum(axis=0)))
 
         cells = {}
         for m in range(4):
@@ -172,12 +214,91 @@ class TestWithinGateStructure:
                 prob = sum(source_pmf(src, nn) * trinomial_pmf(LAW, nn, m, k)
                            for nn in range(m + k, 4))
                 cells[(m, k)] = prob
-        observed = np.array([np.count_nonzero((xi == m) & (eta == k))
-                             for (m, k) in cells])
         expected = gates * np.array(list(cells.values()))
-        chi2 = ((observed - expected) ** 2 / expected).sum()
-        p_value = scipy_stats.chi2.sf(chi2, df=len(cells) - 1)
-        assert p_value > 0.001
+        for observed in (
+                np.array([np.count_nonzero((xi == m) & (eta == k))
+                          for (m, k) in cells]),
+                np.array([cells_hist[m, k] for (m, k) in cells])):
+            assert observed.sum() == gates
+            chi2 = ((observed - expected) ** 2 / expected).sum()
+            p_value = scipy_stats.chi2.sf(chi2, df=len(cells) - 1)
+            assert p_value > 0.001
+
+    def test_paths_agree_on_block_sums(self):
+        src = SourceLaw("boson-polarized", modes=2, nbar=1.0)
+        n = sample_occupancy(src, _block_rng(17, 0), size=200000)
+        xi, eta = _thin_per_gate(_block_rng(17, 1), LAW, n)
+        a, b, hist = _thin_histogram(_block_rng(17, 2), LAW, n, int(n.max()))
+        for term in (lambda x, y: x, lambda x, y: y, lambda x, y: x * x,
+                     lambda x, y: y * y, lambda x, y: x * y):
+            per_gate = term(xi, eta)
+            # Given n, each path's sum has variance sum_k c_k Var(term | k)
+            var = sum(per_gate[n == k].var() * np.count_nonzero(n == k)
+                      for k in np.unique(n))
+            diff = int(per_gate.sum()) - int((hist * term(a, b)).sum())
+            assert abs(diff) <= 5.0 * math.sqrt(2.0 * var)
+
+    @pytest.mark.parametrize("kind,gates,histogram", [
+        ("coherent", 6400, False),
+        ("coherent", 64000, True),
+        # at most 2 quanta, but a block too small to repay the table
+        ("fermion-polarized", 12800, False),
+    ])
+    def test_block_sums_come_from_the_chosen_path(self, kind, gates,
+                                                  histogram):
+        cfg = SimulationConfig(
+            law=LAW, source=SourceLaw(kind, modes=2, nbar=0.5),
+            gates=gates, seed=3)
+        assert _takes_histogram(cfg, 0) == histogram
+        rng, n = _block_occupancy(cfg, 0)
+        if histogram:
+            a, b, hist = _thin_histogram(rng, cfg.law, n, int(n.max()))
+            sums = [(hist * a).sum(), (hist * b).sum(), (hist * a * a).sum(),
+                    (hist * b * b).sum(), (hist * a * b).sum()]
+        else:
+            xi, eta = _thin_per_gate(rng, cfg.law, n)
+            sums = [xi.sum(), eta.sum(), (xi * xi).sum(), (eta * eta).sum(),
+                    (xi * eta).sum()]
+        s_xi, s_eta, s_xi2, s_eta2, s_cross = (int(v) for v in sums)
+        assert _simulate_block(cfg, 0) == (
+            len(n), s_xi, s_eta, int(n.sum()), s_xi2, s_eta2,
+            int((n * n).sum()), s_cross)
+
+
+class TestTrinomialTable:
+    @pytest.mark.parametrize("law", [LAW, *ZERO_PROBABILITY_LAWS], ids=repr)
+    @pytest.mark.parametrize("top", [0, 1, 7, 24])
+    def test_rows_match_trinomial_pmf(self, law, top):
+        a, b, table = _trinomial_table(law, top)
+        assert table.shape == (top + 1, (top + 1) * (top + 2) // 2)
+        assert not np.isnan(table).any()
+        for k in range(top + 1):
+            valid = a + b <= k
+            expected = [trinomial_pmf(law, k, m, j)
+                        for m, j in zip(a[valid], b[valid])]
+            assert table[k, valid] == pytest.approx(expected, rel=1e-12,
+                                                    abs=0.0)
+            assert np.all(table[k, ~valid] == 0.0)
+
+    @pytest.mark.parametrize("law", ZERO_PROBABILITY_LAWS, ids=repr)
+    def test_zero_probability_laws_on_histogram_path(self, law):
+        cfg = SimulationConfig(
+            law=law, source=SourceLaw("coherent", modes=1, nbar=1.0),
+            gates=64000, seed=6)
+        assert all(_takes_histogram(cfg, i) for i in range(cfg.n_blocks))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = [_simulate_block(cfg, i) for i in range(cfg.n_blocks)]
+            report = reduce_blocks(cfg, blocks)
+        for _, s_xi, s_eta, s_n, s_xi2, s_eta2, s_n2, s_cross in blocks:
+            if law.q == 0.0:
+                assert s_eta == s_eta2 == s_cross == 0
+            if law.r == 0.0:
+                assert s_xi + s_eta == s_n
+                assert s_xi2 + 2 * s_cross + s_eta2 == s_n2
+        for name in ("mean_xi", "mean_eta", "f"):
+            assert math.isfinite(report.estimate(name).value)
+        assert math.isnan(report.r_hat.value) == (law.q == 0.0)
 
 
 class TestEstimates:

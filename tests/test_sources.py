@@ -115,6 +115,12 @@ class TestPmf:
         total = sum(source_pmf(src, n) for n in range(support_cutoff(src) + 1))
         assert total >= 1.0 - 1e-10
 
+    def test_cutoff_raises_when_mass_lies_past_the_cap(self):
+        # a Poisson law of mean 3e6 puts no weight below n = 1e6
+        src = SourceLaw("coherent", modes=1, nbar=3e6)
+        with pytest.raises(DomainError, match="is 0.0, short of"):
+            support_cutoff(src)
+
 
 class TestPgf:
     def test_normalization_at_one(self):
