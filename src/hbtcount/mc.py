@@ -6,15 +6,21 @@ by (seed, block index), and blocks are reduced in index order, so results
 are bit-identical for a given configuration regardless of how blocks are
 scheduled.
 
-Given its occupancy n, a gate's counts (xi, eta) are trinomial: each of
-the n quanta excites detector A (p), detector B (q) or neither (r).  The
-statistics need only the block sums of xi, eta, their squares and xi*eta,
-and a block draws them in one of two exact ways.  A block of many gates
-whose occupancies span few values draws, for each occupancy k, how its
-gates fall into the (xi, eta) cells: one multinomial draw per k over a
-table of about (k_max + 1)**3 / 2 probabilities.  Any other block draws
-per gate, xi ~ Binomial(n, p) and then eta ~ Binomial(n - xi,
-q/(q + r)), which costs two draws per gate whatever the occupancies.
+Gates are iid, so a block needs only its histogram of gate occupancies
+n, and given n a gate's counts (xi, eta) are trinomial: each of the n
+quanta excites detector A (p), detector B (q) or neither (r).  Each layer
+is one exact multinomial draw where it can be:
+
+* Occupancies: one draw over a once-per-run pmf table W_0..W_hi plus a
+  tail cell with the exact mass past hi; gates in the tail cell get their
+  n by inversion over the pmf past hi.  A run whose table window would
+  have more cells than its largest block draws every gate from
+  `sample_occupancy` instead.
+* Counts: for each occupancy k, one draw of how its gates fall into the
+  (xi, eta) cells, over about (k_max + 1)**3 / 2 probabilities.  A block
+  of many gates whose occupancies span few values takes it; any other
+  draws per gate, xi ~ Binomial(n, p), then eta ~ Binomial(n - xi,
+  q/(q + r)).
 
 Point estimates are computed from the pooled sums; standard errors come
 from batch means over the blocks.  A fixed, moderate number of batches is
@@ -23,6 +29,7 @@ enough for batch means (Schmeiser 1982, Oper. Res. 30:556).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,13 +37,17 @@ import numpy as np
 
 from .elementary import TernaryLaw
 from .errors import DomainError
-from .sources import SourceLaw
+from .sources import SourceLaw, occupancy_table, source_factorial_moments
 
 DEFAULT_Z_MAX = 4.0
 BLOCKS = 64
-# Below this block size the histogram's fixed cost, mostly building its
-# probability table, exceeds that of drawing every gate.
+# Blocks below this size thin per gate: the bound was measured when every
+# block built its own trinomial table.
 HISTOGRAM_MIN_GATES = 400
+# Occupancy tables reach this many standard deviations past the mean; the
+# tail cell holds the rest exactly, so this only trades table cells
+# against tail draws.
+_WINDOW_SIGMAS = 8.0
 
 
 @dataclass(frozen=True)
@@ -146,19 +157,33 @@ def _trinomial_table(law: TernaryLaw, top: int):
     return a, b, np.exp(np.where(c >= 0, log_w, -np.inf))
 
 
-def _thin_histogram(rng: np.random.Generator, law: TernaryLaw, n, top: int):
-    """The cells (a, b) with a + b <= top = max(n), and gate counts h[k, j]
-    with n = k, xi = a[j] and eta = b[j]: one multinomial draw per
-    occupancy over its trinomial cells."""
+def _most_probable_last(pvals):
+    """pvals sorted along the last axis, and the flat position in pvals of
+    each sorted cell."""
+    order = np.argsort(pvals, axis=-1, kind="stable")
+    row_starts = np.arange(0, pvals.size, pvals.shape[-1])
+    flat = order + row_starts.reshape(pvals.shape[:-1] + (1,))
+    return flat.ravel(), np.take_along_axis(pvals, order, axis=-1)
+
+
+def _multinomial(rng: np.random.Generator, n, cells):
+    """Multinomial counts over the cells `_most_probable_last` sorted.
+    The draw gives the last cell whatever count is left, rounding residue
+    included, so that goes to the most probable cell, never to an
+    impossible one."""
+    flat, pvals = cells
+    out = np.empty(pvals.size, dtype=np.int64)
+    out[flat] = rng.multinomial(n, pvals).ravel()
+    return out.reshape(pvals.shape)
+
+
+def _thinning_cells(law: TernaryLaw, top: int):
+    """The cells (a, b) with a + b <= top, their moments (a, b, a**2, b**2,
+    ab) as rows, and each occupancy's trinomial probabilities over them,
+    sorted for `_multinomial`."""
     a, b, table = _trinomial_table(law, top)
-    rows = np.arange(top + 1)[:, None]
-    # Each row's most probable cell goes last: the multinomial assigns the
-    # last cell whatever count is left, rounding residue included.
-    order = np.argsort(table, axis=1, kind="stable")
-    hist = np.empty(table.shape, dtype=np.int64)
-    hist[rows, order] = rng.multinomial(np.bincount(n, minlength=top + 1),
-                                        table[rows, order])
-    return a, b, hist
+    moments = np.stack([a, b, a * a, b * b, a * b])
+    return a, b, moments, _most_probable_last(table)
 
 
 def _thin_per_gate(rng: np.random.Generator, law: TernaryLaw, n):
@@ -172,44 +197,100 @@ def _thin_per_gate(rng: np.random.Generator, law: TernaryLaw, n):
     return xi, eta
 
 
-def _simulate_block(cfg: SimulationConfig, block_index: int) -> tuple:
+class _RunTables:
+    """The probability tables of one `simulate_series` call, shared by its
+    blocks.  They depend only on the configuration, so sharing them leaves
+    every block's draws unchanged.
+
+    `occupancy` is the source's pmf table, reaching _WINDOW_SIGMAS
+    standard deviations past the mean (or the end of a bounded support),
+    or None when that window has more cells than the largest block, which
+    then draws gate by gate.  `thinning_cells(top)` is built on first use.
+    """
+
+    def __init__(self, cfg: SimulationConfig):
+        fm = source_factorial_moments(cfg.source)
+        hi = fm.mean + _WINDOW_SIGMAS * math.sqrt(max(fm.fano * fm.mean, 0.0))
+        if cfg.source.max_count is not None:
+            hi = min(hi, cfg.source.max_count)
+        self.occupancy = None
+        if hi + 1 <= -(-cfg.gates // cfg.n_blocks):  # False for nan
+            self.occupancy = occupancy_table(cfg.source, math.ceil(hi))
+            self._occupancy_cells = _most_probable_last(
+                np.append(self.occupancy.window, self.occupancy.tail))
+        self.thinning_cells = functools.cache(
+            functools.partial(_thinning_cells, cfg.law))
+
+    def draw_occupancy(self, rng: np.random.Generator, count: int):
+        """The gates per occupancy 0..top in a block of `count` gates, with
+        top the largest drawn: one multinomial over W_0..W_hi and the tail
+        cell, then an inversion draw for each gate in the tail."""
+        counts = _multinomial(rng, count, self._occupancy_cells)
+        occupancy = counts[:-1]
+        if counts[-1]:
+            tail = self.occupancy.sample_tail(rng, counts[-1])
+            occupancy = np.bincount(tail)
+            occupancy[:len(counts) - 1] += counts[:-1]
+        return occupancy[:np.flatnonzero(occupancy)[-1] + 1]
+
+
+def _simulate_block(cfg: SimulationConfig, block_index: int,
+                    tables: _RunTables) -> tuple:
     """Simulate one block of gates and return its sums as Python ints:
     (count, sum xi, sum eta, sum n, sum xi**2, sum eta**2, sum n**2,
     sum xi*eta).
 
     Block i covers gates [i*g//B, (i+1)*g//B), so block sizes differ by at
-    most one.  Both ways of drawing (xi, eta) are exact.  The histogram
+    most one.  The block draws its occupancy histogram from the run's pmf
+    table and tail cell when `tables` has one, and its occupancies gate by
+    gate from `sample_occupancy` when not; the sums of n and n**2 follow
+    from either.  Both ways of drawing (xi, eta) are exact.  The histogram
     draw costs about (top + 1)**3 / 2 binomial steps for the largest
     occupancy `top`, plus a fixed cost, and the per-gate draw two binomials
     per gate, so the block takes the histogram when (top + 1)**3 <= count
-    and count >= HISTOGRAM_MIN_GATES.
+    and count >= HISTOGRAM_MIN_GATES.  For the per-gate draw, an occupancy
+    histogram is expanded into one occupancy per gate.
     """
     g, b = cfg.gates, cfg.n_blocks
     count = (block_index + 1) * g // b - block_index * g // b
     rng = _block_rng(cfg.seed, block_index)
 
-    n = sample_occupancy(cfg.source, rng, count)
-    top = int(n.max())
+    if tables.occupancy is None:
+        n = sample_occupancy(cfg.source, rng, count)
+        top = int(n.max())
+    else:
+        occupancy = tables.draw_occupancy(rng, count)
+        top = len(occupancy) - 1
     # xi, eta <= n, so this bounds every int64 block sum below
     if top ** 2 * count >= 2 ** 63:
         raise DomainError("occupancy too large: block sums of squares "
                           "would overflow int64")
-    if count >= HISTOGRAM_MIN_GATES and (top + 1) ** 3 <= count:
-        cell_xi, cell_eta, hist = _thin_histogram(rng, cfg.law, n, top)
-        s_xi, s_eta, s_xi2, s_eta2, s_cross = np.stack(
-            [cell_xi, cell_eta, cell_xi ** 2, cell_eta ** 2,
-             cell_xi * cell_eta]) @ hist.sum(axis=0)
+    if tables.occupancy is None:
+        s_n, s_n2 = n.sum(), n @ n
     else:
+        k = np.arange(top + 1)
+        s_n, s_n2 = occupancy @ k, occupancy @ (k * k)
+    if count >= HISTOGRAM_MIN_GATES and (top + 1) ** 3 <= count:
+        if tables.occupancy is None:
+            occupancy = np.bincount(n)
+        # gates h[k, j] with n = k, xi = a[j] and eta = b[j]
+        _, _, moments, sorted_table = tables.thinning_cells(top)
+        hist = _multinomial(rng, occupancy, sorted_table)
+        s_xi, s_eta, s_xi2, s_eta2, s_cross = moments @ hist.sum(axis=0)
+    else:
+        if tables.occupancy is not None:
+            n = np.repeat(np.arange(top + 1), occupancy)
         xi, eta = _thin_per_gate(rng, cfg.law, n)
         s_xi, s_eta = xi.sum(), eta.sum()
         s_xi2, s_eta2, s_cross = xi @ xi, eta @ eta, xi @ eta
-    return (count, int(s_xi), int(s_eta), int(n.sum()),
-            int(s_xi2), int(s_eta2), int(n @ n), int(s_cross))
+    return (count, int(s_xi), int(s_eta), int(s_n),
+            int(s_xi2), int(s_eta2), int(s_n2), int(s_cross))
 
 
 def simulate_series(cfg: SimulationConfig) -> EstimateReport:
     """Simulate the configured series and estimate K, R, F and the means."""
-    blocks = [_simulate_block(cfg, i) for i in range(cfg.n_blocks)]
+    tables = _RunTables(cfg)
+    blocks = [_simulate_block(cfg, i, tables) for i in range(cfg.n_blocks)]
     return reduce_blocks(cfg, blocks)
 
 

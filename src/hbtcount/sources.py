@@ -11,6 +11,9 @@ each of which owns its pmf, pgf, moments and sampler:
 
 The pmf of a two-component source is the explicit finite convolution of
 the component pmfs.  All pmfs are evaluated in log space.
+
+`occupancy_table` gives W_0..W_hi as one array, plus the exact mass past
+hi, for the Monte Carlo occupancy histograms.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -34,6 +39,9 @@ KINDS = (
 
 TRUNCATION_MASS = 1.0 - 1e-10
 TRUNCATION_CAP = 10 ** 6
+# An occupancy table sums a component's terms past its window until the
+# mass left is below this fraction of the sum: within its rounding.
+_TAIL_EPS = 2.0 ** -53
 
 
 # -- primitive components --------------------------------------------------
@@ -127,6 +135,13 @@ class Binomial(NamedTuple):
         return rng.binomial(self.order, self.a, size)
 
 
+def _neg_binomial(order: int, b: float) -> NegBinomial:
+    if b >= 1.0:
+        raise DomainError("boson occupancy too large: the ratio "
+                          "nbar / (1 + nbar) rounds to 1")
+    return NegBinomial(order, b)
+
+
 def _pmf(comp, n: int) -> float:
     lp = comp.log_pmf(n)
     return 0.0 if lp == -math.inf else math.exp(lp)
@@ -174,9 +189,9 @@ class SourceLaw:
         if self.kind == "coherent":
             return (Poisson(nb * m),)
         if self.kind == "boson-polarized":
-            return (NegBinomial(m, nb / (1.0 + nb)),)
+            return (_neg_binomial(m, nb / (1.0 + nb)),)
         if self.kind == "boson-unpolarized":
-            return (NegBinomial(2 * m, nb / (2.0 + nb)),)
+            return (_neg_binomial(2 * m, nb / (2.0 + nb)),)
         if self.kind == "fermion-polarized":
             return (Binomial(m, nb),)
         if self.kind == "fermion-unpolarized":
@@ -185,7 +200,7 @@ class SourceLaw:
         n1 = 0.5 * nb * (1.0 + self.polarization)
         n2 = 0.5 * nb * (1.0 - self.polarization)
         if self.kind == "boson-partial":
-            return tuple(NegBinomial(m, n / (1.0 + n))
+            return tuple(_neg_binomial(m, n / (1.0 + n))
                          for n in (n1, n2) if n > 0.0)
         return tuple(Binomial(m, n) for n in (n1, n2) if n > 0.0)
 
@@ -263,6 +278,82 @@ def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
             return n
     raise DomainError(f"support cutoff: the weight up to n = {TRUNCATION_CAP}"
                       f" is {total!r}, short of {mass!r}")
+
+
+def _component_terms(comp, hi: int):
+    """comp's pmf at n = 0, 1, ..., hi and on past hi until the mass left
+    is below _TAIL_EPS times the mass summed past hi (the whole support when
+    bounded)."""
+    if comp.max_count is not None:
+        return np.array([_pmf(comp, n) for n in range(comp.max_count + 1)])
+    mean = comp.mean_f2()[0]
+    terms = [_pmf(comp, n) for n in range(hi + 1)]
+    tail = 0.0
+    while True:
+        n = len(terms)
+        w = _pmf(comp, n)
+        terms.append(w)
+        tail += w
+        # Past the mean the ratio r = w_n / w_(n-1) of these log-concave
+        # laws is below 1 and does not grow, so the mass past n is at most
+        # w_n r / (1 - r) = w_n**2 / (w_(n-1) - w_n).
+        if n > mean and w * w <= _TAIL_EPS * tail * (terms[-2] - w):
+            return np.array(terms)
+
+
+@dataclass(frozen=True)
+class OccupancyTable:
+    """W_0..W_hi of a source, and the mass past hi summed term by term.
+
+    For n = first + second, a sum of the source's components (second = 0
+    for one component), P(n > hi) = sum_k P(first = k) P(second > hi - k).
+    `split` is the running sum of those terms over k and `suffix[m]` is
+    P(second >= m), each a sum of component terms, so no mass is taken as
+    1 minus a rounded sum.
+    """
+
+    window: np.ndarray
+    split: np.ndarray
+    suffix: np.ndarray
+
+    @property
+    def hi(self) -> int:
+        return len(self.window) - 1
+
+    @property
+    def tail(self) -> float:
+        """P(n > hi)."""
+        return float(self.split[-1])
+
+    def sample_tail(self, rng, size: int):
+        """size draws of n given n > hi, by inversion: first the first
+        component's value k, then the second's given that it is at least
+        hi + 1 - k."""
+        u = rng.random((2, size))
+        first = np.searchsorted(self.split, u[0] * self.split[-1],
+                                side="right")
+        low = np.clip(self.hi + 1 - first, 0, len(self.suffix) - 1)
+        second = np.searchsorted(-self.suffix,
+                                 -self.suffix[low] * (1.0 - u[1]),
+                                 side="right") - 1
+        return first + second
+
+
+def occupancy_table(src: SourceLaw, hi: int) -> OccupancyTable:
+    """The table of W_0..W_hi and the exact tail mass past hi.
+
+    Each component's pmf is evaluated once per term and a two-component
+    window is one convolution.  A window reaching the end of a bounded
+    support has tail 0.
+    """
+    if hi < 0 or (src.max_count is not None and hi > src.max_count):
+        raise ValueError("hi must lie in the support")
+    terms = [_component_terms(comp, hi) for comp in src._components]
+    first, second = terms if len(terms) == 2 else (terms[0], np.ones(1))
+    window = np.convolve(first[:hi + 1], second[:hi + 1])[:hi + 1]
+    suffix = np.append(np.cumsum(second[::-1])[::-1], 0.0)
+    low = np.clip(hi + 1 - np.arange(len(first)), 0, len(second))
+    return OccupancyTable(window, np.cumsum(first * suffix[low]), suffix)
 
 
 def poisson_tv_distance(src: SourceLaw) -> float:

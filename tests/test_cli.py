@@ -202,6 +202,20 @@ class TestSimulateAndVerify:
         assert code == expected
         assert err.startswith("error:") == (expected == cli.EXIT_DOMAIN)
 
+    @pytest.mark.parametrize("command", ["k", "verify"])
+    def test_boson_occupancy_past_float_resolution_is_domain_error(
+            self, capsys, command):
+        # nbar / (1 + nbar) rounds to 1 from nbar = 2**53 on
+        argv = [command, "--kind", "thermal-boson", "--modes", "1",
+                "--nbar", "1e17"]
+        if command == "verify":
+            argv += ["--p", ".3", "--q", ".2", "--r", ".5", "--gates", "1000"]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DOMAIN
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_verify_fails_with_tight_threshold(self, capsys):
         code, _ = run(["verify", "--kind", "thermal-boson", "--modes", "1",
                        "--nbar", "1.0", "--p", "0.3", "--q", "0.2",

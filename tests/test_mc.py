@@ -20,12 +20,15 @@ from hbtcount import (
     trinomial_pmf,
     verify,
 )
+from hbtcount import mc
 from hbtcount.mc import (
     HISTOGRAM_MIN_GATES,
+    _RunTables,
     _block_rng,
+    _multinomial,
     _simulate_block,
-    _thin_histogram,
     _thin_per_gate,
+    _thinning_cells,
     _trinomial_table,
 )
 
@@ -35,16 +38,35 @@ ZERO_PROBABILITY_LAWS = [TernaryLaw(0.5, 0.0, 0.5), TernaryLaw(0.5, 0.5, 0.0),
 
 
 def _block_occupancy(cfg, block_index):
-    """A block's random stream and the occupancies it draws first."""
+    """A block's random stream and the occupancies it draws first, per
+    gate (in increasing order when drawn as a histogram)."""
+    tables = _RunTables(cfg)
     g, b = cfg.gates, cfg.n_blocks
     count = (block_index + 1) * g // b - block_index * g // b
     rng = _block_rng(cfg.seed, block_index)
-    return rng, sample_occupancy(cfg.source, rng, count)
+    if tables.occupancy is None:
+        return rng, sample_occupancy(cfg.source, rng, count)
+    occupancy = tables.draw_occupancy(rng, count)
+    return rng, np.repeat(np.arange(len(occupancy)), occupancy)
 
 
 def _takes_histogram(cfg, block_index):
     _, n = _block_occupancy(cfg, block_index)
     return len(n) >= HISTOGRAM_MIN_GATES and (int(n.max()) + 1) ** 3 <= len(n)
+
+
+def _blocks(cfg):
+    tables = _RunTables(cfg)
+    return [_simulate_block(cfg, i, tables) for i in range(cfg.n_blocks)]
+
+
+def _thin(rng, law, n):
+    """The cells (a, b) for top = max(n), and the gate counts h[k, j] with
+    n = k, xi = a[j] and eta = b[j] that the block's histogram draw gives."""
+    top = int(n.max())
+    a, b, _, sorted_table = _thinning_cells(law, top)
+    return a, b, _multinomial(rng, np.bincount(n, minlength=top + 1),
+                              sorted_table)
 
 
 class TestDeterminism:
@@ -68,7 +90,7 @@ class TestDeterminism:
         cfg = SimulationConfig(
             law=LAW, source=SourceLaw("coherent", modes=2, nbar=0.8),
             gates=12800, seed=3)
-        blocks = [_simulate_block(cfg, i) for i in range(cfg.n_blocks)]
+        blocks = _blocks(cfg)
         forward = reduce_blocks(cfg, blocks)
         backward = reduce_blocks(cfg, list(reversed(blocks)))
         assert forward.k_hat.value == backward.k_hat.value
@@ -82,7 +104,7 @@ class TestDeterminism:
         assert paths == {True, False}
         first = simulate_series(cfg).as_dict()
         assert simulate_series(cfg).as_dict() == first
-        backward = {i: _simulate_block(cfg, i)
+        backward = {i: _simulate_block(cfg, i, _RunTables(cfg))
                     for i in reversed(range(cfg.n_blocks))}
         in_order = [backward[i] for i in range(cfg.n_blocks)]
         assert reduce_blocks(cfg, in_order).as_dict() == first
@@ -180,6 +202,45 @@ class TestSamplerStream:
         assert np.array_equal(draws, expected)
 
 
+class TestOccupancyHistogram:
+    @pytest.mark.parametrize("src", PINNED_SOURCES, ids=repr)
+    def test_coarse_window_matches_pmf(self, src, monkeypatch):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        # a window ending at the mean puts a large share in the tail cell
+        monkeypatch.setattr(mc, "_WINDOW_SIGMAS", 0.0)
+        gates = 200000
+        cfg = SimulationConfig(law=LAW, source=src, gates=64 * gates)
+        tables = _RunTables(cfg)
+        hi = tables.occupancy.hi
+        assert hi == 3  # the mean is 2.1
+        occupancy = tables.draw_occupancy(_block_rng(23, 0), gates)
+        assert occupancy.sum() == gates and occupancy[-1] > 0
+        assert (occupancy[hi + 1:].sum() > 0) == (tables.occupancy.tail > 0)
+
+        pmf = [source_pmf(src, n) for n in range(len(occupancy))]
+        # cells from `last` on are pooled, keeping 5 expected gates or more
+        last = next(n for n in range(len(pmf))
+                    if gates * (1.0 - sum(pmf[:n + 1])) < 5.0)
+        expected = gates * np.append(pmf[:last], 1.0 - sum(pmf[:last]))
+        observed = np.append(occupancy[:last], occupancy[last:].sum())
+        chi2 = ((observed - expected) ** 2 / expected).sum()
+        p_value = scipy_stats.chi2.sf(chi2, df=len(expected) - 1)
+        assert p_value > 0.001
+
+    def test_wide_window_draws_per_gate(self):
+        cfg = SimulationConfig(
+            law=LAW, source=SourceLaw("coherent", modes=1, nbar=1e7),
+            gates=6400, seed=5)
+        tables = _RunTables(cfg)
+        assert tables.occupancy is None
+        rng = _block_rng(5, 0)
+        n = sample_occupancy(cfg.source, rng, 100)
+        xi, eta = _thin_per_gate(rng, LAW, n)
+        sums = (xi.sum(), eta.sum(), n.sum(), xi @ xi, eta @ eta, n @ n,
+                xi @ eta)
+        assert _simulate_block(cfg, 0, tables) == (100, *map(int, sums))
+
+
 class TestWithinGateStructure:
     """The two thinning draws, run on the same occupancy vector."""
 
@@ -191,7 +252,7 @@ class TestWithinGateStructure:
         xi, eta = _thin_per_gate(_block_rng(9, 1), law, n)
         assert np.all(xi + eta <= n)
         assert np.all(xi >= 0) and np.all(eta >= 0)
-        a, b, hist = _thin_histogram(_block_rng(9, 2), law, n, top)
+        a, b, hist = _thin(_block_rng(9, 2), law, n)
         k = np.arange(top + 1)[:, None]
         assert np.all(hist >= 0)
         assert hist[a + b > k].sum() == 0
@@ -205,7 +266,7 @@ class TestWithinGateStructure:
         gates = 200000
         n = sample_occupancy(src, rng, size=gates)
         xi, eta = _thin_per_gate(rng, LAW, n)
-        a, b, hist = _thin_histogram(_block_rng(13, 1), LAW, n, int(n.max()))
+        a, b, hist = _thin(_block_rng(13, 1), LAW, n)
         cells_hist = dict(zip(zip(a, b), hist.sum(axis=0)))
 
         cells = {}
@@ -228,7 +289,7 @@ class TestWithinGateStructure:
         src = SourceLaw("boson-polarized", modes=2, nbar=1.0)
         n = sample_occupancy(src, _block_rng(17, 0), size=200000)
         xi, eta = _thin_per_gate(_block_rng(17, 1), LAW, n)
-        a, b, hist = _thin_histogram(_block_rng(17, 2), LAW, n, int(n.max()))
+        a, b, hist = _thin(_block_rng(17, 2), LAW, n)
         for term in (lambda x, y: x, lambda x, y: y, lambda x, y: x * x,
                      lambda x, y: y * y, lambda x, y: x * y):
             per_gate = term(xi, eta)
@@ -252,7 +313,7 @@ class TestWithinGateStructure:
         assert _takes_histogram(cfg, 0) == histogram
         rng, n = _block_occupancy(cfg, 0)
         if histogram:
-            a, b, hist = _thin_histogram(rng, cfg.law, n, int(n.max()))
+            a, b, hist = _thin(rng, cfg.law, n)
             sums = [(hist * a).sum(), (hist * b).sum(), (hist * a * a).sum(),
                     (hist * b * b).sum(), (hist * a * b).sum()]
         else:
@@ -260,7 +321,7 @@ class TestWithinGateStructure:
             sums = [xi.sum(), eta.sum(), (xi * xi).sum(), (eta * eta).sum(),
                     (xi * eta).sum()]
         s_xi, s_eta, s_xi2, s_eta2, s_cross = (int(v) for v in sums)
-        assert _simulate_block(cfg, 0) == (
+        assert _simulate_block(cfg, 0, _RunTables(cfg)) == (
             len(n), s_xi, s_eta, int(n.sum()), s_xi2, s_eta2,
             int((n * n).sum()), s_cross)
 
@@ -288,7 +349,7 @@ class TestTrinomialTable:
         assert all(_takes_histogram(cfg, i) for i in range(cfg.n_blocks))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            blocks = [_simulate_block(cfg, i) for i in range(cfg.n_blocks)]
+            blocks = _blocks(cfg)
             report = reduce_blocks(cfg, blocks)
         for _, s_xi, s_eta, s_n, s_xi2, s_eta2, s_n2, s_cross in blocks:
             if law.q == 0.0:
@@ -376,7 +437,7 @@ class TestConfig:
         cfg = SimulationConfig(
             law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
             gates=gates)
-        counts = [_simulate_block(cfg, i)[0] for i in range(cfg.n_blocks)]
+        counts = [block[0] for block in _blocks(cfg)]
         assert len(counts) == min(64, gates)
         assert sum(counts) == gates
         assert max(counts) - min(counts) <= 1
@@ -397,7 +458,7 @@ class TestUndefinedStatistics:
     def test_degenerate_block_fails_verify(self):
         src = SourceLaw("boson-polarized", modes=1, nbar=1.0)
         cfg = SimulationConfig(law=LAW, source=src, gates=6400, seed=2)
-        blocks = [_simulate_block(cfg, i) for i in range(cfg.n_blocks)]
+        blocks = _blocks(cfg)
         count, s_xi, _, s_n, s_xi2, _, s_n2, _ = blocks[5]
         blocks[5] = (count, s_xi, 0, s_n, s_xi2, 0, s_n2, 0)
         report = reduce_blocks(cfg, blocks)

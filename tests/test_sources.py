@@ -11,6 +11,7 @@ from hbtcount import (
     support_cutoff,
 )
 from hbtcount.errors import DomainError
+from hbtcount.sources import KINDS, occupancy_table
 
 BOSON_GRID = [(m, nb) for m in (1, 2, 5, 20) for nb in (0.1, 0.5, 1.0, 2.0)]
 FERMION_GRID = [(m, nb) for m in (1, 2, 5, 20) for nb in (0.1, 0.5, 1.0)]
@@ -120,6 +121,54 @@ class TestPmf:
         src = SourceLaw("coherent", modes=1, nbar=3e6)
         with pytest.raises(DomainError, match="is 0.0, short of"):
             support_cutoff(src)
+
+
+class TestOccupancyTable:
+    SOURCES = [SourceLaw(kind, modes=3, nbar=0.7,
+                         polarization=0.4 if kind.endswith("partial") else None)
+               for kind in KINDS]
+
+    @pytest.mark.parametrize("src", SOURCES, ids=repr)
+    @pytest.mark.parametrize("hi", [0, 2, 5, 6, 20])
+    def test_window_and_tail_match_pmf(self, src, hi):
+        if src.max_count is not None and hi > src.max_count:
+            return
+        table = occupancy_table(src, hi)
+        expected = [source_pmf(src, n) for n in range(hi + 1)]
+        assert table.hi == hi
+        assert list(table.window) == pytest.approx(expected, rel=1e-12,
+                                                   abs=0.0)
+        end = src.max_count if src.max_count is not None else hi + 200
+        direct = math.fsum(source_pmf(src, n) for n in range(hi + 1, end + 1))
+        assert table.tail == pytest.approx(direct, rel=1e-12, abs=0.0)
+        if src.max_count == hi:
+            assert table.tail == 0.0
+
+    def test_window_below_the_mode(self):
+        # W_0 and W_1 underflow to 0, yet the tail holds all the mass
+        table = occupancy_table(SourceLaw("coherent", modes=1, nbar=1000.0),
+                                0)
+        assert table.window[0] == 0.0
+        assert table.tail == pytest.approx(1.0, rel=1e-10)
+
+    def test_rejects_window_past_bounded_support(self):
+        src = SourceLaw("fermion-polarized", modes=3, nbar=0.5)
+        with pytest.raises(ValueError):
+            occupancy_table(src, 4)
+
+
+class TestBosonOccupancyLimit:
+    @pytest.mark.parametrize("kind", ["boson-polarized", "boson-unpolarized",
+                                      "boson-partial"])
+    def test_ratio_rounding_to_one_is_domain_error(self, kind):
+        src = SourceLaw(kind, modes=1, nbar=1e17, polarization=0.5
+                        if kind == "boson-partial" else None)
+        with pytest.raises(DomainError, match="rounds to 1"):
+            source_factorial_moments(src)
+
+    def test_largest_resolved_occupancy_is_finite(self):
+        src = SourceLaw("boson-polarized", modes=1, nbar=1e15)
+        assert math.isfinite(source_factorial_moments(src).fano)
 
 
 class TestPgf:
