@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import csv as _csv
+import functools
 import json
 import sys
 
@@ -237,6 +238,7 @@ def _cmd_verify(args) -> list[dict]:
 # -- argument parser -------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hbtcount",

@@ -60,6 +60,9 @@ class SimulationConfig:
     def __post_init__(self):
         if self.gates < 2:
             raise ValueError("insufficient data: need at least 2 gates")
+        # the seed is the first 64-bit word of every block's Philox key
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must lie in [0, 2**64)")
 
     @property
     def n_blocks(self) -> int:
@@ -105,10 +108,22 @@ class EstimateReport:
         return out
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(block_index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _block_rng(seed: int, block_index: int,
+               rng: np.random.Generator | None = None) -> np.random.Generator:
+    """The random stream of block `block_index`: a Philox generator keyed
+    by (seed, block_index), at counter 0 with empty buffers.  Philox is
+    counter-based, so re-keying a generator in place gives the draws of a
+    new one; `rng`, a Philox generator, is re-keyed and returned when given,
+    which costs about a quarter of building a new one."""
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(key=0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed, block_index], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def sample_occupancy(source: SourceLaw, rng: np.random.Generator,
@@ -220,6 +235,7 @@ class _RunTables:
                 np.append(self.occupancy.window, self.occupancy.tail))
         self.thinning_cells = functools.cache(
             functools.partial(_thinning_cells, cfg.law))
+        self.rng = _block_rng(cfg.seed, 0)
 
     def draw_occupancy(self, rng: np.random.Generator, count: int):
         """The gates per occupancy 0..top in a block of `count` gates, with
@@ -253,7 +269,7 @@ def _simulate_block(cfg: SimulationConfig, block_index: int,
     """
     g, b = cfg.gates, cfg.n_blocks
     count = (block_index + 1) * g // b - block_index * g // b
-    rng = _block_rng(cfg.seed, block_index)
+    rng = _block_rng(cfg.seed, block_index, tables.rng)
 
     if tables.occupancy is None:
         n = sample_occupancy(cfg.source, rng, count)

@@ -154,6 +154,16 @@ class TestSimulateAndVerify:
         _, b = run(base + ["--seed", "0"], capsys)
         assert a == b
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_64_bits_is_validation_error(self, capsys, seed):
+        code = cli.main(["simulate", "--kind", "coherent", "--mean", "1.0",
+                         "--p", "0.3", "--q", "0.2", "--r", "0.5",
+                         "--gates", "6400", "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_simulate_requires_law(self, capsys):
         code, _ = run(["simulate", "--kind", "coherent", "--mean", "1.0"],
                       capsys)
@@ -270,6 +280,48 @@ class TestOutputHandling:
         rows = read_csv(out)
         assert float(rows[0]["pgf"]) == pytest.approx(0.367879, rel=1e-5)
         assert float(rows[1]["pgf"]) == pytest.approx(1.0)
+
+
+def call(argv, capsys):
+    """Exit code, stdout and stderr of one `cli.main` call, argparse's
+    own exits included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestCachedParser:
+    """One parser serves every call in a process and keeps nothing from
+    one call to the next."""
+
+    K = ["k", "--kind", "thermal-boson", "--modes", "1", "--nbar", "1.0"]
+    SIM = ["simulate", "--kind", "coherent", "--mean", "1.0", "--p", "0.3",
+           "--q", "0.2", "--r", "0.5", "--gates", "6400"]
+    SESSION = [["--format", "json"] + K, K,
+               SIM + ["--seed", "9"], SIM,
+               ["k", "--kind", "laser"], K]
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_match_a_fresh_parser(self, capsys):
+        session = [call(argv, capsys) for argv in self.SESSION]
+        fresh = []
+        for argv in self.SESSION:
+            cli._build_parser.cache_clear()
+            fresh.append(call(argv, capsys))
+        assert session == fresh
+
+        json_k, csv_k, seeded, unseeded, rejected, after = session
+        assert json.loads(json_k[1])[0]["kind"] == "thermal-boson"
+        assert read_csv(csv_k[1])[0]["kind"] == "thermal-boson"
+        assert unseeded != seeded
+        assert unseeded == call(self.SIM + ["--seed", "0"], capsys)
+        assert rejected[0] == cli.EXIT_VALIDATION
+        assert after[0] == cli.EXIT_OK
 
 
 def readme_commands():

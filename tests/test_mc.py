@@ -114,6 +114,30 @@ class TestDeterminism:
         b = _block_rng(5, 1).integers(0, 2 ** 32, 8)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_block_streams_are_pinned(self, seed):
+        """Re-keying the run's one generator gives each block the stream of
+        a new Philox with key (seed, block index), whatever was drawn
+        before; a 32-bit draw at each end catches a leftover half word."""
+        def draws(rng):
+            return (rng.integers(0, 2 ** 31, 3, dtype=np.int32),
+                    rng.random(4), rng.binomial(40, 0.3, 5),
+                    rng.multinomial(50, [0.2, 0.3, 0.5]),
+                    rng.integers(0, 2 ** 62, 2), rng.poisson(3.5, 5),
+                    rng.integers(0, 2 ** 31, 3, dtype=np.int32))
+
+        cfg = SimulationConfig(
+            law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
+            gates=6400, seed=seed)
+        tables = _RunTables(cfg)
+        for i in (5, 0, 63, 5):
+            rng = _block_rng(seed, i, tables.rng)
+            assert rng is tables.rng
+            fresh = np.random.Generator(np.random.Philox(
+                key=np.array([seed, i], dtype=np.uint64)))
+            for got, expected in zip(draws(rng), draws(fresh)):
+                assert np.array_equal(got, expected)
+
 
 class TestSampleOccupancy:
     def test_degenerate_fermion_is_constant(self):
@@ -431,6 +455,21 @@ class TestConfig:
             SimulationConfig(
                 law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
                 gates=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SimulationConfig(
+                law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
+                seed=seed)
+
+    def test_extreme_seeds_give_distinct_runs(self):
+        base = dict(law=LAW,
+                    source=SourceLaw("coherent", modes=1, nbar=1.0),
+                    gates=6400)
+        reports = [simulate_series(SimulationConfig(seed=seed, **base))
+                   for seed in (0, 2 ** 63, 2 ** 64 - 1)]
+        assert len({repr(r.as_dict()) for r in reports}) == 3
 
     @pytest.mark.parametrize("gates", [2, 63, 64, 65, 1000, 10000, 100000])
     def test_block_partition_covers_all_gates(self, gates):
