@@ -4,7 +4,9 @@ Gates are simulated in 64 near-equal blocks (fewer when there are fewer
 gates).  Each block draws from its own counter-based random stream keyed
 by (seed, block index), and blocks are reduced in index order, so results
 are bit-identical for a given configuration regardless of how blocks are
-scheduled.
+scheduled.  A run keeps one Philox generator and re-keys it at the start
+of each block, which gives exactly the draws of a new generator with that
+key, so the tables of one run must not serve blocks concurrently.
 
 Gates are iid, so a block needs only its histogram of gate occupancies
 n, and given n a gate's counts (xi, eta) are trinomial: each of the n
@@ -18,8 +20,8 @@ is one exact multinomial draw where it can be:
   `sample_occupancy` instead.
 * Counts: for each occupancy k, one draw of how its gates fall into the
   (xi, eta) cells, over about (k_max + 1)**3 / 2 probabilities.  A block
-  of many gates whose occupancies span few values takes it; any other
-  draws per gate, xi ~ Binomial(n, p), then eta ~ Binomial(n - xi,
+  whose occupancies span few values for its number of gates takes it; any
+  other draws per gate, xi ~ Binomial(n, p), then eta ~ Binomial(n - xi,
   q/(q + r)).
 
 Point estimates are computed from the pooled sums; standard errors come
@@ -41,9 +43,6 @@ from .sources import SourceLaw, occupancy_table, source_factorial_moments
 
 DEFAULT_Z_MAX = 4.0
 BLOCKS = 64
-# Blocks below this size thin per gate: the bound was measured when every
-# block built its own trinomial table.
-HISTOGRAM_MIN_GATES = 400
 # Occupancy tables reach this many standard deviations past the mean; the
 # tail cell holds the rest exactly, so this only trades table cells
 # against tail draws.
@@ -221,6 +220,8 @@ class _RunTables:
     standard deviations past the mean (or the end of a bounded support),
     or None when that window has more cells than the largest block, which
     then draws gate by gate.  `thinning_cells(top)` is built on first use.
+    `rng` is the run's one Philox generator, which `_block_rng` re-keys for
+    each block, so one instance must not serve blocks concurrently.
     """
 
     def __init__(self, cfg: SimulationConfig):
@@ -257,15 +258,19 @@ def _simulate_block(cfg: SimulationConfig, block_index: int,
     sum xi*eta).
 
     Block i covers gates [i*g//B, (i+1)*g//B), so block sizes differ by at
-    most one.  The block draws its occupancy histogram from the run's pmf
-    table and tail cell when `tables` has one, and its occupancies gate by
-    gate from `sample_occupancy` when not; the sums of n and n**2 follow
-    from either.  Both ways of drawing (xi, eta) are exact.  The histogram
+    most one.  The block re-keys the run's generator `tables.rng` to its
+    own stream before its first draw, and uses it for every draw, so no
+    other block may run on the same `tables` until it returns.  It draws
+    its occupancy histogram from the run's pmf table and tail cell when
+    `tables` has one, and its occupancies gate by gate from
+    `sample_occupancy` when not; the sums of n and n**2 follow from
+    either.  Both ways of drawing (xi, eta) are exact.  The histogram
     draw costs about (top + 1)**3 / 2 binomial steps for the largest
     occupancy `top`, plus a fixed cost, and the per-gate draw two binomials
-    per gate, so the block takes the histogram when (top + 1)**3 <= count
-    and count >= HISTOGRAM_MIN_GATES.  For the per-gate draw, an occupancy
-    histogram is expanded into one occupancy per gate.
+    per gate, so the block takes the histogram exactly when
+    (top + 1)**3 <= count; the tables are built once per run, so the fixed
+    cost is small even for blocks of a few hundred gates.  For the per-gate
+    draw, an occupancy histogram is expanded into one occupancy per gate.
     """
     g, b = cfg.gates, cfg.n_blocks
     count = (block_index + 1) * g // b - block_index * g // b
@@ -286,7 +291,7 @@ def _simulate_block(cfg: SimulationConfig, block_index: int,
     else:
         k = np.arange(top + 1)
         s_n, s_n2 = occupancy @ k, occupancy @ (k * k)
-    if count >= HISTOGRAM_MIN_GATES and (top + 1) ** 3 <= count:
+    if (top + 1) ** 3 <= count:
         if tables.occupancy is None:
             occupancy = np.bincount(n)
         # gates h[k, j] with n = k, xi = a[j] and eta = b[j]
