@@ -238,6 +238,8 @@ def _cmd_verify(args) -> list[dict]:
 # -- argument parser -------------------------------------------------------
 
 
+# Built once per process, on the first `main` call: `parse_args` returns a
+# new namespace each time, and nothing changes the parser once it is built.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
