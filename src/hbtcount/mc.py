@@ -1,37 +1,35 @@
 """Monte Carlo verification of the analytic series statistics.
 
-Gates are simulated in 64 near-equal blocks (fewer when there are fewer
-gates).  Each block draws from its own counter-based random stream keyed
-by (seed, block index), and blocks are reduced in index order, so results
-are bit-identical for a given configuration regardless of how blocks are
-scheduled.  A run keeps one Philox generator and re-keys it at the start
-of each block, which gives exactly the draws of a new generator with that
-key, so the tables of one run must not serve blocks concurrently.
+Gates are split into 64 near-equal blocks (fewer when there are fewer
+gates).  A run draws all blocks together, layer by layer, from one
+counter-based Philox stream keyed by the seed, so a configuration gives a
+bit-identical report; there is no per-block stream and no block schedule.
 
 Gates are iid, so a block needs only its histogram of gate occupancies
 n, and given n a gate's counts (xi, eta) are trinomial: each of the n
 quanta excites detector A (p), detector B (q) or neither (r).  Each layer
-is one exact multinomial draw where it can be:
+is one exact draw for the whole run:
 
-* Occupancies: one draw over a once-per-run pmf table W_0..W_hi plus a
-  tail cell with the exact mass past hi; gates in the tail cell get their
-  n by inversion over the pmf past hi.  A run whose table window would
-  have more cells than its largest block draws every gate from
-  `sample_occupancy` instead.
-* Counts: for each occupancy k, one draw of how its gates fall into the
-  (xi, eta) cells, over about (k_max + 1)**3 / 2 probabilities.  A block
-  whose occupancies span few values for its number of gates takes it; any
-  other draws per gate, xi ~ Binomial(n, p), then eta ~ Binomial(n - xi,
-  q/(q + r)).
+* Occupancies: one multinomial per block, in one call, over a once-per-run
+  pmf table W_0..W_hi plus a tail cell with the exact mass past hi; the
+  run's tail gates get their n by inversion over the pmf past hi.  A run
+  whose window has more cells than its largest block (or too many for
+  _GROUP_COST) draws its gates from `sample_occupancy` instead, block
+  after block, and thins them gate by gate.
+* Counts: a row split j, chosen once per run, sends the gates with n <= j
+  through one multinomial over the (xi, eta) cells for each block and
+  occupancy, (j + 1)(j + 2)/2 table cells a row, and the gates with n > j
+  through per-gate binomials, xi ~ Binomial(n, p), then
+  eta ~ Binomial(n - xi, q/(q + r)).  j minimises the table cells drawn
+  plus _GATE_COST per gate thinned one by one.
 
-Point estimates are computed from the pooled sums; standard errors come
-from batch means over the blocks.  A fixed, moderate number of batches is
-enough for batch means (Schmeiser 1982, Oper. Res. 30:556).
+Point estimates are computed from the pooled sums.  Standard errors are
+leave-one-block-out jackknife errors over the exact pooled sums, which
+stay finite when one block has no count in a detector.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +45,13 @@ BLOCKS = 64
 # tail cell holds the rest exactly, so this only trades table cells
 # against tail draws.
 _WINDOW_SIGMAS = 8.0
+# The cost of thinning one gate by two binomials, in multinomial table
+# cells.  Benchmark pass times are flat within noise for values from 3 to
+# 12 (2-core Xeon, numpy 2.4), so this is a constant, not an option.
+_GATE_COST = 6
+# A run's histograms and each group of blocks thinned together hold
+# about this many cost units at most, which bounds the memory of a run.
+_GROUP_COST = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ class SimulationConfig:
     def __post_init__(self):
         if self.gates < 2:
             raise ValueError("insufficient data: need at least 2 gates")
-        # the seed is the first 64-bit word of every block's Philox key
+        # the seed is the run's Philox key
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must lie in [0, 2**64)")
 
@@ -105,24 +110,6 @@ class EstimateReport:
             est = self.estimate(name)
             out[name] = {"value": est.value, "stderr": est.stderr}
         return out
-
-
-def _block_rng(seed: int, block_index: int,
-               rng: np.random.Generator | None = None) -> np.random.Generator:
-    """The random stream of block `block_index`: a Philox generator keyed
-    by (seed, block_index), at counter 0 with empty buffers.  Philox is
-    counter-based, so re-keying a generator in place gives the draws of a
-    new one; `rng`, a Philox generator, is re-keyed and returned when given,
-    which costs about a quarter of building a new one."""
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed, block_index], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
-    return rng
 
 
 def sample_occupancy(source: SourceLaw, rng: np.random.Generator,
@@ -171,35 +158,6 @@ def _trinomial_table(law: TernaryLaw, top: int):
     return a, b, np.exp(np.where(c >= 0, log_w, -np.inf))
 
 
-def _most_probable_last(pvals):
-    """pvals sorted along the last axis, and the flat position in pvals of
-    each sorted cell."""
-    order = np.argsort(pvals, axis=-1, kind="stable")
-    row_starts = np.arange(0, pvals.size, pvals.shape[-1])
-    flat = order + row_starts.reshape(pvals.shape[:-1] + (1,))
-    return flat.ravel(), np.take_along_axis(pvals, order, axis=-1)
-
-
-def _multinomial(rng: np.random.Generator, n, cells):
-    """Multinomial counts over the cells `_most_probable_last` sorted.
-    The draw gives the last cell whatever count is left, rounding residue
-    included, so that goes to the most probable cell, never to an
-    impossible one."""
-    flat, pvals = cells
-    out = np.empty(pvals.size, dtype=np.int64)
-    out[flat] = rng.multinomial(n, pvals).ravel()
-    return out.reshape(pvals.shape)
-
-
-def _thinning_cells(law: TernaryLaw, top: int):
-    """The cells (a, b) with a + b <= top, their moments (a, b, a**2, b**2,
-    ab) as rows, and each occupancy's trinomial probabilities over them,
-    sorted for `_multinomial`."""
-    a, b, table = _trinomial_table(law, top)
-    moments = np.stack([a, b, a * a, b * b, a * b])
-    return a, b, moments, _most_probable_last(table)
-
-
 def _thin_per_gate(rng: np.random.Generator, law: TernaryLaw, n):
     """Per-gate counts: xi ~ Binomial(n, p), then
     eta ~ Binomial(n - xi, q/(q + r))."""
@@ -211,128 +169,169 @@ def _thin_per_gate(rng: np.random.Generator, law: TernaryLaw, n):
     return xi, eta
 
 
-class _RunTables:
-    """The probability tables of one `simulate_series` call, shared by its
-    blocks.  They depend only on the configuration, so sharing them leaves
-    every block's draws unchanged.
+def _sorted_cells(pvals):
+    """The order that sorts pvals along the last axis, and the sorted
+    pvals.  A multinomial draw gives its last cell whatever count is left,
+    rounding residue included, so sorted cells send it to the most probable
+    cell, never to an impossible one."""
+    order = np.argsort(pvals, axis=-1, kind="stable")
+    return order, np.take_along_axis(pvals, order, axis=-1)
 
-    `occupancy` is the source's pmf table, reaching _WINDOW_SIGMAS
-    standard deviations past the mean (or the end of a bounded support),
-    or None when that window has more cells than the largest block, which
-    then draws gate by gate.  `thinning_cells(top)` is built on first use.
-    `rng` is the run's one Philox generator, which `_block_rng` re-keys for
-    each block, so one instance must not serve blocks concurrently.
+
+def _occupancy_table(cfg: SimulationConfig):
+    """The source's pmf table, reaching _WINDOW_SIGMAS standard deviations
+    past the mean (or the end of a bounded support), or None when that
+    window has more cells than the largest block, or than _GROUP_COST over
+    all blocks; gates are then drawn one by one."""
+    fm = source_factorial_moments(cfg.source)
+    hi = fm.mean + _WINDOW_SIGMAS * math.sqrt(max(fm.fano * fm.mean, 0.0))
+    if cfg.source.max_count is not None:
+        hi = min(hi, cfg.source.max_count)
+    b = cfg.n_blocks
+    if hi + 1 <= min(-(-cfg.gates // b), _GROUP_COST // b):  # False for nan
+        return occupancy_table(cfg.source, math.ceil(hi))
+    return None
+
+
+def _occupancy_histograms(rng: np.random.Generator, table, sizes):
+    """The gates per block and occupancy 0..top, shape (blocks, top + 1),
+    with top the largest drawn: one multinomial per block over W_0..W_hi
+    and the tail cell, then one inversion draw per tail gate, the run's
+    tail gates booked to the blocks in block order."""
+    order, pvals = _sorted_cells(np.append(table.window, table.tail))
+    cells = np.empty((len(sizes), len(pvals)), dtype=np.int64)
+    cells[:, order] = rng.multinomial(sizes, pvals)
+    occupancy, in_tail = cells[:, :-1], cells[:, -1]
+    if in_tail.any():
+        tail = table.sample_tail(rng, int(in_tail.sum()))
+        width = max(table.hi, int(tail.max())) + 1
+        block = np.repeat(np.arange(len(sizes)), in_tail)
+        occupancy = np.bincount(block * width + tail,
+                                minlength=len(sizes) * width)
+        occupancy = occupancy.reshape(len(sizes), width)
+        occupancy[:, :table.hi + 1] += cells[:, :-1]
+    return occupancy[:, :np.flatnonzero(occupancy.any(axis=0))[-1] + 1]
+
+
+def _row_split(occupancy) -> int:
+    """The largest occupancy j thinned as histograms.  Thinning rows 0..j
+    draws (j + 1)(j + 2)/2 table cells for each block and occupancy up to
+    j, and each gate with n > j costs _GATE_COST cells; j minimises the
+    sum, among the j whose cells for all blocks fit in _GROUP_COST."""
+    rows = np.arange(occupancy.shape[1])
+    cells = len(occupancy) * (rows + 1.0) ** 2 * (rows + 2.0) / 2.0
+    left = occupancy.sum() - np.cumsum(occupancy.sum(axis=0))
+    cost = np.where(cells <= _GROUP_COST, cells + _GATE_COST * left, np.inf)
+    return int(np.argmin(cost))
+
+
+def _thinned_sums(rng: np.random.Generator, law: TernaryLaw, occupancy,
+                  split: int):
+    """Per-block sums of xi, eta, xi**2, eta**2 and xi*eta, shape
+    (blocks, 5), for the gates per block and occupancy in `occupancy`.
+
+    Gates with n <= split are thinned by one multinomial over the (xi, eta)
+    cells per block and occupancy, whose sorted counts are contracted
+    against the cells' moments in the same order; gates with n > split are
+    thinned one by one, each block's sums being an exact int64 segment sum.
+    Both draws are exact.  Blocks go in groups of about _GROUP_COST cost
+    units (`_row_split`), so memory does not grow with a run's gates.
     """
-
-    def __init__(self, cfg: SimulationConfig):
-        fm = source_factorial_moments(cfg.source)
-        hi = fm.mean + _WINDOW_SIGMAS * math.sqrt(max(fm.fano * fm.mean, 0.0))
-        if cfg.source.max_count is not None:
-            hi = min(hi, cfg.source.max_count)
-        self.occupancy = None
-        if hi + 1 <= -(-cfg.gates // cfg.n_blocks):  # False for nan
-            self.occupancy = occupancy_table(cfg.source, math.ceil(hi))
-            self._occupancy_cells = _most_probable_last(
-                np.append(self.occupancy.window, self.occupancy.tail))
-        self.thinning_cells = functools.cache(
-            functools.partial(_thinning_cells, cfg.law))
-        self.rng = _block_rng(cfg.seed, 0)
-
-    def draw_occupancy(self, rng: np.random.Generator, count: int):
-        """The gates per occupancy 0..top in a block of `count` gates, with
-        top the largest drawn: one multinomial over W_0..W_hi and the tail
-        cell, then an inversion draw for each gate in the tail."""
-        counts = _multinomial(rng, count, self._occupancy_cells)
-        occupancy = counts[:-1]
-        if counts[-1]:
-            tail = self.occupancy.sample_tail(rng, counts[-1])
-            occupancy = np.bincount(tail)
-            occupancy[:len(counts) - 1] += counts[:-1]
-        return occupancy[:np.flatnonzero(occupancy)[-1] + 1]
+    a, b, table = _trinomial_table(law, split)
+    order, pvals = _sorted_cells(table)
+    # (xi, eta, xi**2, eta**2, xi*eta) of each sorted cell, one row a cell
+    moments = np.stack([a, b, a * a, b * b, a * b])[:, order].reshape(5, -1).T
+    values = np.arange(split + 1, occupancy.shape[1])
+    cost = np.cumsum(pvals.size
+                     + _GATE_COST * occupancy[:, split + 1:].sum(axis=1))
+    sums = []
+    for blocks in np.split(occupancy,
+                           np.flatnonzero(np.diff(cost // _GROUP_COST)) + 1):
+        part = rng.multinomial(blocks[:, :split + 1], pvals).reshape(
+            len(blocks), -1) @ moments
+        gates = blocks[:, split + 1:]
+        per_block = gates.sum(axis=1)
+        if per_block.any():
+            xi, eta = _thin_per_gate(rng, law, np.repeat(
+                np.tile(values, len(blocks)), gates.ravel()))
+            has = per_block > 0
+            starts = (np.cumsum(per_block) - per_block)[has]
+            for column, term in enumerate(
+                    (xi, eta, xi * xi, eta * eta, xi * eta)):
+                part[has, column] += np.add.reduceat(term, starts)
+        sums.append(part)
+    return np.concatenate(sums)
 
 
-def _simulate_block(cfg: SimulationConfig, block_index: int,
-                    tables: _RunTables) -> tuple:
-    """Simulate one block of gates and return its sums as Python ints:
-    (count, sum xi, sum eta, sum n, sum xi**2, sum eta**2, sum n**2,
-    sum xi*eta).
-
-    Block i covers gates [i*g//B, (i+1)*g//B), so block sizes differ by at
-    most one.  The block re-keys the run's generator `tables.rng` to its
-    own stream before its first draw, and uses it for every draw, so no
-    other block may run on the same `tables` until it returns.  It draws
-    its occupancy histogram from the run's pmf table and tail cell when
-    `tables` has one, and its occupancies gate by gate from
-    `sample_occupancy` when not; the sums of n and n**2 follow from
-    either.  Both ways of drawing (xi, eta) are exact.  The histogram
-    draw costs about (top + 1)**3 / 2 binomial steps for the largest
-    occupancy `top`, plus a fixed cost, and the per-gate draw two binomials
-    per gate, so the block takes the histogram exactly when
-    (top + 1)**3 <= count; the tables are built once per run, so the fixed
-    cost is small even for blocks of a few hundred gates.  For the per-gate
-    draw, an occupancy histogram is expanded into one occupancy per gate.
-    """
-    g, b = cfg.gates, cfg.n_blocks
-    count = (block_index + 1) * g // b - block_index * g // b
-    rng = _block_rng(cfg.seed, block_index, tables.rng)
-
-    if tables.occupancy is None:
-        n = sample_occupancy(cfg.source, rng, count)
-        top = int(n.max())
-    else:
-        occupancy = tables.draw_occupancy(rng, count)
-        top = len(occupancy) - 1
-    # xi, eta <= n, so this bounds every int64 block sum below
+def _check_sums(top: int, count: int):
+    # xi, eta <= n, so this bounds every int64 block sum
     if top ** 2 * count >= 2 ** 63:
         raise DomainError("occupancy too large: block sums of squares "
                           "would overflow int64")
-    if tables.occupancy is None:
-        s_n, s_n2 = n.sum(), n @ n
-    else:
-        k = np.arange(top + 1)
-        s_n, s_n2 = occupancy @ k, occupancy @ (k * k)
-    if (top + 1) ** 3 <= count:
-        if tables.occupancy is None:
-            occupancy = np.bincount(n)
-        # gates h[k, j] with n = k, xi = a[j] and eta = b[j]
-        _, _, moments, sorted_table = tables.thinning_cells(top)
-        hist = _multinomial(rng, occupancy, sorted_table)
-        s_xi, s_eta, s_xi2, s_eta2, s_cross = moments @ hist.sum(axis=0)
-    else:
-        if tables.occupancy is not None:
-            n = np.repeat(np.arange(top + 1), occupancy)
-        xi, eta = _thin_per_gate(rng, cfg.law, n)
-        s_xi, s_eta = xi.sum(), eta.sum()
-        s_xi2, s_eta2, s_cross = xi @ xi, eta @ eta, xi @ eta
-    return (count, int(s_xi), int(s_eta), int(s_n),
-            int(s_xi2), int(s_eta2), int(s_n2), int(s_cross))
+
+
+def _simulate_blocks(cfg: SimulationConfig) -> list[tuple]:
+    """Simulate the run and return each block's sums as Python ints, in
+    block order: (count, sum xi, sum eta, sum n, sum xi**2, sum eta**2,
+    sum n**2, sum xi*eta).
+
+    Block i covers gates [i*g//B, (i+1)*g//B), so block sizes differ by at
+    most one.  Every draw comes from one Philox stream keyed by the seed.
+    With an occupancy table, the blocks are drawn together, layer by
+    layer; without one, block after block, gate by gate.
+    """
+    g, b = cfg.gates, cfg.n_blocks
+    sizes = [(i + 1) * g // b - i * g // b for i in range(b)]
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    table = _occupancy_table(cfg)
+    if table is None:
+        blocks = []
+        for count in sizes:
+            n = sample_occupancy(cfg.source, rng, count)
+            _check_sums(int(n.max()), count)
+            xi, eta = _thin_per_gate(rng, cfg.law, n)
+            blocks.append((count, *map(int, (
+                xi.sum(), eta.sum(), n.sum(), xi @ xi, eta @ eta, n @ n,
+                xi @ eta))))
+        return blocks
+    occupancy = _occupancy_histograms(rng, table, np.array(sizes))
+    tops = occupancy.shape[1] - 1 - np.argmax(occupancy[:, ::-1] > 0, axis=1)
+    for top, count in zip(tops.tolist(), sizes):
+        _check_sums(top, count)
+    k = np.arange(occupancy.shape[1])
+    s_xi, s_eta, s_xi2, s_eta2, s_cross = _thinned_sums(
+        rng, cfg.law, occupancy, _row_split(occupancy)).T
+    columns = np.stack([sizes, s_xi, s_eta, occupancy @ k, s_xi2, s_eta2,
+                        occupancy @ (k * k), s_cross], axis=1)
+    return [tuple(row) for row in columns.tolist()]
 
 
 def simulate_series(cfg: SimulationConfig) -> EstimateReport:
     """Simulate the configured series and estimate K, R, F and the means."""
-    tables = _RunTables(cfg)
-    blocks = [_simulate_block(cfg, i, tables) for i in range(cfg.n_blocks)]
-    return reduce_blocks(cfg, blocks)
+    return reduce_blocks(cfg, _simulate_blocks(cfg))
 
 
 def reduce_blocks(cfg: SimulationConfig, blocks: list[tuple]) -> EstimateReport:
     """Reduce per-block sums into a report.
 
     The point estimates come from the block sums pooled exactly as Python
-    ints, so they do not depend on block order.  The batch-means standard
-    errors are float reductions over the blocks in list order; blocks
-    passed in index order, as `simulate_series` does, make the whole
-    report independent of how the blocks were scheduled.
+    ints, so they do not depend on block order.  Each standard error is a
+    leave-one-block-out jackknife, sqrt((B - 1) * var0), where var0 is the
+    population variance of the B estimates from the pooled sums less one
+    block, each also formed exactly; a block with no count in a detector
+    leaves them finite.  var0 is a float reduction in list order.
     """
     if len(blocks) != cfg.n_blocks:
         raise ValueError("block list does not match the configuration")
-    pooled = tuple(sum(column) for column in zip(*blocks))
+    pooled = [sum(column) for column in zip(*blocks)]
+    rest = [[total - part for total, part in zip(pooled, block)]
+            for block in blocks]
+    scale = len(blocks) - 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = _stats(*np.array([*blocks, pooled], dtype=float).T)
+        table = _stats(*np.array([*rest, pooled], dtype=float).T)
         estimates = [
             Estimate(value=float(col[-1]),
-                     stderr=float(col[:-1].std(ddof=1)
-                                  / math.sqrt(len(blocks))))
+                     stderr=math.sqrt(scale * float(col[:-1].var())))
             for col in table]
     return EstimateReport(cfg.gates, len(blocks), *estimates)
 

@@ -192,6 +192,15 @@ class TestSimulateAndVerify:
                       capsys)
         assert code == cli.EXIT_OK
 
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_verify_ten_gate_blocks_pass(self, capsys, seed):
+        # some 10-gate block has no eta count; its jackknife error is finite
+        code, out = run(["verify", "--kind", "coherent", "--mean", "1",
+                         "--p", ".3", "--q", ".2", "--r", ".5",
+                         "--gates", "640", "--seed", seed], capsys)
+        assert code == cli.EXIT_OK
+        assert all(r["pass"] == "True" for r in read_csv(out))
+
     def test_verify_uneven_gate_count_passes(self, capsys):
         # 10000 gates are not a multiple of 64; no block may be left so
         # short that a ratio in it is undefined.

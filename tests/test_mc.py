@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,12 +24,12 @@ from hbtcount import (
 )
 from hbtcount import mc
 from hbtcount.mc import (
-    _RunTables,
-    _block_rng,
-    _multinomial,
-    _simulate_block,
+    _occupancy_histograms,
+    _occupancy_table,
+    _row_split,
+    _simulate_blocks,
     _thin_per_gate,
-    _thinning_cells,
+    _thinned_sums,
     _trinomial_table,
 )
 
@@ -36,36 +38,30 @@ ZERO_PROBABILITY_LAWS = [TernaryLaw(0.5, 0.0, 0.5), TernaryLaw(0.5, 0.5, 0.0),
                          TernaryLaw(1.0, 0.0, 0.0)]
 
 
-def _block_occupancy(cfg, block_index):
-    """A block's random stream and the occupancies it draws first, per
-    gate (in increasing order when drawn as a histogram)."""
-    tables = _RunTables(cfg)
+def _rng(seed, word=0):
+    """A Philox generator keyed (seed, word); a run's stream is word 0."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed, word], dtype=np.uint64)))
+
+
+def _block_sizes(cfg):
     g, b = cfg.gates, cfg.n_blocks
-    count = (block_index + 1) * g // b - block_index * g // b
-    rng = _block_rng(cfg.seed, block_index)
-    if tables.occupancy is None:
-        return rng, sample_occupancy(cfg.source, rng, count)
-    occupancy = tables.draw_occupancy(rng, count)
-    return rng, np.repeat(np.arange(len(occupancy)), occupancy)
+    return np.array([(i + 1) * g // b - i * g // b for i in range(b)])
 
 
-def _takes_histogram(cfg, block_index):
-    _, n = _block_occupancy(cfg, block_index)
-    return (int(n.max()) + 1) ** 3 <= len(n)
+def _run_occupancy(cfg):
+    """The run's stream after its occupancy draw, and the gates per block
+    and occupancy it drew."""
+    rng = _rng(cfg.seed)
+    return rng, _occupancy_histograms(rng, _occupancy_table(cfg),
+                                      _block_sizes(cfg))
 
 
-def _blocks(cfg):
-    tables = _RunTables(cfg)
-    return [_simulate_block(cfg, i, tables) for i in range(cfg.n_blocks)]
-
-
-def _thin(rng, law, n):
-    """The cells (a, b) for top = max(n), and the gate counts h[k, j] with
-    n = k, xi = a[j] and eta = b[j] that the block's histogram draw gives."""
-    top = int(n.max())
-    a, b, _, sorted_table = _thinning_cells(law, top)
-    return a, b, _multinomial(rng, np.bincount(n, minlength=top + 1),
-                              sorted_table)
+def _gate_sums(rng, law, n, split):
+    """(xi, eta, xi**2, eta**2, xi*eta) of each gate, drawn by
+    `_thinned_sums` with one block per gate of occupancy n."""
+    occupancy = np.eye(int(n.max()) + 1, dtype=np.int64)[n]
+    return _thinned_sums(rng, law, occupancy, split)
 
 
 class TestDeterminism:
@@ -89,74 +85,49 @@ class TestDeterminism:
         cfg = SimulationConfig(
             law=LAW, source=SourceLaw("coherent", modes=2, nbar=0.8),
             gates=12800, seed=3)
-        blocks = _blocks(cfg)
+        blocks = _simulate_blocks(cfg)
         forward = reduce_blocks(cfg, blocks)
         backward = reduce_blocks(cfg, list(reversed(blocks)))
         assert forward.k_hat.value == backward.k_hat.value
         assert forward.r_hat.value == backward.r_hat.value
 
-    def test_mixed_paths_independent_of_schedule(self):
+    @pytest.mark.parametrize("kind,modes,nbar,gates,path", [
+        ("fermion-polarized", 2, 0.5, 12800, "table"),
+        ("boson-polarized", 1, 1.0, 64000, "split"),
+        ("coherent", 1, 1e7, 6400, "per-gate"),
+    ])
+    def test_repeat_is_byte_identical(self, kind, modes, nbar, gates, path):
         cfg = SimulationConfig(
-            law=LAW, source=SourceLaw("boson-polarized", modes=1, nbar=1.0),
-            gates=64000, seed=11)
-        paths = {_takes_histogram(cfg, i) for i in range(cfg.n_blocks)}
-        assert paths == {True, False}
-        first = simulate_series(cfg).as_dict()
-        assert simulate_series(cfg).as_dict() == first
-        backward = {i: _simulate_block(cfg, i, _RunTables(cfg))
-                    for i in reversed(range(cfg.n_blocks))}
-        in_order = [backward[i] for i in range(cfg.n_blocks)]
-        assert reduce_blocks(cfg, in_order).as_dict() == first
-
-    def test_block_streams_are_distinct(self):
-        a = _block_rng(5, 0).integers(0, 2 ** 32, 8)
-        b = _block_rng(5, 1).integers(0, 2 ** 32, 8)
-        assert not np.array_equal(a, b)
-
-    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
-    def test_block_streams_are_pinned(self, seed):
-        """Re-keying the run's one generator gives each block the stream of
-        a new Philox with key (seed, block index), whatever was drawn
-        before.  Each visit makes an odd number of 32-bit draws, so it
-        leaves half a word buffered, which the next visit's first 32-bit
-        draw would take if re-keying kept it."""
-        def draws(rng):
-            return (rng.integers(0, 2 ** 31, 2, dtype=np.int32),
-                    rng.random(4), rng.binomial(40, 0.3, 5),
-                    rng.multinomial(50, [0.2, 0.3, 0.5]),
-                    rng.integers(0, 2 ** 62, 2), rng.poisson(3.5, 5),
-                    rng.integers(0, 2 ** 31, 1, dtype=np.int32))
-
-        cfg = SimulationConfig(
-            law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
-            gates=6400, seed=seed)
-        tables = _RunTables(cfg)
-        for i in (5, 0, 63, 5):
-            rng = _block_rng(seed, i, tables.rng)
-            assert rng is tables.rng
-            fresh = np.random.Generator(np.random.Philox(
-                key=np.array([seed, i], dtype=np.uint64)))
-            for got, expected in zip(draws(rng), draws(fresh)):
-                assert np.array_equal(got, expected)
-            assert rng.bit_generator.state["has_uint32"] == 1
+            law=LAW, source=SourceLaw(kind, modes=modes, nbar=nbar),
+            gates=gates, seed=11)
+        if path == "per-gate":
+            assert _occupancy_table(cfg) is None
+        else:
+            _, occupancy = _run_occupancy(cfg)
+            top = occupancy.shape[1] - 1
+            assert (_row_split(occupancy) == top) == (path == "table")
+        first = repr(simulate_series(cfg).as_dict())
+        assert repr(simulate_series(cfg).as_dict()) == first
+        assert repr(reduce_blocks(cfg, _simulate_blocks(cfg)).as_dict()) \
+            == first
 
 
 class TestSampleOccupancy:
     def test_degenerate_fermion_is_constant(self):
         src = SourceLaw("fermion-polarized", modes=4, nbar=1.0)
-        draws = sample_occupancy(src, _block_rng(0, 0), size=1000)
+        draws = sample_occupancy(src, _rng(0, 0), size=1000)
         assert np.all(draws == 4)
 
     def test_scalar_draw(self):
         src = SourceLaw("coherent", modes=1, nbar=1.0)
-        value = sample_occupancy(src, _block_rng(1, 0))
+        value = sample_occupancy(src, _rng(1, 0))
         assert isinstance(value, int)
         assert value >= 0
 
     def test_single_mode_boson_matches_geometric_pmf(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         src = SourceLaw("boson-polarized", modes=1, nbar=1.0)
-        draws = sample_occupancy(src, _block_rng(42, 0), size=10 ** 6)
+        draws = sample_occupancy(src, _rng(42, 0), size=10 ** 6)
         top = 12
         observed = np.bincount(np.minimum(draws, top), minlength=top + 1)
         probs = np.array([source_pmf(src, n) for n in range(top)])
@@ -168,7 +139,7 @@ class TestSampleOccupancy:
 
     def test_coherent_mean_within_error(self):
         src = SourceLaw("coherent", modes=3, nbar=0.5)
-        draws = sample_occupancy(src, _block_rng(7, 0), size=10 ** 6)
+        draws = sample_occupancy(src, _rng(7, 0), size=10 ** 6)
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - 1.5) < 4 * se
 
@@ -222,8 +193,8 @@ class TestSamplerStream:
 
     @pytest.mark.parametrize("src", PINNED_SOURCES, ids=repr)
     def test_matches_reference_sampler(self, src):
-        draws = sample_occupancy(src, _block_rng(19, 2), size=4000)
-        expected = _reference_sample(src, _block_rng(19, 2), 4000)
+        draws = sample_occupancy(src, _rng(19, 2), size=4000)
+        expected = _reference_sample(src, _rng(19, 2), 4000)
         assert draws.dtype == np.int64
         assert np.array_equal(draws, expected)
 
@@ -235,13 +206,16 @@ class TestOccupancyHistogram:
         # a window ending at the mean puts a large share in the tail cell
         monkeypatch.setattr(mc, "_WINDOW_SIGMAS", 0.0)
         gates = 200000
-        cfg = SimulationConfig(law=LAW, source=src, gates=64 * gates)
-        tables = _RunTables(cfg)
-        hi = tables.occupancy.hi
+        cfg = SimulationConfig(law=LAW, source=src, gates=gates, seed=23)
+        table = _occupancy_table(cfg)
+        hi = table.hi
         assert hi == 3  # the mean is 2.1
-        occupancy = tables.draw_occupancy(_block_rng(23, 0), gates)
-        assert occupancy.sum() == gates and occupancy[-1] > 0
-        assert (occupancy[hi + 1:].sum() > 0) == (tables.occupancy.tail > 0)
+        _, per_block = _run_occupancy(cfg)
+        # every tail gate is booked to the block that drew it
+        assert np.array_equal(per_block.sum(axis=1), _block_sizes(cfg))
+        occupancy = per_block.sum(axis=0)
+        assert occupancy[-1] > 0
+        assert (occupancy[hi + 1:].sum() > 0) == (table.tail > 0)
 
         pmf = [source_pmf(src, n) for n in range(len(occupancy))]
         # cells from `last` on are pooled, keeping 5 expected gates or more
@@ -253,47 +227,62 @@ class TestOccupancyHistogram:
         p_value = scipy_stats.chi2.sf(chi2, df=len(expected) - 1)
         assert p_value > 0.001
 
-    def test_wide_window_draws_per_gate(self):
+    @pytest.mark.parametrize("seed", [5, 2 ** 64 - 1])
+    def test_wide_window_draws_per_gate(self, seed):
+        """Block after block, sample_occupancy then the per-gate thinning,
+        on one Philox stream keyed by the whole 64-bit seed."""
         cfg = SimulationConfig(
             law=LAW, source=SourceLaw("coherent", modes=1, nbar=1e7),
-            gates=6400, seed=5)
-        tables = _RunTables(cfg)
-        assert tables.occupancy is None
-        rng = _block_rng(5, 0)
-        n = sample_occupancy(cfg.source, rng, 100)
-        xi, eta = _thin_per_gate(rng, LAW, n)
-        sums = (xi.sum(), eta.sum(), n.sum(), xi @ xi, eta @ eta, n @ n,
-                xi @ eta)
-        assert _simulate_block(cfg, 0, tables) == (100, *map(int, sums))
+            gates=6400, seed=seed)
+        assert _occupancy_table(cfg) is None
+        rng = _rng(seed)
+        expected = []
+        for _ in range(64):
+            n = sample_occupancy(cfg.source, rng, 100)
+            xi, eta = _thin_per_gate(rng, LAW, n)
+            sums = (xi.sum(), eta.sum(), n.sum(), xi @ xi, eta @ eta, n @ n,
+                    xi @ eta)
+            expected.append((100, *map(int, sums)))
+        assert _simulate_blocks(cfg) == expected
 
 
 class TestWithinGateStructure:
-    """The two thinning draws, run on the same occupancy vector."""
+    """The thinning draws, run on the same occupancies."""
 
-    def test_counts_never_exceed_occupancy(self):
+    def test_counts_never_exceed_occupancy(self, monkeypatch):
+        # one gate per block, thinned in many groups of blocks
+        monkeypatch.setattr(mc, "_GROUP_COST", 1000)
         law = TernaryLaw(0.45, 0.45, 0.1)
         src = SourceLaw("boson-polarized", modes=2, nbar=2.0)
-        n = sample_occupancy(src, _block_rng(9, 0), size=5000)
-        top = int(n.max())
-        xi, eta = _thin_per_gate(_block_rng(9, 1), law, n)
+        n = sample_occupancy(src, _rng(9, 0), size=5000)
+        xi, eta = _thin_per_gate(_rng(9, 1), law, n)
         assert np.all(xi + eta <= n)
         assert np.all(xi >= 0) and np.all(eta >= 0)
-        a, b, hist = _thin(_block_rng(9, 2), law, n)
-        k = np.arange(top + 1)[:, None]
-        assert np.all(hist >= 0)
-        assert hist[a + b > k].sum() == 0
-        assert np.array_equal(hist.sum(axis=1),
-                              np.bincount(n, minlength=top + 1))
+        top = int(n.max())
+        for split in (0, top // 2, top):
+            sums = _gate_sums(_rng(9, 2), law, n, split)
+            xi, eta = sums[:, 0], sums[:, 1]
+            assert np.all(xi + eta <= n)
+            assert np.all(xi >= 0) and np.all(eta >= 0)
+            # one gate per block: the moment sums are the gate's moments
+            assert np.array_equal(sums[:, 2:], np.stack(
+                [xi * xi, eta * eta, xi * eta], axis=1))
 
-    def test_joint_counts_match_mixture_pmf(self):
+    @pytest.mark.parametrize("split", [None, 0, 1, 3])
+    def test_joint_counts_match_mixture_pmf(self, split):
+        """The (xi, eta) cells of per-gate thinning (split None), and of
+        `_thinned_sums` with rows 0..split drawn as histograms: with split
+        1, the gates with n = 0, 1 go one way and n = 2, 3 the other."""
         scipy_stats = pytest.importorskip("scipy.stats")
         src = SourceLaw("fermion-polarized", modes=3, nbar=0.6)
-        rng = _block_rng(13, 0)
+        rng = _rng(13, 0)
         gates = 200000
         n = sample_occupancy(src, rng, size=gates)
-        xi, eta = _thin_per_gate(rng, LAW, n)
-        a, b, hist = _thin(_block_rng(13, 1), LAW, n)
-        cells_hist = dict(zip(zip(a, b), hist.sum(axis=0)))
+        if split is None:
+            xi, eta = _thin_per_gate(rng, LAW, n)
+        else:
+            sums = _gate_sums(rng, LAW, n, split)
+            xi, eta = sums[:, 0], sums[:, 1]
 
         cells = {}
         for m in range(4):
@@ -302,56 +291,67 @@ class TestWithinGateStructure:
                            for nn in range(m + k, 4))
                 cells[(m, k)] = prob
         expected = gates * np.array(list(cells.values()))
-        for observed in (
-                np.array([np.count_nonzero((xi == m) & (eta == k))
-                          for (m, k) in cells]),
-                np.array([cells_hist[m, k] for (m, k) in cells])):
-            assert observed.sum() == gates
-            chi2 = ((observed - expected) ** 2 / expected).sum()
-            p_value = scipy_stats.chi2.sf(chi2, df=len(cells) - 1)
-            assert p_value > 0.001
+        observed = np.array([np.count_nonzero((xi == m) & (eta == k))
+                             for (m, k) in cells])
+        assert observed.sum() == gates
+        chi2 = ((observed - expected) ** 2 / expected).sum()
+        p_value = scipy_stats.chi2.sf(chi2, df=len(cells) - 1)
+        assert p_value > 0.001
 
     def test_paths_agree_on_block_sums(self):
         src = SourceLaw("boson-polarized", modes=2, nbar=1.0)
-        n = sample_occupancy(src, _block_rng(17, 0), size=200000)
-        xi, eta = _thin_per_gate(_block_rng(17, 1), LAW, n)
-        a, b, hist = _thin(_block_rng(17, 2), LAW, n)
-        for term in (lambda x, y: x, lambda x, y: y, lambda x, y: x * x,
-                     lambda x, y: y * y, lambda x, y: x * y):
-            per_gate = term(xi, eta)
+        n = sample_occupancy(src, _rng(17, 0), size=200000)
+        xi, eta = _thin_per_gate(_rng(17, 1), LAW, n)
+        top = int(n.max())
+        histogram = _thinned_sums(_rng(17, 2), LAW, np.bincount(n)[None, :],
+                                  top)[0]
+        for column, per_gate in enumerate(
+                (xi, eta, xi * xi, eta * eta, xi * eta)):
             # Given n, each path's sum has variance sum_k c_k Var(term | k)
             var = sum(per_gate[n == k].var() * np.count_nonzero(n == k)
                       for k in np.unique(n))
-            diff = int(per_gate.sum()) - int((hist * term(a, b)).sum())
+            diff = int(per_gate.sum()) - int(histogram[column])
             assert abs(diff) <= 5.0 * math.sqrt(2.0 * var)
 
-    @pytest.mark.parametrize("kind,gates,histogram", [
-        # occupancies up to 3: 50 gates are fewer than the 4**3 the
-        # histogram would need
-        ("coherent", 3200, False),
-        ("coherent", 64000, True),
-        # at most 2 quanta: a 200-gate block repays the run's table
-        ("fermion-polarized", 12800, True),
+    @pytest.mark.parametrize("kind,gates,split", [
+        # occupancies up to 7, thinned as histograms up to 2 and 4
+        ("coherent", 3200, 2),
+        ("coherent", 64000, 4),
+        # at most 2 quanta: every gate goes through the histogram
+        ("fermion-polarized", 12800, 2),
     ])
-    def test_block_sums_come_from_the_chosen_path(self, kind, gates,
-                                                  histogram):
+    def test_block_sums_come_from_the_chosen_split(self, kind, gates, split):
         cfg = SimulationConfig(
             law=LAW, source=SourceLaw(kind, modes=2, nbar=0.5),
             gates=gates, seed=3)
-        assert _takes_histogram(cfg, 0) == histogram
-        rng, n = _block_occupancy(cfg, 0)
-        if histogram:
-            a, b, hist = _thin(rng, cfg.law, n)
-            sums = [(hist * a).sum(), (hist * b).sum(), (hist * a * a).sum(),
-                    (hist * b * b).sum(), (hist * a * b).sum()]
-        else:
-            xi, eta = _thin_per_gate(rng, cfg.law, n)
-            sums = [xi.sum(), eta.sum(), (xi * xi).sum(), (eta * eta).sum(),
-                    (xi * eta).sum()]
-        s_xi, s_eta, s_xi2, s_eta2, s_cross = (int(v) for v in sums)
-        assert _simulate_block(cfg, 0, _RunTables(cfg)) == (
-            len(n), s_xi, s_eta, int(n.sum()), s_xi2, s_eta2,
-            int((n * n).sum()), s_cross)
+        rng, occupancy = _run_occupancy(cfg)
+        assert _row_split(occupancy) == split
+        s_xi, s_eta, s_xi2, s_eta2, s_cross = _thinned_sums(
+            rng, LAW, occupancy, split).T
+        k = np.arange(occupancy.shape[1])
+        expected = zip(_block_sizes(cfg), s_xi, s_eta, occupancy @ k,
+                       s_xi2, s_eta2, occupancy @ (k * k), s_cross)
+        assert _simulate_blocks(cfg) == [tuple(map(int, block))
+                                         for block in expected]
+
+
+class TestMemoryBound:
+    def test_peak_does_not_grow_with_gates(self, monkeypatch):
+        """Gates thinned one by one go in groups of blocks of about
+        _GROUP_COST, so 8 times the gates do not double the peak memory
+        (drawn all at once, they would raise it about 8 times)."""
+        monkeypatch.setattr(mc, "_GROUP_COST", 2 ** 16)
+        src = SourceLaw("coherent", modes=1, nbar=100.0)
+        peaks = []
+        for gates in (100000, 800000):
+            cfg = SimulationConfig(law=LAW, source=src, gates=gates, seed=1)
+            tracemalloc.start()
+            try:
+                simulate_series(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
 
 
 class TestTrinomialTable:
@@ -369,17 +369,26 @@ class TestTrinomialTable:
                                                     abs=0.0)
             assert np.all(table[k, ~valid] == 0.0)
 
-    @pytest.mark.parametrize("law", ZERO_PROBABILITY_LAWS, ids=repr)
-    def test_zero_probability_laws_on_histogram_path(self, law):
+    @pytest.mark.parametrize("split", [None, 2])
+    @pytest.mark.parametrize("law", [LAW, *ZERO_PROBABILITY_LAWS], ids=repr)
+    def test_block_identities_on_split_run(self, law, split, monkeypatch):
+        """Occupancies reach 7; the run thins 0..4 as histograms, or 0..2
+        when the split is forced there."""
         cfg = SimulationConfig(
             law=law, source=SourceLaw("coherent", modes=1, nbar=1.0),
             gates=64000, seed=6)
-        assert all(_takes_histogram(cfg, i) for i in range(cfg.n_blocks))
+        _, occupancy = _run_occupancy(cfg)
+        assert occupancy.shape[1] - 1 == 7
+        assert _row_split(occupancy) == 4
+        if split is not None:
+            monkeypatch.setattr(mc, "_row_split", lambda occupancy: split)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            blocks = _blocks(cfg)
+            blocks = _simulate_blocks(cfg)
             report = reduce_blocks(cfg, blocks)
         for _, s_xi, s_eta, s_n, s_xi2, s_eta2, s_n2, s_cross in blocks:
+            assert s_xi + s_eta <= s_n
+            assert s_xi2 + 2 * s_cross + s_eta2 <= s_n2
             if law.q == 0.0:
                 assert s_eta == s_eta2 == s_cross == 0
             if law.r == 0.0:
@@ -480,7 +489,7 @@ class TestConfig:
         cfg = SimulationConfig(
             law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
             gates=gates)
-        counts = [block[0] for block in _blocks(cfg)]
+        counts = [block[0] for block in _simulate_blocks(cfg)]
         assert len(counts) == min(64, gates)
         assert sum(counts) == gates
         assert max(counts) - min(counts) <= 1
@@ -498,16 +507,47 @@ class TestUndefinedStatistics:
         assert math.isnan(report.r_hat.value)
         assert report.mean_eta_hat.value == 0.0
 
-    def test_degenerate_block_fails_verify(self):
+    def test_degenerate_block_has_finite_stderr(self):
+        """A block with no eta count leaves K's jackknife error finite, so
+        verify scores it; a pooled 0/0 stays nan (test above)."""
         src = SourceLaw("boson-polarized", modes=1, nbar=1.0)
         cfg = SimulationConfig(law=LAW, source=src, gates=6400, seed=2)
-        blocks = _blocks(cfg)
+        blocks = _simulate_blocks(cfg)
         count, s_xi, _, s_n, s_xi2, _, s_n2, _ = blocks[5]
         blocks[5] = (count, s_xi, 0, s_n, s_xi2, 0, s_n2, 0)
         report = reduce_blocks(cfg, blocks)
         assert math.isfinite(report.k_hat.value)
-        assert math.isnan(report.k_hat.stderr)
-        assert not verify(report, {"k": 2.0})["k"]["pass"]
+        assert math.isfinite(report.k_hat.stderr)
+        assert report.k_hat.stderr > 0.0
+        assert math.isfinite(verify(report, {"k": 2.0})["k"]["z"])
+
+
+class TestJackknife:
+    def test_stderr_is_leave_one_block_out(self):
+        """sqrt((B - 1) * var0) of the estimates without each block, here
+        for the mean xi count and K, formed independently in fractions."""
+        cfg = SimulationConfig(
+            law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
+            gates=6400, seed=4)
+        blocks = _simulate_blocks(cfg)
+        report = reduce_blocks(cfg, blocks)
+        pooled = [sum(column) for column in zip(*blocks)]
+
+        def stderr(statistic):
+            values = [statistic(*(total - part for total, part
+                                   in zip(pooled, block)))
+                      for block in blocks]
+            mean = sum(values) / len(values)
+            var0 = sum((v - mean) ** 2 for v in values) / len(values)
+            return math.sqrt((len(blocks) - 1) * var0)
+
+        def k_ratio(count, s_xi, s_eta, s_n, s_xi2, s_eta2, s_n2, s_cross):
+            return Fraction(s_cross * count, s_xi * s_eta)
+
+        mean_xi = stderr(lambda count, s_xi, *_: Fraction(s_xi, count))
+        assert report.mean_xi_hat.stderr == pytest.approx(mean_xi, rel=1e-9)
+        assert report.k_hat.stderr == pytest.approx(stderr(k_ratio),
+                                                    rel=1e-9)
 
 
 KINDS = ("coherent", "boson-polarized", "boson-unpolarized", "boson-partial",
