@@ -138,8 +138,10 @@ def _cmd_source(args) -> list[dict]:
         zs = [float(z) for z in args.pgf.split(",")]
         return [{"z": z, "pgf": sources.source_pgf(src, z)} for z in zs]
     max_n = args.max_n if args.max_n is not None else sources.support_cutoff(src)
-    return [{"n": n, "pmf": sources.source_pmf(src, n)}
-            for n in range(max_n + 1)]
+    if max_n < 0:
+        raise ValueError("max-n must be a non-negative integer")
+    return [{"n": n, "pmf": w}
+            for n, w in enumerate(sources._window(src, max_n).tolist())]
 
 
 def _cmd_k(args) -> list[dict]:

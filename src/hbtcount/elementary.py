@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 SUM_ABS_TOL = 1e-12     # tolerance on p + q + r = 1 after renormalization
 SUM_INPUT_TOL = 1e-9    # constructor renormalizes inputs within this of 1
 
@@ -81,13 +83,13 @@ def _check_counts(n: int, m: int, k: int) -> None:
         raise ValueError("m + k must not exceed n")
 
 
-def _xlogy(x: float, y: float) -> float:
-    """x * log(y) with the 0 * log(0) = 0 convention."""
-    if x == 0.0:
-        return 0.0
-    if y <= 0.0:
-        return -math.inf
-    return x * math.log(y)
+def _xlogy(x, y: float, log=math.log):
+    """x * log(y) for a count or an array of counts x, with 0 * log(0) = 0:
+    log is math.log or math.log1p, and y outside its domain gives -inf."""
+    try:
+        return x * log(y)
+    except ValueError:
+        return np.where(np.asarray(x) > 0, -np.inf, 0.0)
 
 
 def trinomial_pmf(law: TernaryLaw, n: int, m: int, k: int) -> float:

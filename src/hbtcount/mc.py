@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elementary import TernaryLaw
+from .elementary import TernaryLaw, _xlogy
 from .errors import DomainError
 from .sources import SourceLaw, occupancy_table, source_factorial_moments
 
@@ -136,13 +136,6 @@ def _stats(count, s_xi, s_eta, s_n, s_xi2, s_eta2, s_n2, s_cross):
     return k, r, f, mean_xi, mean_eta
 
 
-def _xlog(counts, prob: float):
-    """counts * log(prob), elementwise, with 0 * log(0) = 0."""
-    if prob > 0.0:
-        return counts * math.log(prob)
-    return np.where(counts > 0, -np.inf, 0.0)
-
-
 def _trinomial_table(law: TernaryLaw, top: int):
     """The cells (a, b) with a + b <= top, and a (top + 1, cells) table
     whose row k holds P(xi = a, eta = b) in a gate of k acts (0 when
@@ -154,7 +147,7 @@ def _trinomial_table(law: TernaryLaw, top: int):
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(values[1:]))))
     log_w = (log_fact[k] - log_fact[a] - log_fact[b]
              - log_fact[np.maximum(c, 0)]
-             + _xlog(a, law.p) + _xlog(b, law.q) + _xlog(c, law.r))
+             + _xlogy(a, law.p) + _xlogy(b, law.q) + _xlogy(c, law.r))
     return a, b, np.exp(np.where(c >= 0, log_w, -np.inf))
 
 

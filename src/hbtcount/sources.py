@@ -1,19 +1,16 @@
-"""Gate-occupancy distributions for coherent, thermal-boson and
-thermal-fermion sources at arbitrary polarization.
+"""Gate-occupancy distributions in three families: coherent light, and
+thermal bosons or fermions at a degree of polarization P (the polarized
+kinds are P = 1, the unpolarized kinds P = 0).
 
-Each source is reduced to one or two independent primitive components,
-each of which owns its pmf, pgf, moments and sampler:
+Each source is one or two independent primitive components, each owning
+its pmf, pgf, moments and sampler: `Poisson` (coherent, M modes), and
+`NegBinomial` (bosons) or `Binomial` (fermions) of order M for each
+polarization channel; two equal channels merge into one of order 2M.
 
-* `Poisson` (coherent excitation of M modes),
-* `NegBinomial` of order N (thermal bosons, N = M polarized,
-  N = 2M unpolarized, two order-M components for partial polarization),
-* `Binomial` of order N (thermal fermions, same order bookkeeping).
-
-The pmf of a two-component source is the explicit finite convolution of
-the component pmfs.  All pmfs are evaluated in log space.
-
-`occupancy_table` gives W_0..W_hi as one array, plus the exact mass past
-hi, for the Monte Carlo occupancy histograms.
+Every W_n comes from one array path: the components' `log_pmf` over an
+integer array, and `_window`, W_0..W_hi as one component's terms or one
+convolution of two.  `occupancy_table` adds the exact mass past hi, for
+the Monte Carlo occupancy histograms.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .elementary import _xlogy
 from .errors import DomainError
 
 KINDS = (
@@ -42,11 +40,19 @@ TRUNCATION_CAP = 10 ** 6
 # An occupancy table sums a component's terms past its window until the
 # mass left is below this fraction of the sum: within its rounding.
 _TAIL_EPS = 2.0 ** -53
+# support_cutoff's first window, and an occupancy table's first tail chunk.
+_FIRST_WINDOW = 64
 
 
 # -- primitive components --------------------------------------------------
-# Each owns log_pmf(n), pgf(z), mean_f2() = (<n>, <n(n-1)>), sample(rng, size)
-# and max_count, the largest n with nonzero weight (None when unbounded).
+# Each owns log_pmf(n) over an integer array n (-inf outside the support),
+# pgf(z), mean_f2() = (<n>, <n(n-1)>), sample(rng, size) and max_count,
+# the largest n with nonzero weight (None when unbounded).
+
+
+def _lgamma(x):
+    """math.lgamma over an integer array."""
+    return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
 
 
 class Poisson(NamedTuple):
@@ -55,8 +61,8 @@ class Poisson(NamedTuple):
     mean: float
     max_count = None
 
-    def log_pmf(self, n: int) -> float:
-        return n * math.log(self.mean) - self.mean - math.lgamma(n + 1)
+    def log_pmf(self, n):
+        return n * math.log(self.mean) - self.mean - _lgamma(n + 1)
 
     def pgf(self, z: float) -> float:
         return math.exp(self.mean * (z - 1.0))
@@ -75,11 +81,10 @@ class NegBinomial(NamedTuple):
     b: float
     max_count = None
 
-    def log_pmf(self, n: int) -> float:
+    def log_pmf(self, n):
         order, b = self
-        return (math.lgamma(order + n) - math.lgamma(order)
-                - math.lgamma(n + 1)
-                + order * math.log1p(-b) + (n * math.log(b) if n else 0.0))
+        return (_lgamma(order + n) - math.lgamma(order) - _lgamma(n + 1)
+                + order * math.log1p(-b) + _xlogy(n, b))
 
     def pgf(self, z: float) -> float:
         order, b = self
@@ -108,21 +113,13 @@ class Binomial(NamedTuple):
     def max_count(self) -> int:
         return self.order
 
-    def log_pmf(self, n: int) -> float:
+    def log_pmf(self, n):
         order, a = self
-        if n > order:
-            return -math.inf
-        out = (math.lgamma(order + 1) - math.lgamma(n + 1)
-               - math.lgamma(order - n + 1))
-        if n:
-            if a == 0.0:
-                return -math.inf
-            out += n * math.log(a)
-        if order - n:
-            if a == 1.0:
-                return -math.inf
-            out += (order - n) * math.log1p(-a)
-        return out
+        rest = order - n
+        out = (math.lgamma(order + 1) - _lgamma(n + 1)
+               - _lgamma(np.maximum(rest, 0) + 1)
+               + _xlogy(n, a) + _xlogy(rest, -a, math.log1p))
+        return np.where(rest >= 0, out, -np.inf)
 
     def pgf(self, z: float) -> float:
         return (1.0 + self.a * (z - 1.0)) ** self.order
@@ -135,16 +132,12 @@ class Binomial(NamedTuple):
         return rng.binomial(self.order, self.a, size)
 
 
-def _neg_binomial(order: int, b: float) -> NegBinomial:
+def _neg_binomial(order: int, nbar: float) -> NegBinomial:
+    b = nbar / (1.0 + nbar)
     if b >= 1.0:
         raise DomainError("boson occupancy too large: the ratio "
                           "nbar / (1 + nbar) rounds to 1")
     return NegBinomial(order, b)
-
-
-def _pmf(comp, n: int) -> float:
-    lp = comp.log_pmf(n)
-    return 0.0 if lp == -math.inf else math.exp(lp)
 
 
 @dataclass(frozen=True)
@@ -180,29 +173,22 @@ class SourceLaw:
             if self.nbar > 1.0:
                 raise ValueError("fermion occupancy per mode cannot exceed 1")
 
-    # -- component decomposition ------------------------------------------
-
     @cached_property
     def _components(self) -> tuple:
         """The one or two independent primitive laws whose sum is n."""
         m, nb = self.modes, self.nbar
         if self.kind == "coherent":
             return (Poisson(nb * m),)
-        if self.kind == "boson-polarized":
-            return (_neg_binomial(m, nb / (1.0 + nb)),)
-        if self.kind == "boson-unpolarized":
-            return (_neg_binomial(2 * m, nb / (2.0 + nb)),)
-        if self.kind == "fermion-polarized":
-            return (Binomial(m, nb),)
-        if self.kind == "fermion-unpolarized":
-            return (Binomial(2 * m, 0.5 * nb),)
-        # partial kinds: one order-M component per polarization channel
-        n1 = 0.5 * nb * (1.0 + self.polarization)
-        n2 = 0.5 * nb * (1.0 - self.polarization)
-        if self.kind == "boson-partial":
-            return tuple(_neg_binomial(m, n / (1.0 + n))
-                         for n in (n1, n2) if n > 0.0)
-        return tuple(Binomial(m, n) for n in (n1, n2) if n > 0.0)
+        family, suffix = self.kind.split("-")
+        pol = {"polarized": 1.0, "unpolarized": 0.0}.get(suffix,
+                                                         self.polarization)
+        make = _neg_binomial if family == "boson" else Binomial
+        # equal to 0.5 * nb * (1 +/- P) for normal nb, and exactly nb at P = 1
+        comps = [make(m, n) for n in (nb * (0.5 * (1.0 + pol)),
+                                      nb * (0.5 * (1.0 - pol))) if n > 0.0]
+        if len(comps) == 2 and comps[0] == comps[1]:
+            return (comps[0]._replace(order=2 * m),)
+        return tuple(comps)
 
     @property
     def max_count(self) -> int | None:
@@ -227,6 +213,18 @@ class FactorialMoments:
         return self.factorial2 / (self.mean * self.mean)
 
 
+def _window(src: SourceLaw, hi: int, terms=None):
+    """W_0..W_hi as one array: one component's terms, or one convolution of
+    two.  `terms` are the components' terms from n = 0 on (to hi at least,
+    or to the end of a support), when at hand."""
+    if terms is None:
+        n = np.arange(hi + 1)
+        terms = [np.exp(comp.log_pmf(n)) for comp in src._components]
+    if len(terms) == 1:
+        return terms[0][:hi + 1]
+    return np.convolve(terms[0][:hi + 1], terms[1][:hi + 1])[:hi + 1]
+
+
 # -- public operations -----------------------------------------------------
 
 
@@ -237,9 +235,9 @@ def source_pmf(src: SourceLaw, n: int) -> float:
     n = int(n)
     comps = src._components
     if len(comps) == 1:
-        return _pmf(comps[0], n)
-    a, b = comps
-    return sum(_pmf(a, k) * _pmf(b, n - k) for k in range(n + 1))
+        return float(np.exp(comps[0].log_pmf(np.array([n])))[0])
+    k = np.arange(n + 1)
+    return float(np.exp(comps[0].log_pmf(k)) @ np.exp(comps[1].log_pmf(n - k)))
 
 
 def source_pgf(src: SourceLaw, z: float) -> float:
@@ -264,41 +262,45 @@ def source_factorial_moments(src: SourceLaw) -> FactorialMoments:
 
 
 def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
-    """Smallest n* whose cumulative weight reaches `mass`.
+    """Smallest n* whose cumulative weight, summed term by term from n = 0
+    in a window that doubles until it holds n*, reaches `mass`.
 
     Raises DomainError when the weight up to n = TRUNCATION_CAP falls short.
     """
-    bound = src.max_count
-    if bound is not None:
-        return bound
-    total = 0.0
-    for n in range(TRUNCATION_CAP + 1):
-        total += source_pmf(src, n)
-        if total >= mass:
-            return n
-    raise DomainError(f"support cutoff: the weight up to n = {TRUNCATION_CAP}"
-                      f" is {total!r}, short of {mass!r}")
+    if src.max_count is not None:
+        return src.max_count
+    hi = _FIRST_WINDOW
+    while True:
+        total = np.cumsum(_window(src, hi))
+        cutoff = int(np.searchsorted(total, mass))
+        if cutoff <= hi:
+            return cutoff
+        if hi == TRUNCATION_CAP:
+            raise DomainError(f"support cutoff: the weight up to n = "
+                              f"{TRUNCATION_CAP} is {float(total[-1])!r}, "
+                              f"short of {mass!r}")
+        hi = min(2 * hi + 1, TRUNCATION_CAP)
 
 
 def _component_terms(comp, hi: int):
     """comp's pmf at n = 0, 1, ..., hi and on past hi until the mass left
     is below _TAIL_EPS times the mass summed past hi (the whole support when
-    bounded)."""
+    bounded).  Terms past hi come in chunks of about doubling size."""
     if comp.max_count is not None:
-        return np.array([_pmf(comp, n) for n in range(comp.max_count + 1)])
+        return np.exp(comp.log_pmf(np.arange(comp.max_count + 1)))
     mean = comp.mean_f2()[0]
-    terms = [_pmf(comp, n) for n in range(hi + 1)]
-    tail = 0.0
+    terms = np.exp(comp.log_pmf(np.arange(hi + 1 + _FIRST_WINDOW)))
     while True:
-        n = len(terms)
-        w = _pmf(comp, n)
-        terms.append(w)
-        tail += w
         # Past the mean the ratio r = w_n / w_(n-1) of these log-concave
         # laws is below 1 and does not grow, so the mass past n is at most
-        # w_n r / (1 - r) = w_n**2 / (w_(n-1) - w_n).
-        if n > mean and w * w <= _TAIL_EPS * tail * (terms[-2] - w):
-            return np.array(terms)
+        # w_n r / (1 - r) = w_n**2 / (w_(n-1) - w_n); cumsum sums past hi.
+        w = terms[hi + 1:]
+        stop = ((np.arange(hi + 1, len(terms)) > mean)
+                & (w * w <= _TAIL_EPS * np.cumsum(w) * (terms[hi:-1] - w)))
+        if stop.any():
+            return terms[:hi + 2 + np.argmax(stop)]
+        more = np.arange(len(terms), 2 * len(terms) - hi)
+        terms = np.append(terms, np.exp(comp.log_pmf(more)))
 
 
 @dataclass(frozen=True)
@@ -349,8 +351,8 @@ def occupancy_table(src: SourceLaw, hi: int) -> OccupancyTable:
     if hi < 0 or (src.max_count is not None and hi > src.max_count):
         raise ValueError("hi must lie in the support")
     terms = [_component_terms(comp, hi) for comp in src._components]
+    window = _window(src, hi, terms)
     first, second = terms if len(terms) == 2 else (terms[0], np.ones(1))
-    window = np.convolve(first[:hi + 1], second[:hi + 1])[:hi + 1]
     suffix = np.append(np.cumsum(second[::-1])[::-1], 0.0)
     low = np.clip(hi + 1 - np.arange(len(first)), 0, len(second))
     return OccupancyTable(window, np.cumsum(first * suffix[low]), suffix)
@@ -364,5 +366,5 @@ def poisson_tv_distance(src: SourceLaw) -> float:
     mean = source_factorial_moments(src).mean
     poisson = SourceLaw("coherent", modes=1, nbar=mean)
     cutoff = max(support_cutoff(src), support_cutoff(poisson))
-    return 0.5 * sum(abs(source_pmf(src, n) - _pmf(Poisson(mean), n))
-                     for n in range(cutoff + 1))
+    return 0.5 * float(np.abs(_window(src, cutoff)
+                              - _window(poisson, cutoff)).sum())

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hbtcount import cli, gaussian_mode_count, thermal_k
+from hbtcount import cli, gaussian_mode_count, sources, thermal_k
 
 
 def run(argv, capsys):
@@ -275,6 +275,33 @@ class TestOutputHandling:
                          "2", "--nbar", "1.0", "--max-n", "2"], capsys)
         rows = read_csv(out)
         assert [float(r["pmf"]) for r in rows] == pytest.approx([0, 0, 1])
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "coherent", "--modes", "3", "--nbar", "2.5"],
+        ["--kind", "thermal-boson", "--modes", "4", "--nbar", "1.5",
+         "--polarization", "0.4"],
+        ["--kind", "thermal-boson", "--modes", "2", "--nbar", "3.0",
+         "--unpolarized"],
+        ["--kind", "thermal-fermion", "--modes", "5", "--nbar", "0.6",
+         "--polarization", "0.7", "--max-n", "12"],
+    ])
+    def test_source_rows_match_source_pmf(self, flags, capsys):
+        code, out = run(["--precision", "15", "source"] + flags, capsys)
+        assert code == cli.EXIT_OK
+        rows = read_csv(out)
+        src = cli._source_from_args(
+            cli._build_parser().parse_args(["source"] + flags))
+        assert [int(r["n"]) for r in rows] == list(range(len(rows)))
+        assert [float(r["pmf"]) for r in rows] == pytest.approx(
+            [sources.source_pmf(src, n) for n in range(len(rows))],
+            rel=1e-12, abs=0.0)
+
+    def test_source_negative_max_n_is_validation_error(self, capsys):
+        code = cli.main(["source", "--kind", "coherent", "--max-n", "-1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
     def test_source_beyond_truncation_cap_is_domain_error(self, capsys):
         code = cli.main(["source", "--kind", "coherent", "--nbar", "3e6"])

@@ -158,6 +158,11 @@ def _reference_components(src):
     if src.kind == "fermion-unpolarized":
         return [("binom", 2 * m, 0.5 * nb)]
     n1, n2 = 0.5 * nb * (1.0 + pol), 0.5 * nb * (1.0 - pol)
+    # at P = 0 the two equal channels are one component of order 2M
+    if pol == 0.0 and src.kind == "boson-partial":
+        return [("nb", 2 * m, n1 / (1.0 + n1))]
+    if pol == 0.0:
+        return [("binom", 2 * m, n1)]
     if src.kind == "boson-partial":
         return [("nb", m, n / (1.0 + n)) for n in (n1, n2) if n > 0.0]
     return [("binom", m, n) for n in (n1, n2) if n > 0.0]

@@ -11,7 +11,12 @@ from hbtcount import (
     support_cutoff,
 )
 from hbtcount.errors import DomainError
-from hbtcount.sources import KINDS, occupancy_table
+from hbtcount.sources import (
+    KINDS,
+    TRUNCATION_MASS,
+    _window,
+    occupancy_table,
+)
 
 BOSON_GRID = [(m, nb) for m in (1, 2, 5, 20) for nb in (0.1, 0.5, 1.0, 2.0)]
 FERMION_GRID = [(m, nb) for m in (1, 2, 5, 20) for nb in (0.1, 0.5, 1.0)]
@@ -95,6 +100,12 @@ class TestPmf:
         assert source_pmf(src, 3) == pytest.approx(1.0)
         assert source_pmf(src, 2) == 0.0
 
+    def test_weight_is_zero_past_a_bounded_support(self):
+        src = SourceLaw("fermion-partial", modes=2, nbar=0.5,
+                        polarization=0.3)
+        assert source_pmf(src, 5) == 0.0
+        assert list(_window(src, 7)[5:]) == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("m,nb", BOSON_GRID)
     def test_boson_normalization(self, m, nb):
         for kind in ("coherent", "boson-polarized", "boson-unpolarized"):
@@ -116,11 +127,101 @@ class TestPmf:
         total = sum(source_pmf(src, n) for n in range(support_cutoff(src) + 1))
         assert total >= 1.0 - 1e-10
 
+    @pytest.mark.parametrize("m,nb", BOSON_GRID)
+    def test_cutoff_is_minimal(self, m, nb):
+        for kind, pol in (("coherent", None), ("boson-polarized", None),
+                          ("boson-unpolarized", None), ("boson-partial", 0.5)):
+            src = SourceLaw(kind, modes=m, nbar=nb, polarization=pol)
+            cutoff = support_cutoff(src)
+            short = math.fsum(source_pmf(src, n) for n in range(cutoff))
+            assert short < TRUNCATION_MASS
+
     def test_cutoff_raises_when_mass_lies_past_the_cap(self):
         # a Poisson law of mean 3e6 puts no weight below n = 1e6
         src = SourceLaw("coherent", modes=1, nbar=3e6)
         with pytest.raises(DomainError, match="is 0.0, short of"):
             support_cutoff(src)
+
+
+def _mp_window(src, hi):
+    """W_0..W_hi from the source's definition in mpmath: one law per
+    polarization channel, convolved term by term, no merged components."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    m, nb = src.modes, mp.mpf(src.nbar)
+    if src.kind == "coherent":
+        mu = nb * m
+        return [mp.exp(-mu) * mu ** n / mp.factorial(n) for n in range(hi + 1)]
+    family, suffix = src.kind.split("-")
+    pol = {"polarized": 1, "unpolarized": 0}.get(suffix, src.polarization)
+    channels = []
+    for mean in (nb * (1 + mp.mpf(pol)) / 2, nb * (1 - mp.mpf(pol)) / 2):
+        if mean == 0:
+            continue
+        if family == "boson":
+            b = mean / (1 + mean)
+            channels.append([mp.binomial(m + n - 1, n) * (1 - b) ** m * b ** n
+                             for n in range(hi + 1)])
+        else:
+            channels.append([mp.binomial(m, n) * mean ** n
+                             * (1 - mean) ** (m - n) if n <= m else mp.mpf(0)
+                             for n in range(hi + 1)])
+    if len(channels) == 1:
+        return channels[0]
+    first, second = channels
+    return [mp.fsum(first[k] * second[n - k] for k in range(n + 1))
+            for n in range(hi + 1)]
+
+
+MP_SOURCES = [
+    (SourceLaw("coherent", modes=100, nbar=0.5), 120),
+    (SourceLaw("boson-polarized", modes=100, nbar=1.0), 300),
+    (SourceLaw("boson-unpolarized", modes=5, nbar=4.0), 150),
+    (SourceLaw("boson-partial", modes=100, nbar=1.0, polarization=0.5), 300),
+    (SourceLaw("boson-partial", modes=3, nbar=10.0, polarization=0.0), 200),
+    (SourceLaw("fermion-polarized", modes=100, nbar=0.7), 100),
+    (SourceLaw("fermion-unpolarized", modes=20, nbar=0.3), 40),
+    (SourceLaw("fermion-partial", modes=100, nbar=0.6, polarization=0.3), 200),
+]
+
+
+class TestAgainstMpmath:
+    """W_n against an independent high-precision evaluation; values below
+    the normal double range are held to an absolute 1e-300."""
+
+    @pytest.mark.parametrize("src,hi", MP_SOURCES, ids=repr)
+    def test_window(self, src, hi):
+        expected = [float(w) for w in _mp_window(src, hi)]
+        assert list(_window(src, hi)) == pytest.approx(expected, rel=1e-12,
+                                                       abs=1e-300)
+
+    @pytest.mark.parametrize("src,hi", MP_SOURCES, ids=repr)
+    def test_source_pmf(self, src, hi):
+        expected = _mp_window(src, hi)
+        for n in range(0, hi + 1, 7):
+            assert source_pmf(src, n) == pytest.approx(
+                float(expected[n]), rel=1e-12, abs=1e-300)
+
+
+class TestFamilies:
+    """Polarized kinds are P = 1 and unpolarized kinds P = 0 of the partial
+    kinds, with two equal channels merged into one component."""
+
+    @pytest.mark.parametrize("family", ["boson", "fermion"])
+    @pytest.mark.parametrize("nb", [1e-9, 0.3, 0.7, 1.0])
+    def test_kinds_are_partial_at_the_ends(self, family, nb):
+        for suffix, pol in (("polarized", 1.0), ("unpolarized", 0.0)):
+            kind = SourceLaw(f"{family}-{suffix}", modes=3, nbar=nb)
+            partial = SourceLaw(f"{family}-partial", modes=3, nbar=nb,
+                                polarization=pol)
+            assert kind._components == partial._components
+            assert len(kind._components) == 1
+
+    def test_unpolarized_is_one_component_of_twice_the_order(self):
+        src = SourceLaw("boson-unpolarized", modes=3, nbar=0.8)
+        (comp,) = src._components
+        assert comp.order == 6
+        assert comp.b == 0.8 / 2.8
 
 
 class TestOccupancyTable:
