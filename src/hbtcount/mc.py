@@ -6,9 +6,11 @@ counter-based Philox stream keyed by the seed, so a configuration gives a
 bit-identical report; there is no per-block stream and no block schedule.
 
 Gates are iid, so a block needs only its histogram of gate occupancies
-n, and given n a gate's counts (xi, eta) are trinomial: each of the n
-quanta excites detector A (p), detector B (q) or neither (r).  Each layer
-is one exact draw for the whole run:
+n.  Each of a gate's n quanta excites detector A (p), detector B (q) or
+neither (r): it is detected with s = 1 - r, and a detected quantum goes
+to A with p/(p + q).  Given its d detected quanta, a gate's split (xi,
+eta = d - xi) does not depend on n.  Each layer is one exact draw for the
+whole run:
 
 * Occupancies: one multinomial per block, in one call, over a once-per-run
   pmf table W_0..W_hi plus a tail cell with the exact mass past hi; the
@@ -16,12 +18,15 @@ is one exact draw for the whole run:
   whose window has more cells than its largest block (or too many for
   _GROUP_COST) draws its gates from `sample_occupancy` instead, block
   after block, and thins them gate by gate.
-* Counts: a row split j, chosen once per run, sends the gates with n <= j
-  through one multinomial over the (xi, eta) cells for each block and
-  occupancy, (j + 1)(j + 2)/2 table cells a row, and the gates with n > j
-  through per-gate binomials, xi ~ Binomial(n, p), then
-  eta ~ Binomial(n - xi, q/(q + r)).  j minimises the table cells drawn
-  plus _GATE_COST per gate thinned one by one.
+* Counts, in two binomial-thinning stages: the occupancy histograms are
+  thinned to histograms of detected counts d ~ Binomial(n, s), and those
+  to histograms of xi ~ Binomial(d, p/(p + q)), with the per-block sums
+  of d*xi.  In each stage a row split j, chosen from the histograms,
+  sends the gates with a count k <= j through one multinomial per block
+  and row over the binomial cells 0..j, (j + 1)**2 cells a block, and the
+  gates with k > j through one binomial each.  j minimises the cells
+  drawn plus _GATE_COST per gate thinned one by one.  The eta sums follow
+  exactly from the d and xi sums.
 
 Point estimates are computed from the pooled sums.  Standard errors are
 leave-one-block-out jackknife errors over the exact pooled sums, which
@@ -45,9 +50,10 @@ BLOCKS = 64
 # tail cell holds the rest exactly, so this only trades table cells
 # against tail draws.
 _WINDOW_SIGMAS = 8.0
-# The cost of thinning one gate by two binomials, in multinomial table
-# cells.  Benchmark pass times are flat within noise for values from 3 to
-# 12 (2-core Xeon, numpy 2.4), so this is a constant, not an option.
+# The cost of thinning one gate by one binomial, in multinomial table
+# cells: timeit puts it at 2 to 4, and pass times are flat from 2 to 12
+# (2-core Xeon, numpy 2.4).  6 rather than 3 halves the gates that each
+# group of blocks (below) thins one by one, which lowers a wide run's peak.
 _GATE_COST = 6
 # A run's histograms and each group of blocks thinned together hold
 # about this many cost units at most, which bounds the memory of a run.
@@ -136,30 +142,32 @@ def _stats(count, s_xi, s_eta, s_n, s_xi2, s_eta2, s_n2, s_cross):
     return k, r, f, mean_xi, mean_eta
 
 
-def _trinomial_table(law: TernaryLaw, top: int):
-    """The cells (a, b) with a + b <= top, and a (top + 1, cells) table
-    whose row k holds P(xi = a, eta = b) in a gate of k acts (0 when
-    a + b > k), evaluated in log space."""
+def _binomial_table(top: int, pi: float):
+    """A (top + 1, top + 1) table whose row k holds P(a) for a ~
+    Binomial(k, pi), a = 0..top (0 when a > k), evaluated in log space."""
     values = np.arange(top + 1)
-    a, b = np.nonzero(np.add.outer(values, values) <= top)
-    k = values[:, None]
-    c = k - a - b
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(values[1:]))))
-    log_w = (log_fact[k] - log_fact[a] - log_fact[b]
-             - log_fact[np.maximum(c, 0)]
-             + _xlogy(a, law.p) + _xlogy(b, law.q) + _xlogy(c, law.r))
-    return a, b, np.exp(np.where(c >= 0, log_w, -np.inf))
+    k, a = values[:, None], values
+    rest = np.maximum(k - a, 0)
+    log_fact = np.cumsum(np.log(np.maximum(values, 1)))
+    return np.tril(np.exp(log_fact[k] - log_fact[a] - log_fact[rest]
+                          + _xlogy(a, pi) + _xlogy(rest, -pi, math.log1p)))
+
+
+def _stage_probabilities(law: TernaryLaw):
+    """The keep probabilities of the two thinning stages: a quantum is
+    detected with s = 1 - r, and a detected one goes to A with p/(p + q),
+    taken as 0 when nothing can be detected."""
+    detected = law.p + law.q
+    return law.s, (law.p / detected if detected > 0.0 else 0.0)
 
 
 def _thin_per_gate(rng: np.random.Generator, law: TernaryLaw, n):
-    """Per-gate counts: xi ~ Binomial(n, p), then
-    eta ~ Binomial(n - xi, q/(q + r))."""
-    xi = rng.binomial(n, law.p)
-    if law.q + law.r > 0.0:
-        eta = rng.binomial(n - xi, law.q / (law.q + law.r))
-    else:
-        eta = np.zeros_like(xi)
-    return xi, eta
+    """Per-gate counts: d ~ Binomial(n, s) detected, xi ~ Binomial(d,
+    p/(p + q)), and eta = d - xi."""
+    s, t = _stage_probabilities(law)
+    d = rng.binomial(n, s)
+    xi = rng.binomial(d, t)
+    return xi, d - xi
 
 
 def _sorted_cells(pvals):
@@ -167,8 +175,7 @@ def _sorted_cells(pvals):
     pvals.  A multinomial draw gives its last cell whatever count is left,
     rounding residue included, so sorted cells send it to the most probable
     cell, never to an impossible one."""
-    order = np.argsort(pvals, axis=-1, kind="stable")
-    return order, np.take_along_axis(pvals, order, axis=-1)
+    return np.argsort(pvals, axis=-1, kind="stable"), np.sort(pvals, axis=-1)
 
 
 def _occupancy_table(cfg: SimulationConfig):
@@ -184,6 +191,11 @@ def _occupancy_table(cfg: SimulationConfig):
     if hi + 1 <= min(-(-cfg.gates // b), _GROUP_COST // b):  # False for nan
         return occupancy_table(cfg.source, math.ceil(hi))
     return None
+
+
+def _trimmed(histogram):
+    """histogram without its trailing columns that count no gate."""
+    return histogram[:, :np.flatnonzero(histogram.any(axis=0))[-1] + 1]
 
 
 def _occupancy_histograms(rng: np.random.Generator, table, sizes):
@@ -203,62 +215,97 @@ def _occupancy_histograms(rng: np.random.Generator, table, sizes):
                                 minlength=len(sizes) * width)
         occupancy = occupancy.reshape(len(sizes), width)
         occupancy[:, :table.hi + 1] += cells[:, :-1]
-    return occupancy[:, :np.flatnonzero(occupancy.any(axis=0))[-1] + 1]
+    return _trimmed(occupancy)
 
 
-def _row_split(occupancy) -> int:
-    """The largest occupancy j thinned as histograms.  Thinning rows 0..j
-    draws (j + 1)(j + 2)/2 table cells for each block and occupancy up to
-    j, and each gate with n > j costs _GATE_COST cells; j minimises the
-    sum, among the j whose cells for all blocks fit in _GROUP_COST."""
-    rows = np.arange(occupancy.shape[1])
-    cells = len(occupancy) * (rows + 1.0) ** 2 * (rows + 2.0) / 2.0
-    left = occupancy.sum() - np.cumsum(occupancy.sum(axis=0))
+def _row_split(histogram) -> int:
+    """The largest count j thinned as histograms.  Thinning rows 0..j
+    draws (j + 1)**2 table cells for each block, and each gate with a
+    count above j costs _GATE_COST cells; j minimises the sum, among the j
+    whose cells for all blocks fit in _GROUP_COST."""
+    counts = histogram.sum(axis=0)
+    rows = np.arange(1, len(counts) + 1)
+    cells = len(histogram) * rows * rows
+    left = counts.sum() - np.cumsum(counts)
     cost = np.where(cells <= _GROUP_COST, cells + _GATE_COST * left, np.inf)
     return int(np.argmin(cost))
 
 
-def _thinned_sums(rng: np.random.Generator, law: TernaryLaw, occupancy,
-                  split: int):
-    """Per-block sums of xi, eta, xi**2, eta**2 and xi*eta, shape
-    (blocks, 5), for the gates per block and occupancy in `occupancy`.
+def _thin(rng: np.random.Generator, histogram, pi: float):
+    """Thin the gates per block and count k in `histogram`, shape (blocks,
+    width): each of a gate's k units is kept with probability pi, so the
+    gate keeps a ~ Binomial(k, pi).  Returns the gates per block and kept
+    count a, of the same shape, and each block's exact int64 sum of k*a.
 
-    Gates with n <= split are thinned by one multinomial over the (xi, eta)
-    cells per block and occupancy, whose sorted counts are contracted
-    against the cells' moments in the same order; gates with n > split are
-    thinned one by one, each block's sums being an exact int64 segment sum.
-    Both draws are exact.  Blocks go in groups of about _GROUP_COST cost
-    units (`_row_split`), so memory does not grow with a run's gates.
+    For a row split j (`_row_split`), gates with k <= j are thinned by one
+    multinomial per block and row over the sorted cells of
+    `_binomial_table(j, pi)`, gates with k > j by one binomial each.  Both
+    draws are exact.  Blocks go in equal groups of at most _GROUP_COST cost
+    units (or one block), so memory does not grow with a run's gates.
     """
-    a, b, table = _trinomial_table(law, split)
-    order, pvals = _sorted_cells(table)
-    # (xi, eta, xi**2, eta**2, xi*eta) of each sorted cell, one row a cell
-    moments = np.stack([a, b, a * a, b * b, a * b])[:, order].reshape(5, -1).T
-    values = np.arange(split + 1, occupancy.shape[1])
-    cost = np.cumsum(pvals.size
-                     + _GATE_COST * occupancy[:, split + 1:].sum(axis=1))
-    sums = []
-    for blocks in np.split(occupancy,
-                           np.flatnonzero(np.diff(cost // _GROUP_COST)) + 1):
-        part = rng.multinomial(blocks[:, :split + 1], pvals).reshape(
-            len(blocks), -1) @ moments
-        gates = blocks[:, split + 1:]
-        per_block = gates.sum(axis=1)
-        if per_block.any():
-            xi, eta = _thin_per_gate(rng, law, np.repeat(
-                np.tile(values, len(blocks)), gates.ravel()))
-            has = per_block > 0
-            starts = (np.cumsum(per_block) - per_block)[has]
-            for column, term in enumerate(
-                    (xi, eta, xi * xi, eta * eta, xi * eta)):
-                part[has, column] += np.add.reduceat(term, starts)
-        sums.append(part)
-    return np.concatenate(sums)
+    width = histogram.shape[1]
+    split = _row_split(histogram)
+    order, pvals = _sorted_cells(_binomial_table(split, pi))
+    rows, values = np.arange(split + 1), np.arange(split + 1, width)
+    above = histogram[:, split + 1:]
+    per_block = above.sum(axis=1)
+    step = max(1, _GROUP_COST
+               // (pvals.size + _GATE_COST * int(per_block.max())))
+    kept = np.zeros(histogram.shape, dtype=np.int64)
+    cross = np.empty(len(histogram), dtype=np.int64)
+    for lo in range(0, len(histogram), step):
+        group = slice(lo, lo + step)
+        part = kept[group]
+        # joint[block, a, k]: the gates of count k that keep a
+        joint = np.empty((len(part), split + 1, split + 1), dtype=np.int64)
+        joint[:, order, rows[:, None]] = rng.multinomial(
+            histogram[group, :split + 1], pvals)
+        # per block and a: the gates, and the sum of k over them
+        sums = joint @ np.stack([np.ones_like(rows), rows], axis=1)
+        part[:, :split + 1] = sums[:, :, 0]
+        cross[group] = sums[:, :, 1] @ rows
+        gates = per_block[group]
+        if gates.any():
+            k = np.repeat(np.tile(values, len(part)), above[group].ravel())
+            a = rng.binomial(k, pi)
+            # each gate's cell in the group's flattened (blocks, width) part
+            at = np.repeat(np.arange(0, part.size, width), gates)
+            at += a
+            part += np.bincount(at, minlength=part.size).reshape(part.shape)
+            a *= k
+            has = gates > 0
+            cross[group][has] += np.add.reduceat(
+                a, (np.cumsum(gates) - gates)[has])
+    return kept, cross
 
 
-def _check_sums(top: int, count: int):
+def _power_sums(histogram):
+    """Each block's exact int64 sums of k and k**2 over its gates."""
+    k = np.arange(histogram.shape[1])
+    return histogram @ k, histogram @ (k * k)
+
+
+def _thinned_sums(rng: np.random.Generator, law: TernaryLaw, occupancy):
+    """Per-block sums of xi, eta, xi**2, eta**2 and xi*eta, shape (blocks,
+    5), for the gates per block and occupancy in `occupancy`: the detected
+    counts d, then their split xi, in two `_thin` stages, each with its own
+    row split, and eta = d - xi."""
+    s, t = _stage_probabilities(law)
+    # a trimmed copy, so a wide run frees the full-width detected histogram
+    detected = _trimmed(_thin(rng, occupancy, s)[0]).copy()
+    in_a, s_dxi = _thin(rng, detected, t)
+    s_d, s_d2 = _power_sums(detected)
+    s_xi, s_xi2 = _power_sums(in_a)
+    # sum xi*eta = sum d*xi - sum xi**2, and sum eta**2 = sum d*eta -
+    # sum xi*eta, each term within int64
+    s_cross = s_dxi - s_xi2
+    return np.stack([s_xi, s_d - s_xi, s_xi2, s_d2 - s_dxi - s_cross,
+                     s_cross], axis=1)
+
+
+def _check_sums(tops, counts):
     # xi, eta <= n, so this bounds every int64 block sum
-    if top ** 2 * count >= 2 ** 63:
+    if any(top * top * count >= 2 ** 63 for top, count in zip(tops, counts)):
         raise DomainError("occupancy too large: block sums of squares "
                           "would overflow int64")
 
@@ -281,7 +328,7 @@ def _simulate_blocks(cfg: SimulationConfig) -> list[tuple]:
         blocks = []
         for count in sizes:
             n = sample_occupancy(cfg.source, rng, count)
-            _check_sums(int(n.max()), count)
+            _check_sums([int(n.max())], [count])
             xi, eta = _thin_per_gate(rng, cfg.law, n)
             blocks.append((count, *map(int, (
                 xi.sum(), eta.sum(), n.sum(), xi @ xi, eta @ eta, n @ n,
@@ -289,13 +336,12 @@ def _simulate_blocks(cfg: SimulationConfig) -> list[tuple]:
         return blocks
     occupancy = _occupancy_histograms(rng, table, np.array(sizes))
     tops = occupancy.shape[1] - 1 - np.argmax(occupancy[:, ::-1] > 0, axis=1)
-    for top, count in zip(tops.tolist(), sizes):
-        _check_sums(top, count)
-    k = np.arange(occupancy.shape[1])
+    _check_sums(tops.tolist(), sizes)
+    s_n, s_n2 = _power_sums(occupancy)
     s_xi, s_eta, s_xi2, s_eta2, s_cross = _thinned_sums(
-        rng, cfg.law, occupancy, _row_split(occupancy)).T
-    columns = np.stack([sizes, s_xi, s_eta, occupancy @ k, s_xi2, s_eta2,
-                        occupancy @ (k * k), s_cross], axis=1)
+        rng, cfg.law, occupancy).T
+    columns = np.stack([sizes, s_xi, s_eta, s_n, s_xi2, s_eta2, s_n2,
+                        s_cross], axis=1)
     return [tuple(row) for row in columns.tolist()]
 
 
@@ -316,17 +362,15 @@ def reduce_blocks(cfg: SimulationConfig, blocks: list[tuple]) -> EstimateReport:
     """
     if len(blocks) != cfg.n_blocks:
         raise ValueError("block list does not match the configuration")
-    pooled = [sum(column) for column in zip(*blocks)]
-    rest = [[total - part for total, part in zip(pooled, block)]
-            for block in blocks]
+    sums = np.array(blocks, dtype=object)
+    pooled = sums.sum(axis=0)
     scale = len(blocks) - 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = _stats(*np.array([*rest, pooled], dtype=float).T)
-        estimates = [
-            Estimate(value=float(col[-1]),
-                     stderr=math.sqrt(scale * float(col[:-1].var())))
-            for col in table]
-    return EstimateReport(cfg.gates, len(blocks), *estimates)
+        table = np.array(_stats(
+            *np.vstack([pooled - sums, pooled]).astype(float).T))
+        stderrs = np.sqrt(scale * table[:, :-1].var(axis=1))
+    return EstimateReport(cfg.gates, len(blocks), *map(
+        Estimate, table[:, -1].tolist(), stderrs.tolist()))
 
 
 def verify(report: EstimateReport, analytic: dict,

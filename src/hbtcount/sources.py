@@ -184,8 +184,14 @@ class SourceLaw:
                                                          self.polarization)
         make = _neg_binomial if family == "boson" else Binomial
         # equal to 0.5 * nb * (1 +/- P) for normal nb, and exactly nb at P = 1
-        comps = [make(m, n) for n in (nb * (0.5 * (1.0 + pol)),
-                                      nb * (0.5 * (1.0 - pol))) if n > 0.0]
+        channels = [nb * (0.5 * (1.0 + pol)), nb * (0.5 * (1.0 - pol))]
+        if pol == 1.0:
+            channels.pop()
+        if 0.0 in channels:
+            raise DomainError(f"occupancy too small: a channel occupancy "
+                              f"0.5 * nbar * (1 +/- P) underflows to 0 at "
+                              f"nbar = {nb!r}")
+        comps = [make(m, n) for n in channels]
         if len(comps) == 2 and comps[0] == comps[1]:
             return (comps[0]._replace(order=2 * m),)
         return tuple(comps)
@@ -265,19 +271,29 @@ def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
     """Smallest n* whose cumulative weight, summed term by term from n = 0
     in a window that doubles until it holds n*, reaches `mass`.
 
-    Raises DomainError when the weight up to n = TRUNCATION_CAP falls short.
+    A window is convolved only once its weight reaches `mass`: for two
+    components, the weight up to hi is sum_k P(first = k) P(second <= hi - k),
+    O(hi) from the components' own terms.  Raises DomainError when the
+    weight up to n = TRUNCATION_CAP falls short.
     """
     if src.max_count is not None:
         return src.max_count
     hi = _FIRST_WINDOW
     while True:
-        total = np.cumsum(_window(src, hi))
-        cutoff = int(np.searchsorted(total, mass))
-        if cutoff <= hi:
-            return cutoff
+        n = np.arange(hi + 1)
+        terms = [np.exp(comp.log_pmf(n)) for comp in src._components]
+        if len(terms) == 1:
+            weight = np.cumsum(terms[0])[-1]
+        else:
+            weight = terms[0] @ np.cumsum(terms[1])[::-1]
+        if weight >= mass:
+            cutoff = int(np.searchsorted(np.cumsum(_window(src, hi, terms)),
+                                         mass))
+            if cutoff <= hi:
+                return cutoff
         if hi == TRUNCATION_CAP:
             raise DomainError(f"support cutoff: the weight up to n = "
-                              f"{TRUNCATION_CAP} is {float(total[-1])!r}, "
+                              f"{TRUNCATION_CAP} is {float(weight)!r}, "
                               f"short of {mass!r}")
         hi = min(2 * hi + 1, TRUNCATION_CAP)
 

@@ -235,6 +235,15 @@ class TestSimulateAndVerify:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
+    def test_channel_occupancy_underflow_is_domain_error(self, capsys):
+        code = cli.main(["k", "--kind", "thermal-boson", "--unpolarized",
+                         "--nbar", "5e-324"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DOMAIN
+        assert captured.err.startswith("error:")
+        assert "channel occupancy" in captured.err
+        assert captured.out == ""
+
     def test_verify_fails_with_tight_threshold(self, capsys):
         code, _ = run(["verify", "--kind", "thermal-boson", "--modes", "1",
                        "--nbar", "1.0", "--p", "0.3", "--q", "0.2",

@@ -24,18 +24,20 @@ from hbtcount import (
 )
 from hbtcount import mc
 from hbtcount.mc import (
+    _binomial_table,
     _occupancy_histograms,
     _occupancy_table,
     _row_split,
     _simulate_blocks,
     _thin_per_gate,
     _thinned_sums,
-    _trinomial_table,
 )
 
 LAW = TernaryLaw(0.3, 0.2, 0.5)
 ZERO_PROBABILITY_LAWS = [TernaryLaw(0.5, 0.0, 0.5), TernaryLaw(0.5, 0.5, 0.0),
                          TernaryLaw(1.0, 0.0, 0.0)]
+# nothing is detected: the second stage has no detected quantum to split
+NOTHING_DETECTED = TernaryLaw(0.0, 0.0, 1.0)
 
 
 def _rng(seed, word=0):
@@ -57,11 +59,18 @@ def _run_occupancy(cfg):
                                       _block_sizes(cfg))
 
 
-def _gate_sums(rng, law, n, split):
+def _gate_sums(rng, law, n):
     """(xi, eta, xi**2, eta**2, xi*eta) of each gate, drawn by
     `_thinned_sums` with one block per gate of occupancy n."""
     occupancy = np.eye(int(n.max()) + 1, dtype=np.int64)[n]
-    return _thinned_sums(rng, law, occupancy, split)
+    return _thinned_sums(rng, law, occupancy)
+
+
+def _force_split(monkeypatch, split):
+    """Make both thinning stages thin counts 0..split as histograms (0..top
+    when a histogram's largest count top is below split)."""
+    monkeypatch.setattr(mc, "_row_split",
+                        lambda histogram: min(split, histogram.shape[1] - 1))
 
 
 class TestDeterminism:
@@ -265,7 +274,8 @@ class TestWithinGateStructure:
         assert np.all(xi >= 0) and np.all(eta >= 0)
         top = int(n.max())
         for split in (0, top // 2, top):
-            sums = _gate_sums(_rng(9, 2), law, n, split)
+            _force_split(monkeypatch, split)
+            sums = _gate_sums(_rng(9, 2), law, n)
             xi, eta = sums[:, 0], sums[:, 1]
             assert np.all(xi + eta <= n)
             assert np.all(xi >= 0) and np.all(eta >= 0)
@@ -274,10 +284,11 @@ class TestWithinGateStructure:
                 [xi * xi, eta * eta, xi * eta], axis=1))
 
     @pytest.mark.parametrize("split", [None, 0, 1, 3])
-    def test_joint_counts_match_mixture_pmf(self, split):
+    def test_joint_counts_match_mixture_pmf(self, split, monkeypatch):
         """The (xi, eta) cells of per-gate thinning (split None), and of
-        `_thinned_sums` with rows 0..split drawn as histograms: with split
-        1, the gates with n = 0, 1 go one way and n = 2, 3 the other."""
+        `_thinned_sums` with counts 0..split thinned as histograms in both
+        stages: with split 1, the gates with n = 0, 1 go one way and
+        n = 2, 3 the other, and so do the detected counts."""
         scipy_stats = pytest.importorskip("scipy.stats")
         src = SourceLaw("fermion-polarized", modes=3, nbar=0.6)
         rng = _rng(13, 0)
@@ -286,7 +297,8 @@ class TestWithinGateStructure:
         if split is None:
             xi, eta = _thin_per_gate(rng, LAW, n)
         else:
-            sums = _gate_sums(rng, LAW, n, split)
+            _force_split(monkeypatch, split)
+            sums = _gate_sums(rng, LAW, n)
             xi, eta = sums[:, 0], sums[:, 1]
 
         cells = {}
@@ -307,9 +319,8 @@ class TestWithinGateStructure:
         src = SourceLaw("boson-polarized", modes=2, nbar=1.0)
         n = sample_occupancy(src, _rng(17, 0), size=200000)
         xi, eta = _thin_per_gate(_rng(17, 1), LAW, n)
-        top = int(n.max())
-        histogram = _thinned_sums(_rng(17, 2), LAW, np.bincount(n)[None, :],
-                                  top)[0]
+        histogram = _thinned_sums(_rng(17, 2), LAW,
+                                  np.bincount(n)[None, :])[0]
         for column, per_gate in enumerate(
                 (xi, eta, xi * xi, eta * eta, xi * eta)):
             # Given n, each path's sum has variance sum_k c_k Var(term | k)
@@ -319,9 +330,9 @@ class TestWithinGateStructure:
             assert abs(diff) <= 5.0 * math.sqrt(2.0 * var)
 
     @pytest.mark.parametrize("kind,gates,split", [
-        # occupancies up to 7, thinned as histograms up to 2 and 4
-        ("coherent", 3200, 2),
-        ("coherent", 64000, 4),
+        # occupancies up to 7, thinned as histograms up to 3 and 5
+        ("coherent", 3200, 3),
+        ("coherent", 64000, 5),
         # at most 2 quanta: every gate goes through the histogram
         ("fermion-polarized", 12800, 2),
     ])
@@ -332,7 +343,7 @@ class TestWithinGateStructure:
         rng, occupancy = _run_occupancy(cfg)
         assert _row_split(occupancy) == split
         s_xi, s_eta, s_xi2, s_eta2, s_cross = _thinned_sums(
-            rng, LAW, occupancy, split).T
+            rng, LAW, occupancy).T
         k = np.arange(occupancy.shape[1])
         expected = zip(_block_sizes(cfg), s_xi, s_eta, occupancy @ k,
                        s_xi2, s_eta2, occupancy @ (k * k), s_cross)
@@ -359,34 +370,36 @@ class TestMemoryBound:
         assert peaks[1] < 2 * peaks[0]
 
 
-class TestTrinomialTable:
-    @pytest.mark.parametrize("law", [LAW, *ZERO_PROBABILITY_LAWS], ids=repr)
+class TestBinomialTable:
+    @pytest.mark.parametrize("pi", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("top", [0, 1, 7, 24])
-    def test_rows_match_trinomial_pmf(self, law, top):
-        a, b, table = _trinomial_table(law, top)
-        assert table.shape == (top + 1, (top + 1) * (top + 2) // 2)
+    def test_rows_match_binomial_pmf(self, pi, top):
+        table = _binomial_table(top, pi)
+        assert table.shape == (top + 1, top + 1)
         assert not np.isnan(table).any()
         for k in range(top + 1):
-            valid = a + b <= k
-            expected = [trinomial_pmf(law, k, m, j)
-                        for m, j in zip(a[valid], b[valid])]
-            assert table[k, valid] == pytest.approx(expected, rel=1e-12,
-                                                    abs=0.0)
-            assert np.all(table[k, ~valid] == 0.0)
+            expected = [math.comb(k, a) * pi ** a * (1.0 - pi) ** (k - a)
+                        for a in range(k + 1)]
+            assert table[k, :k + 1] == pytest.approx(expected, rel=1e-12,
+                                                     abs=0.0)
+            assert np.all(table[k, k + 1:] == 0.0)
 
     @pytest.mark.parametrize("split", [None, 2])
-    @pytest.mark.parametrize("law", [LAW, *ZERO_PROBABILITY_LAWS], ids=repr)
+    @pytest.mark.parametrize("law", [
+        LAW, *ZERO_PROBABILITY_LAWS, NOTHING_DETECTED,
+        # 1 - r rounds below p, so p / (1 - r) would exceed 1
+        TernaryLaw(0.1, 0.0, 0.9)], ids=repr)
     def test_block_identities_on_split_run(self, law, split, monkeypatch):
-        """Occupancies reach 7; the run thins 0..4 as histograms, or 0..2
-        when the split is forced there."""
+        """Occupancies reach 7; the run's first stage thins 0..5 as
+        histograms, or both stages thin 0..2 when the split is forced."""
         cfg = SimulationConfig(
             law=law, source=SourceLaw("coherent", modes=1, nbar=1.0),
             gates=64000, seed=6)
         _, occupancy = _run_occupancy(cfg)
         assert occupancy.shape[1] - 1 == 7
-        assert _row_split(occupancy) == 4
+        assert _row_split(occupancy) == 5
         if split is not None:
-            monkeypatch.setattr(mc, "_row_split", lambda occupancy: split)
+            _force_split(monkeypatch, split)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             blocks = _simulate_blocks(cfg)
@@ -394,6 +407,8 @@ class TestTrinomialTable:
         for _, s_xi, s_eta, s_n, s_xi2, s_eta2, s_n2, s_cross in blocks:
             assert s_xi + s_eta <= s_n
             assert s_xi2 + 2 * s_cross + s_eta2 <= s_n2
+            if law.p == 0.0:
+                assert s_xi == s_xi2 == s_cross == 0
             if law.q == 0.0:
                 assert s_eta == s_eta2 == s_cross == 0
             if law.r == 0.0:
@@ -402,6 +417,17 @@ class TestTrinomialTable:
         for name in ("mean_xi", "mean_eta", "f"):
             assert math.isfinite(report.estimate(name).value)
         assert math.isnan(report.r_hat.value) == (law.q == 0.0)
+
+    def test_first_stage_covers_a_wide_law(self):
+        """Coherent mean 100 at 1e7 gates: occupancies span about 60..145,
+        and the first stage thins at least 99% of the gates as
+        histograms, not one by one."""
+        cfg = SimulationConfig(
+            law=LAW, source=SourceLaw("coherent", modes=1, nbar=100.0),
+            gates=10 ** 7, seed=1)
+        _, occupancy = _run_occupancy(cfg)
+        split = _row_split(occupancy)
+        assert occupancy[:, :split + 1].sum() >= 0.99 * cfg.gates
 
 
 class TestEstimates:

@@ -142,6 +142,13 @@ class TestPmf:
         with pytest.raises(DomainError, match="is 0.0, short of"):
             support_cutoff(src)
 
+    def test_two_component_cutoff_raises_without_convolving(self):
+        # channel means 2.25e6 and 7.5e5 leave 0.17 of the weight below
+        # n = 1e6; convolving two 1e6-term windows takes about 1e12 steps
+        src = SourceLaw("boson-partial", modes=1, nbar=3e6, polarization=0.5)
+        with pytest.raises(DomainError, match=r"is 0\.17\d*, short of"):
+            support_cutoff(src)
+
 
 def _mp_window(src, hi):
     """W_0..W_hi from the source's definition in mpmath: one law per
@@ -270,6 +277,22 @@ class TestBosonOccupancyLimit:
     def test_largest_resolved_occupancy_is_finite(self):
         src = SourceLaw("boson-polarized", modes=1, nbar=1e15)
         assert math.isfinite(source_factorial_moments(src).fano)
+
+
+class TestChannelUnderflow:
+    @pytest.mark.parametrize("kind,pol", [
+        ("boson-unpolarized", None), ("fermion-unpolarized", None),
+        ("boson-partial", 0.5), ("fermion-partial", 0.0)])
+    def test_vanishing_channel_is_domain_error(self, kind, pol):
+        # 0.5 * nbar rounds to 0 at the smallest subnormal nbar
+        src = SourceLaw(kind, modes=2, nbar=5e-324, polarization=pol)
+        with pytest.raises(DomainError, match="channel occupancy"):
+            source_factorial_moments(src)
+
+    def test_polarized_channel_is_kept(self):
+        src = SourceLaw("boson-partial", modes=2, nbar=5e-324,
+                        polarization=1.0)
+        assert len(src._components) == 1
 
 
 class TestPgf:
