@@ -63,7 +63,6 @@ from .mc import (
     Estimate,
     EstimateReport,
     SimulationConfig,
-    reduce_blocks,
     sample_occupancy,
     simulate_series,
     verify,

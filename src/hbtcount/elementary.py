@@ -50,17 +50,19 @@ class TernaryLaw:
 
     @property
     def t_transmit(self) -> float:
-        """Conditional share of detector A among firing acts, p / s."""
-        if self.s <= 0.0:
-            raise ValueError("splitting ratios undefined when s = 1 - r = 0")
-        return self.p / self.s
+        """Conditional share of detector A among firing acts, p / (p + q);
+        p + q rather than s = 1 - r, which can round below p."""
+        return self.p / self._firing()
 
     @property
     def t_reflect(self) -> float:
-        """Conditional share of detector B among firing acts, q / s."""
-        if self.s <= 0.0:
-            raise ValueError("splitting ratios undefined when s = 1 - r = 0")
-        return self.q / self.s
+        """Conditional share of detector B among firing acts, q / (p + q)."""
+        return self.q / self._firing()
+
+    def _firing(self) -> float:
+        if self.p + self.q <= 0.0:
+            raise ValueError("splitting ratios undefined when p + q = 0")
+        return self.p + self.q
 
 
 @dataclass(frozen=True)

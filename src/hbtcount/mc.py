@@ -1,36 +1,29 @@
 """Monte Carlo verification of the analytic series statistics.
 
-Gates are split into 64 near-equal blocks (fewer when there are fewer
-gates).  A run draws all blocks together, layer by layer, from one
-counter-based Philox stream keyed by the seed, so a configuration gives a
-bit-identical report; there is no per-block stream and no block schedule.
+Gates are iid, so a run needs only its histogram of gate occupancies n.
+Each of a gate's n quanta is detected with s = 1 - r, and a detected
+quantum goes to detector A with p/(p + q), so the split (xi, eta = d - xi)
+of a gate's d detected quanta does not depend on n.  Every draw comes from
+one Philox stream keyed by the seed, so a configuration gives a
+bit-identical report.  Each layer is one exact draw for the whole run:
 
-Gates are iid, so a block needs only its histogram of gate occupancies
-n.  Each of a gate's n quanta excites detector A (p), detector B (q) or
-neither (r): it is detected with s = 1 - r, and a detected quantum goes
-to A with p/(p + q).  Given its d detected quanta, a gate's split (xi,
-eta = d - xi) does not depend on n.  Each layer is one exact draw for the
-whole run:
+* Occupancies: one multinomial over a once-per-run pmf table W_0..W_hi
+  and a tail cell with the exact mass past hi, then n by inversion for
+  each tail gate.  A run whose window has more cells than its gates over
+  _CELL_GATES, or than _TABLE_CELLS (_CONVOLVE_CELLS for two components),
+  draws _CHUNKS near-equal chunks of gates from `sample_occupancy` instead
+  and thins them gate by gate.
+* Counts, in two binomial-thinning stages: d ~ Binomial(n, s), then xi ~
+  Binomial(d, p/(p + q)).  In each stage a row split j sends the gates
+  with a count k <= j through one multinomial per row over the binomial
+  cells 0..j, and those with k > j through one binomial each.
 
-* Occupancies: one multinomial per block, in one call, over a once-per-run
-  pmf table W_0..W_hi plus a tail cell with the exact mass past hi; the
-  run's tail gates get their n by inversion over the pmf past hi.  A run
-  whose window has more cells than its largest block (or too many for
-  _GROUP_COST) draws its gates from `sample_occupancy` instead, block
-  after block, and thins them gate by gate.
-* Counts, in two binomial-thinning stages: the occupancy histograms are
-  thinned to histograms of detected counts d ~ Binomial(n, s), and those
-  to histograms of xi ~ Binomial(d, p/(p + q)), with the per-block sums
-  of d*xi.  In each stage a row split j, chosen from the histograms,
-  sends the gates with a count k <= j through one multinomial per block
-  and row over the binomial cells 0..j, (j + 1)**2 cells a block, and the
-  gates with k > j through one binomial each.  j minimises the cells
-  drawn plus _GATE_COST per gate thinned one by one.  The eta sums follow
-  exactly from the d and xi sums.
-
-Point estimates are computed from the pooled sums.  Standard errors are
-leave-one-block-out jackknife errors over the exact pooled sums, which
-stay finite when one block has no count in a detector.
+Point estimates come from exact integer sums of per-gate features: (xi,
+eta, xi**2, eta**2, xi*eta) for K, R and the mean counts, (n, n**2) for
+F.  Each standard error is the delta-method error sqrt(g' S g / (N - 1)),
+with S the per-gate covariance of those features and g the statistic's
+gradient at the sample means: for iid gates, the infinitesimal jackknife
+(Efron 1982).
 """
 
 from __future__ import annotations
@@ -45,19 +38,30 @@ from .errors import DomainError
 from .sources import SourceLaw, occupancy_table, source_factorial_moments
 
 DEFAULT_Z_MAX = 4.0
-BLOCKS = 64
 # Occupancy tables reach this many standard deviations past the mean; the
 # tail cell holds the rest exactly, so this only trades table cells
 # against tail draws.
 _WINDOW_SIGMAS = 8.0
 # The cost of thinning one gate by one binomial, in multinomial table
 # cells: timeit puts it at 2 to 4, and pass times are flat from 2 to 12
-# (2-core Xeon, numpy 2.4).  6 rather than 3 halves the gates that each
-# group of blocks (below) thins one by one, which lowers a wide run's peak.
+# (2-core Xeon, numpy 2.4).
 _GATE_COST = 6
-# A run's histograms and each group of blocks thinned together hold
-# about this many cost units at most, which bounds the memory of a run.
+# A thinning stage's binomial table holds this many cells at most, which
+# bounds its time, and a batch of its draws, or of a chunk's features,
+# _GROUP_COST // 64 gates or cells, which bounds the memory of a run.
 _GROUP_COST = 2 ** 20
+# Building an occupancy table costs up to this many gates drawn one by one
+# for each cell of its window: about 5 us a cell for a single-mode thermal
+# source, whose tail runs on for about four windows past hi, against
+# 0.3 us a gate (2-core Xeon, numpy 2.4).
+_CELL_GATES = 16
+# The most cells in a one-component window, which bounds the memory of its
+# table; a two-component window is one direct convolution, cells**2
+# products, and 2**14 cells take about 0.07 s, 2**16 0.75 s.
+_TABLE_CELLS = 2 ** 17
+_CONVOLVE_CELLS = 2 ** 14
+# Runs without an occupancy table draw their gates in this many chunks.
+_CHUNKS = 64
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,6 @@ class SimulationConfig:
         # the seed is the run's Philox key
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must lie in [0, 2**64)")
-
-    @property
-    def n_blocks(self) -> int:
-        return min(BLOCKS, self.gates)
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,6 @@ class EstimateReport:
     """Monte Carlo estimates of K, R, F and the mean counts."""
 
     gates: int
-    blocks: int
     k_hat: Estimate
     r_hat: Estimate
     f_hat: Estimate
@@ -111,7 +110,7 @@ class EstimateReport:
             raise ValueError(f"unknown statistic: {name!r}") from None
 
     def as_dict(self) -> dict:
-        out = {"gates": self.gates, "blocks": self.blocks}
+        out = {"gates": self.gates}
         for name in self.STATISTICS:
             est = self.estimate(name)
             out[name] = {"value": est.value, "stderr": est.stderr}
@@ -127,38 +126,100 @@ def sample_occupancy(source: SourceLaw, rng: np.random.Generator,
     return int(total[0]) if size is None else total
 
 
-def _stats(count, s_xi, s_eta, s_n, s_xi2, s_eta2, s_n2, s_cross):
-    """K, R, F and the mean counts, in `EstimateReport.STATISTICS` order,
-    from arrays of per-gate sums; an undefined ratio (0/0) comes out nan."""
-    mean_xi = s_xi / count
-    mean_eta = s_eta / count
-    cross = s_cross / count
-    var_xi = s_xi2 / count - mean_xi ** 2
-    var_eta = s_eta2 / count - mean_eta ** 2
-    n_mean = s_n / count
-    k = cross / (mean_xi * mean_eta)
-    r = (cross - mean_xi * mean_eta) / np.sqrt(var_xi * var_eta)
-    f = (s_n2 / count - n_mean ** 2) / n_mean
-    return k, r, f, mean_xi, mean_eta
+class _Moments:
+    """Per-gate features pooled batch by batch: their exact sums as Python
+    ints, and the float sum of the products of their deviations from the
+    mean, merged as in Chan, Golub & LeVeque (1983), so no raw fourth
+    moment is ever differenced."""
+
+    def __init__(self, width: int):
+        self.count, self.sums = 0, [0] * width
+        self.comoment = np.zeros((width, width))
+
+    def means(self):
+        return np.array([total / self.count for total in self.sums])
+
+    def add(self, features, gates=None):
+        """Add gates with these non-negative int64 features, one row a
+        feature: one gate a column, or gates[i] gates for column i."""
+        count = features.shape[1] if gates is None else int(gates.sum())
+        if gates is None:  # callers keep these int64 sums from wrapping
+            sums = features.sum(axis=1).tolist()
+        elif count * int(features.max()) < 2 ** 63:
+            sums = (features @ gates).tolist()
+        else:  # in Python ints
+            sums = (features.astype(object) @ gates.astype(object)).tolist()
+        mean = np.array([total / count for total in sums])
+        dev = features - mean[:, None]
+        # einsum, not a BLAS matmul, whose first call maps about 0.4 MB of
+        # buffers for these 5 x 5 products
+        self.comoment += np.einsum(
+            "ij,kj->ik", dev if gates is None else dev * gates, dev)
+        if self.count:
+            delta = mean - self.means()
+            self.comoment += np.outer(delta, delta) * (
+                self.count * count / (self.count + count))
+        self.count += count
+        self.sums = [a + b for a, b in zip(self.sums, sums)]
 
 
-def _binomial_table(top: int, pi: float):
-    """A (top + 1, top + 1) table whose row k holds P(a) for a ~
-    Binomial(k, pi), a = 0..top (0 when a > k), evaluated in log space."""
-    values = np.arange(top + 1)
-    k, a = values[:, None], values
+def _count_features(xi, eta):
+    """(xi, eta, xi**2, eta**2, xi*eta), one column a gate."""
+    return np.stack([xi, eta, xi * xi, eta * eta, xi * eta])
+
+
+def _occupancy_features(n):
+    """(n, n**2), one column a gate."""
+    return np.stack([n, n * n])
+
+
+def _estimates(gates: int, counts: _Moments,
+               occupancy: _Moments) -> EstimateReport:
+    """K, R, F and the mean counts at the sample means, each with its
+    delta-method error; an undefined ratio (0/0) and its error are nan."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi, eta, xi2, eta2, cross = counts.means()
+        n, n2 = occupancy.means()
+        var_xi, var_eta = xi2 - xi * xi, eta2 - eta * eta
+        scale = np.sqrt(var_xi * var_eta)
+        k = cross / (xi * eta)
+        r = (cross - xi * eta) / scale
+        f = (n2 - n * n) / n
+        # each estimate, the moments of its features, and its gradient
+        terms = [
+            (k, counts, [-k / xi, -k / eta, 0.0, 0.0, 1.0 / (xi * eta)]),
+            (r, counts, [r * xi / var_xi - eta / scale,
+                         r * eta / var_eta - xi / scale,
+                         -0.5 * r / var_xi, -0.5 * r / var_eta,
+                         1.0 / scale]),
+            (f, occupancy, [-n2 / (n * n) - 1.0, 1.0 / n]),
+            (xi, counts, [1.0, 0.0, 0.0, 0.0, 0.0]),
+            (eta, counts, [0.0, 1.0, 0.0, 0.0, 0.0]),
+        ]
+        pairs = gates * (gates - 1.0)
+        return EstimateReport(gates, *(
+            Estimate(float(value), float(np.sqrt(
+                np.array(g) @ moments.comoment @ np.array(g) / pairs)))
+            for value, moments, g in terms))
+
+
+def _binomial_table(rows, top: int, pi: float):
+    """The table whose row i holds P(a) for a ~ Binomial(rows[i], pi),
+    a = 0..top (0 when a > rows[i]), evaluated in log space; rows <= top."""
+    a = np.arange(top + 1)
+    k = np.asarray(rows)[:, None]
     rest = np.maximum(k - a, 0)
-    log_fact = np.cumsum(np.log(np.maximum(values, 1)))
-    return np.tril(np.exp(log_fact[k] - log_fact[a] - log_fact[rest]
-                          + _xlogy(a, pi) + _xlogy(rest, -pi, math.log1p)))
+    log_fact = np.cumsum(np.log(np.maximum(a, 1)))
+    table = np.exp(log_fact[k] - log_fact[a] - log_fact[rest]
+                   + _xlogy(a, pi) + _xlogy(rest, -pi, math.log1p))
+    return np.where(a <= k, table, 0.0)
 
 
 def _stage_probabilities(law: TernaryLaw):
     """The keep probabilities of the two thinning stages: a quantum is
-    detected with s = 1 - r, and a detected one goes to A with p/(p + q),
-    taken as 0 when nothing can be detected."""
-    detected = law.p + law.q
-    return law.s, (law.p / detected if detected > 0.0 else 0.0)
+    detected with s = 1 - r, and a detected one goes to A with
+    `law.t_transmit`, taken as 0 when nothing can be detected."""
+    return law.s, (law.t_transmit if law.p + law.q > 0.0 else 0.0)
 
 
 def _thin_per_gate(rng: np.random.Generator, law: TernaryLaw, n):
@@ -181,196 +242,167 @@ def _sorted_cells(pvals):
 def _occupancy_table(cfg: SimulationConfig):
     """The source's pmf table, reaching _WINDOW_SIGMAS standard deviations
     past the mean (or the end of a bounded support), or None when that
-    window has more cells than the largest block, or than _GROUP_COST over
-    all blocks; gates are then drawn one by one."""
+    window has more cells than the run's gates over _CELL_GATES, or than
+    _TABLE_CELLS (_CONVOLVE_CELLS for two components); gates are then
+    drawn one by one."""
     fm = source_factorial_moments(cfg.source)
     hi = fm.mean + _WINDOW_SIGMAS * math.sqrt(max(fm.fano * fm.mean, 0.0))
     if cfg.source.max_count is not None:
         hi = min(hi, cfg.source.max_count)
-    b = cfg.n_blocks
-    if hi + 1 <= min(-(-cfg.gates // b), _GROUP_COST // b):  # False for nan
+    cap = _TABLE_CELLS if len(cfg.source._components) == 1 else _CONVOLVE_CELLS
+    if hi + 1 <= min(cfg.gates / _CELL_GATES, cap):  # False for nan
         return occupancy_table(cfg.source, math.ceil(hi))
     return None
 
 
 def _trimmed(histogram):
-    """histogram without its trailing columns that count no gate."""
-    return histogram[:, :np.flatnonzero(histogram.any(axis=0))[-1] + 1]
+    """histogram without its trailing cells that count no gate."""
+    return histogram[:np.flatnonzero(histogram)[-1] + 1]
 
 
-def _occupancy_histograms(rng: np.random.Generator, table, sizes):
-    """The gates per block and occupancy 0..top, shape (blocks, top + 1),
-    with top the largest drawn: one multinomial per block over W_0..W_hi
-    and the tail cell, then one inversion draw per tail gate, the run's
-    tail gates booked to the blocks in block order."""
+def _occupancy_histogram(rng: np.random.Generator, cfg: SimulationConfig):
+    """The run's gates per occupancy 0..top, with top the largest drawn:
+    one multinomial over the `_occupancy_table` W_0..W_hi and its tail
+    cell, then one inversion draw per tail gate; None without a table."""
+    table = _occupancy_table(cfg)
+    if table is None:
+        return None
     order, pvals = _sorted_cells(np.append(table.window, table.tail))
-    cells = np.empty((len(sizes), len(pvals)), dtype=np.int64)
-    cells[:, order] = rng.multinomial(sizes, pvals)
-    occupancy, in_tail = cells[:, :-1], cells[:, -1]
-    if in_tail.any():
-        tail = table.sample_tail(rng, int(in_tail.sum()))
-        width = max(table.hi, int(tail.max())) + 1
-        block = np.repeat(np.arange(len(sizes)), in_tail)
-        occupancy = np.bincount(block * width + tail,
-                                minlength=len(sizes) * width)
-        occupancy = occupancy.reshape(len(sizes), width)
-        occupancy[:, :table.hi + 1] += cells[:, :-1]
+    cells = np.empty(len(pvals), dtype=np.int64)
+    cells[order] = rng.multinomial(cfg.gates, pvals)
+    occupancy, in_tail = cells[:-1], int(cells[-1])
+    if in_tail:
+        occupancy = np.bincount(table.sample_tail(rng, in_tail),
+                                minlength=table.hi + 1)
+        occupancy[:table.hi + 1] += cells[:-1]
     return _trimmed(occupancy)
 
 
 def _row_split(histogram) -> int:
-    """The largest count j thinned as histograms.  Thinning rows 0..j
-    draws (j + 1)**2 table cells for each block, and each gate with a
-    count above j costs _GATE_COST cells; j minimises the sum, among the j
-    whose cells for all blocks fit in _GROUP_COST."""
-    counts = histogram.sum(axis=0)
-    rows = np.arange(1, len(counts) + 1)
-    cells = len(histogram) * rows * rows
-    left = counts.sum() - np.cumsum(counts)
+    """The largest count j thinned as a histogram.  Thinning the rows 0..j
+    that count a gate draws j + 1 table cells for each, and each gate with
+    a count above j costs _GATE_COST cells; j minimises the sum, among the
+    j whose cells fit in _GROUP_COST."""
+    width = np.arange(1, len(histogram) + 1)
+    cells = np.cumsum(histogram > 0) * width
+    left = histogram.sum() - np.cumsum(histogram)
     cost = np.where(cells <= _GROUP_COST, cells + _GATE_COST * left, np.inf)
     return int(np.argmin(cost))
 
 
+def _gates_above(histogram, split: int):
+    """The counts k > split of the gates in `histogram`, in order, as
+    arrays of at most _GROUP_COST // 64 gates."""
+    size = _GROUP_COST // 64
+    counts = histogram[split + 1:]
+    values = np.arange(split + 1, len(histogram))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    for lo in range(0, int(counts.sum()), size):
+        # the rows that hold gates lo..lo + size - 1, and their gates there
+        first, last = np.searchsorted(ends, [lo, lo + size], side="right")
+        rows = slice(first, last + 1)
+        take = (np.minimum(ends[rows], lo + size)
+                - np.maximum(starts[rows], lo))
+        yield np.repeat(values[rows], take)
+
+
 def _thin(rng: np.random.Generator, histogram, pi: float):
-    """Thin the gates per block and count k in `histogram`, shape (blocks,
-    width): each of a gate's k units is kept with probability pi, so the
-    gate keeps a ~ Binomial(k, pi).  Returns the gates per block and kept
-    count a, of the same shape, and each block's exact int64 sum of k*a.
+    """Thin the gates per count k in `histogram`: each of a gate's k units
+    is kept with probability pi, so the gate keeps a ~ Binomial(k, pi).
 
-    For a row split j (`_row_split`), gates with k <= j are thinned by one
-    multinomial per block and row over the sorted cells of
-    `_binomial_table(j, pi)`, gates with k > j by one binomial each.  Both
-    draws are exact.  Blocks go in equal groups of at most _GROUP_COST cost
-    units (or one block), so memory does not grow with a run's gates.
+    Yields batches (k, a, gates) of counts, kept counts and the gates
+    with each pair (None: one gate each), drawn as they are read.  For a
+    row split j (`_row_split`), the gates with k <= j are thinned by one
+    multinomial per row that counts a gate, over the sorted cells of its
+    `_binomial_table` row; the gates with k > j by one binomial each.
+    Both draws are exact, and no batch holds more than _GROUP_COST // 64
+    gates or cells (or one table row), so memory does not grow with a
+    run's gates.
     """
-    width = histogram.shape[1]
     split = _row_split(histogram)
-    order, pvals = _sorted_cells(_binomial_table(split, pi))
-    rows, values = np.arange(split + 1), np.arange(split + 1, width)
-    above = histogram[:, split + 1:]
-    per_block = above.sum(axis=1)
-    step = max(1, _GROUP_COST
-               // (pvals.size + _GATE_COST * int(per_block.max())))
-    kept = np.zeros(histogram.shape, dtype=np.int64)
-    cross = np.empty(len(histogram), dtype=np.int64)
-    for lo in range(0, len(histogram), step):
-        group = slice(lo, lo + step)
-        part = kept[group]
-        # joint[block, a, k]: the gates of count k that keep a
-        joint = np.empty((len(part), split + 1, split + 1), dtype=np.int64)
-        joint[:, order, rows[:, None]] = rng.multinomial(
-            histogram[group, :split + 1], pvals)
-        # per block and a: the gates, and the sum of k over them
-        sums = joint @ np.stack([np.ones_like(rows), rows], axis=1)
-        part[:, :split + 1] = sums[:, :, 0]
-        cross[group] = sums[:, :, 1] @ rows
-        gates = per_block[group]
-        if gates.any():
-            k = np.repeat(np.tile(values, len(part)), above[group].ravel())
-            a = rng.binomial(k, pi)
-            # each gate's cell in the group's flattened (blocks, width) part
-            at = np.repeat(np.arange(0, part.size, width), gates)
-            at += a
-            part += np.bincount(at, minlength=part.size).reshape(part.shape)
-            a *= k
-            has = gates > 0
-            cross[group][has] += np.add.reduceat(
-                a, (np.cumsum(gates) - gates)[has])
-    return kept, cross
+    occupied = np.flatnonzero(histogram[:split + 1])
+    step = max(1, _GROUP_COST // 64 // (split + 1))
+    for lo in range(0, len(occupied), step):
+        rows = occupied[lo:lo + step]
+        order, pvals = _sorted_cells(_binomial_table(rows, split, pi))
+        drawn = np.empty(pvals.shape, dtype=np.int64)
+        drawn[np.arange(len(rows))[:, None], order] = rng.multinomial(
+            histogram[rows], pvals)
+        row, a = np.nonzero(drawn)
+        yield rows[row], a, drawn[row, a]
+    for k in _gates_above(histogram, split):
+        yield k, rng.binomial(k, pi), None
 
 
-def _power_sums(histogram):
-    """Each block's exact int64 sums of k and k**2 over its gates."""
-    k = np.arange(histogram.shape[1])
-    return histogram @ k, histogram @ (k * k)
-
-
-def _thinned_sums(rng: np.random.Generator, law: TernaryLaw, occupancy):
-    """Per-block sums of xi, eta, xi**2, eta**2 and xi*eta, shape (blocks,
-    5), for the gates per block and occupancy in `occupancy`: the detected
-    counts d, then their split xi, in two `_thin` stages, each with its own
-    row split, and eta = d - xi."""
+def _thin_counts(rng: np.random.Generator, law: TernaryLaw, occupancy,
+                 counts: _Moments):
+    """Add to `counts` the count features of the gates per occupancy in
+    `occupancy`: their detected counts d, then the split xi of those, in
+    two `_thin` stages, each with its own row split, and eta = d - xi."""
     s, t = _stage_probabilities(law)
-    # a trimmed copy, so a wide run frees the full-width detected histogram
-    detected = _trimmed(_thin(rng, occupancy, s)[0]).copy()
-    in_a, s_dxi = _thin(rng, detected, t)
-    s_d, s_d2 = _power_sums(detected)
-    s_xi, s_xi2 = _power_sums(in_a)
-    # sum xi*eta = sum d*xi - sum xi**2, and sum eta**2 = sum d*eta -
-    # sum xi*eta, each term within int64
-    s_cross = s_dxi - s_xi2
-    return np.stack([s_xi, s_d - s_xi, s_xi2, s_d2 - s_dxi - s_cross,
-                     s_cross], axis=1)
+    detected = np.zeros(len(occupancy), dtype=np.int64)
+    for _, d, gates in _thin(rng, occupancy, s):
+        np.add.at(detected, d, 1 if gates is None else gates)
+    for d, xi, gates in _thin(rng, _trimmed(detected), t):
+        if gates is None:  # a narrow law's moments then cost a row a pair
+            d, xi, gates = _cells(d, xi)
+        counts.add(_count_features(xi, d - xi), gates)
 
 
-def _check_sums(tops, counts):
-    # xi, eta <= n, so this bounds every int64 block sum
-    if any(top * top * count >= 2 ** 63 for top, count in zip(tops, counts)):
-        raise DomainError("occupancy too large: block sums of squares "
-                          "would overflow int64")
+def _cells(k, a):
+    """The distinct pairs (k, a) of gates with these counts, k sorted, and
+    the gates with each; or the gates one by one (gates None) when the
+    pairs span more cells than there are gates."""
+    low = a.min()
+    width = int(a.max() - low) + 1
+    if (int(k[-1] - k[0]) + 1) * width > len(k):
+        return k, a, None
+    key = k - k[0]
+    key *= width
+    key += a
+    gates = np.bincount(key - low)
+    cell = np.flatnonzero(gates)
+    return k[0] + cell // width, low + cell % width, gates[cell]
 
 
-def _simulate_blocks(cfg: SimulationConfig) -> list[tuple]:
-    """Simulate the run and return each block's sums as Python ints, in
-    block order: (count, sum xi, sum eta, sum n, sum xi**2, sum eta**2,
-    sum n**2, sum xi*eta).
+def _simulate(cfg: SimulationConfig) -> tuple[_Moments, _Moments]:
+    """Simulate the run: the moments of its gates' count features and of
+    their occupancy features.
 
-    Block i covers gates [i*g//B, (i+1)*g//B), so block sizes differ by at
-    most one.  Every draw comes from one Philox stream keyed by the seed.
-    With an occupancy table, the blocks are drawn together, layer by
-    layer; without one, block after block, gate by gate.
+    Every draw comes from one Philox stream keyed by the seed.  With an
+    occupancy table, the whole run is drawn layer by layer; without one,
+    chunk after chunk, gate by gate, chunk i covering gates [i*g//C,
+    (i+1)*g//C) for C = min(_CHUNKS, g).
     """
-    g, b = cfg.gates, cfg.n_blocks
-    sizes = [(i + 1) * g // b - i * g // b for i in range(b)]
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    table = _occupancy_table(cfg)
-    if table is None:
-        blocks = []
-        for count in sizes:
-            n = sample_occupancy(cfg.source, rng, count)
-            _check_sums([int(n.max())], [count])
+    counts, occupancy = _Moments(5), _Moments(2)
+    histogram = _occupancy_histogram(rng, cfg)
+    if histogram is None:
+        g, c = cfg.gates, min(_CHUNKS, cfg.gates)
+        for i in range(c):
+            size = (i + 1) * g // c - i * g // c
+            n = sample_occupancy(cfg.source, rng, size)
+            # xi, eta <= n, so this bounds every int64 sum of the chunk
+            if int(n.max()) ** 2 * size >= 2 ** 63:
+                raise DomainError("occupancy too large: chunk sums of "
+                                  "squares would overflow int64")
             xi, eta = _thin_per_gate(rng, cfg.law, n)
-            blocks.append((count, *map(int, (
-                xi.sum(), eta.sum(), n.sum(), xi @ xi, eta @ eta, n @ n,
-                xi @ eta))))
-        return blocks
-    occupancy = _occupancy_histograms(rng, table, np.array(sizes))
-    tops = occupancy.shape[1] - 1 - np.argmax(occupancy[:, ::-1] > 0, axis=1)
-    _check_sums(tops.tolist(), sizes)
-    s_n, s_n2 = _power_sums(occupancy)
-    s_xi, s_eta, s_xi2, s_eta2, s_cross = _thinned_sums(
-        rng, cfg.law, occupancy).T
-    columns = np.stack([sizes, s_xi, s_eta, s_n, s_xi2, s_eta2, s_n2,
-                        s_cross], axis=1)
-    return [tuple(row) for row in columns.tolist()]
+            # features in parts, as in `_thin`, to bound their memory
+            for lo in range(0, size, _GROUP_COST // 64):
+                part = slice(lo, lo + _GROUP_COST // 64)
+                occupancy.add(_occupancy_features(n[part]))
+                counts.add(_count_features(xi[part], eta[part]))
+    else:
+        n = np.flatnonzero(histogram)
+        occupancy.add(_occupancy_features(n), histogram[n])
+        _thin_counts(rng, cfg.law, histogram, counts)
+    return counts, occupancy
 
 
 def simulate_series(cfg: SimulationConfig) -> EstimateReport:
     """Simulate the configured series and estimate K, R, F and the means."""
-    return reduce_blocks(cfg, _simulate_blocks(cfg))
-
-
-def reduce_blocks(cfg: SimulationConfig, blocks: list[tuple]) -> EstimateReport:
-    """Reduce per-block sums into a report.
-
-    The point estimates come from the block sums pooled exactly as Python
-    ints, so they do not depend on block order.  Each standard error is a
-    leave-one-block-out jackknife, sqrt((B - 1) * var0), where var0 is the
-    population variance of the B estimates from the pooled sums less one
-    block, each also formed exactly; a block with no count in a detector
-    leaves them finite.  var0 is a float reduction in list order.
-    """
-    if len(blocks) != cfg.n_blocks:
-        raise ValueError("block list does not match the configuration")
-    sums = np.array(blocks, dtype=object)
-    pooled = sums.sum(axis=0)
-    scale = len(blocks) - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = np.array(_stats(
-            *np.vstack([pooled - sums, pooled]).astype(float).T))
-        stderrs = np.sqrt(scale * table[:, :-1].var(axis=1))
-    return EstimateReport(cfg.gates, len(blocks), *map(
-        Estimate, table[:, -1].tolist(), stderrs.tolist()))
+    return _estimates(cfg.gates, *_simulate(cfg))
 
 
 def verify(report: EstimateReport, analytic: dict,

@@ -16,6 +16,7 @@ the Monte Carlo occupancy histograms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -51,8 +52,9 @@ _FIRST_WINDOW = 64
 
 
 def _lgamma(x):
-    """math.lgamma over an integer array."""
-    return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
+    """math.lgamma over an integer array, fed float by float without
+    building a list of Python ints."""
+    return np.fromiter(map(math.lgamma, x.astype(float)), float, len(x))
 
 
 class Poisson(NamedTuple):
@@ -216,7 +218,11 @@ class FactorialMoments:
     @property
     def k_ratio(self) -> float:
         """Coincidence ratio K = <n(n-1)> / <n>^2."""
-        return self.factorial2 / (self.mean * self.mean)
+        square = self.mean * self.mean
+        if square < sys.float_info.min:  # 0, or subnormal with digits lost
+            raise DomainError(f"occupancy too small: <n>**2 underflows at "
+                              f"mean <n> = {self.mean!r}")
+        return self.factorial2 / square
 
 
 def _window(src: SourceLaw, hi: int, terms=None):
@@ -278,10 +284,12 @@ def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
     """
     if src.max_count is not None:
         return src.max_count
-    hi = _FIRST_WINDOW
+    hi, terms = _FIRST_WINDOW, [np.empty(0)] * len(src._components)
     while True:
-        n = np.arange(hi + 1)
-        terms = [np.exp(comp.log_pmf(n)) for comp in src._components]
+        # each window evaluates the terms of its new n only
+        n = np.arange(len(terms[0]), hi + 1)
+        terms = [np.append(old, np.exp(comp.log_pmf(n)))
+                 for old, comp in zip(terms, src._components)]
         if len(terms) == 1:
             weight = np.cumsum(terms[0])[-1]
         else:

@@ -244,6 +244,18 @@ class TestSimulateAndVerify:
         assert "channel occupancy" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["k", "verify"])
+    def test_mean_square_underflow_is_domain_error(self, capsys, command):
+        argv = [command, "--kind", "coherent", "--nbar", "1e-200"]
+        if command == "verify":
+            argv += ["--p", ".3", "--q", ".2", "--r", ".5", "--gates", "200"]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DOMAIN
+        assert captured.err.startswith("error:")
+        assert "mean <n> = 1e-200" in captured.err
+        assert captured.out == ""
+
     def test_verify_fails_with_tight_threshold(self, capsys):
         code, _ = run(["verify", "--kind", "thermal-boson", "--modes", "1",
                        "--nbar", "1.0", "--p", "0.3", "--q", "0.2",

@@ -43,6 +43,22 @@ class TestTernaryLaw:
         assert LAW.s == pytest.approx(0.5)
         assert LAW.t_transmit + LAW.t_reflect == pytest.approx(1.0)
 
+    def test_split_ratios_never_exceed_one(self):
+        # 1 - r rounds below p here, so p / (1 - r) would be 1 + 2.2e-16
+        assert TernaryLaw(0.1, 0.0, 0.9).t_transmit == 1.0
+        assert TernaryLaw(0.1, 0.0, 0.9).t_reflect == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_split_ratios_sum_to_one(self, p, q):
+        if p + q == 0.0:
+            return
+        law = TernaryLaw(p / (1.0 + p + q), q / (1.0 + p + q),
+                         1.0 / (1.0 + p + q))
+        t, u = law.t_transmit, law.t_reflect
+        assert 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
+        assert t + u == pytest.approx(1.0, rel=2 ** -52, abs=0.0)
+
     def test_split_undefined_when_never_fires(self):
         degenerate = TernaryLaw(0.0, 0.0, 1.0)
         with pytest.raises(ValueError):

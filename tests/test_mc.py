@@ -14,7 +14,6 @@ from hbtcount import (
     SourceLaw,
     TernaryLaw,
     exact_correlation,
-    reduce_blocks,
     sample_occupancy,
     series_moments,
     simulate_series,
@@ -24,13 +23,19 @@ from hbtcount import (
 )
 from hbtcount import mc
 from hbtcount.mc import (
+    _Moments,
     _binomial_table,
-    _occupancy_histograms,
+    _cells,
+    _count_features,
+    _estimates,
+    _occupancy_features,
+    _occupancy_histogram,
     _occupancy_table,
     _row_split,
-    _simulate_blocks,
+    _simulate,
+    _thin,
+    _thin_counts,
     _thin_per_gate,
-    _thinned_sums,
 )
 
 LAW = TernaryLaw(0.3, 0.2, 0.5)
@@ -46,31 +51,67 @@ def _rng(seed, word=0):
         key=np.array([seed, word], dtype=np.uint64)))
 
 
-def _block_sizes(cfg):
-    g, b = cfg.gates, cfg.n_blocks
-    return np.array([(i + 1) * g // b - i * g // b for i in range(b)])
-
-
 def _run_occupancy(cfg):
-    """The run's stream after its occupancy draw, and the gates per block
-    and occupancy it drew."""
+    """The run's stream after its occupancy draw, and the gates per
+    occupancy it drew."""
     rng = _rng(cfg.seed)
-    return rng, _occupancy_histograms(rng, _occupancy_table(cfg),
-                                      _block_sizes(cfg))
+    return rng, _occupancy_histogram(rng, cfg)
 
 
-def _gate_sums(rng, law, n):
-    """(xi, eta, xi**2, eta**2, xi*eta) of each gate, drawn by
-    `_thinned_sums` with one block per gate of occupancy n."""
-    occupancy = np.eye(int(n.max()) + 1, dtype=np.int64)[n]
-    return _thinned_sums(rng, law, occupancy)
+class _Recorder(_Moments):
+    """Moments that also keep each batch of feature rows, with the gates
+    of each row."""
+
+    def __init__(self, width):
+        super().__init__(width)
+        self.rows, self.gates = [], []
+
+    def add(self, features, gates=None):
+        super().add(features, gates)
+        self.rows.append(features.T)
+        self.gates.append(np.ones(features.shape[1], dtype=np.int64)
+                          if gates is None else gates)
+
+    def cells(self) -> dict:
+        """The gates per distinct feature row, keyed by the row's tuple."""
+        out = {}
+        for rows, gates in zip(self.rows, self.gates):
+            for row, count in zip(map(tuple, rows.tolist()), gates.tolist()):
+                out[row] = out.get(row, 0) + count
+        return out
+
+
+def _recorded_run(cfg, monkeypatch):
+    """The run's report, and recorders of its count and occupancy
+    features."""
+    monkeypatch.setattr(mc, "_Moments", _Recorder)
+    counts, occupancy = _simulate(cfg)
+    return _estimates(cfg.gates, counts, occupancy), counts, occupancy
+
+
+def _gate_cells(rng, law, n):
+    """The gates per (xi, eta) that `_thin_counts` draws for the gates of
+    occupancy n, thinned as one histogram."""
+    counts = _Recorder(5)
+    _thin_counts(rng, law, np.bincount(n), counts)
+    cells = {}
+    for row, gates in counts.cells().items():
+        cells[row[:2]] = cells.get(row[:2], 0) + gates
+    return cells, counts
+
+
+def _assert_comoments_close(actual, expected, tol):
+    """Each entry within tol of the product of the two features' spreads."""
+    spread = np.sqrt(np.diag(expected))
+    assert np.all(np.abs(actual - expected)
+                  <= tol * np.outer(spread, spread))
 
 
 def _force_split(monkeypatch, split):
     """Make both thinning stages thin counts 0..split as histograms (0..top
     when a histogram's largest count top is below split)."""
     monkeypatch.setattr(mc, "_row_split",
-                        lambda histogram: min(split, histogram.shape[1] - 1))
+                        lambda histogram: min(split, len(histogram) - 1))
 
 
 class TestDeterminism:
@@ -90,15 +131,25 @@ class TestDeterminism:
         b = simulate_series(SimulationConfig(seed=2, **base)).as_dict()
         assert a != b
 
-    def test_reduction_independent_of_block_order(self):
-        cfg = SimulationConfig(
-            law=LAW, source=SourceLaw("coherent", modes=2, nbar=0.8),
-            gates=12800, seed=3)
-        blocks = _simulate_blocks(cfg)
-        forward = reduce_blocks(cfg, blocks)
-        backward = reduce_blocks(cfg, list(reversed(blocks)))
-        assert forward.k_hat.value == backward.k_hat.value
-        assert forward.r_hat.value == backward.r_hat.value
+    def test_pooling_independent_of_batch_order(self):
+        """Exact sums, so equal point estimates in either order; the
+        merged co-moments agree to rounding."""
+        rng = np.random.default_rng(3)
+        batches = [_count_features(*rng.integers(0, 9, (2, size)))
+                   for size in (5, 1000, 37)]
+        forward, backward = _Moments(5), _Moments(5)
+        for batch in batches:
+            forward.add(batch)
+        for batch in reversed(batches):
+            backward.add(batch)
+        assert forward.sums == backward.sums
+        _assert_comoments_close(forward.comoment, backward.comoment, 1e-12)
+        occupancy = _Moments(2)
+        occupancy.add(_occupancy_features(np.arange(4)), np.arange(1, 5))
+        a = _estimates(1042, forward, occupancy)
+        b = _estimates(1042, backward, occupancy)
+        assert (a.k_hat.value, a.r_hat.value) == (b.k_hat.value,
+                                                  b.r_hat.value)
 
     @pytest.mark.parametrize("kind,modes,nbar,gates,path", [
         ("fermion-polarized", 2, 0.5, 12800, "table"),
@@ -113,11 +164,11 @@ class TestDeterminism:
             assert _occupancy_table(cfg) is None
         else:
             _, occupancy = _run_occupancy(cfg)
-            top = occupancy.shape[1] - 1
+            top = len(occupancy) - 1
             assert (_row_split(occupancy) == top) == (path == "table")
         first = repr(simulate_series(cfg).as_dict())
         assert repr(simulate_series(cfg).as_dict()) == first
-        assert repr(reduce_blocks(cfg, _simulate_blocks(cfg)).as_dict()) \
+        assert repr(_estimates(cfg.gates, *_simulate(cfg)).as_dict()) \
             == first
 
 
@@ -224,10 +275,9 @@ class TestOccupancyHistogram:
         table = _occupancy_table(cfg)
         hi = table.hi
         assert hi == 3  # the mean is 2.1
-        _, per_block = _run_occupancy(cfg)
-        # every tail gate is booked to the block that drew it
-        assert np.array_equal(per_block.sum(axis=1), _block_sizes(cfg))
-        occupancy = per_block.sum(axis=0)
+        _, occupancy = _run_occupancy(cfg)
+        # every tail gate is booked
+        assert occupancy.sum() == gates
         assert occupancy[-1] > 0
         assert (occupancy[hi + 1:].sum() > 0) == (table.tail > 0)
 
@@ -243,28 +293,36 @@ class TestOccupancyHistogram:
 
     @pytest.mark.parametrize("seed", [5, 2 ** 64 - 1])
     def test_wide_window_draws_per_gate(self, seed):
-        """Block after block, sample_occupancy then the per-gate thinning,
-        on one Philox stream keyed by the whole 64-bit seed."""
+        """Chunk after chunk, sample_occupancy then the per-gate thinning,
+        on one Philox stream keyed by the whole 64-bit seed, each chunk
+        added to the run's moments."""
         cfg = SimulationConfig(
             law=LAW, source=SourceLaw("coherent", modes=1, nbar=1e7),
             gates=6400, seed=seed)
         assert _occupancy_table(cfg) is None
         rng = _rng(seed)
-        expected = []
+        xi, eta, n = [], [], []
         for _ in range(64):
-            n = sample_occupancy(cfg.source, rng, 100)
-            xi, eta = _thin_per_gate(rng, LAW, n)
-            sums = (xi.sum(), eta.sum(), n.sum(), xi @ xi, eta @ eta, n @ n,
-                    xi @ eta)
-            expected.append((100, *map(int, sums)))
-        assert _simulate_blocks(cfg) == expected
+            n.append(sample_occupancy(cfg.source, rng, 100))
+            for values, drawn in zip((xi, eta), _thin_per_gate(rng, LAW,
+                                                               n[-1])):
+                values.append(drawn)
+        xi, eta, n = map(np.concatenate, (xi, eta, n))
+        counts, occupancy = _simulate(cfg)
+        assert counts.sums == [int(xi.sum()), int(eta.sum()), int(xi @ xi),
+                               int(eta @ eta), int(xi @ eta)]
+        assert occupancy.sums == [int(n.sum()), int(n @ n)]
+        features = _count_features(xi, eta)
+        deviation = features - features.mean(axis=1)[:, None]
+        _assert_comoments_close(counts.comoment, deviation @ deviation.T,
+                                1e-9)
 
 
 class TestWithinGateStructure:
     """The thinning draws, run on the same occupancies."""
 
     def test_counts_never_exceed_occupancy(self, monkeypatch):
-        # one gate per block, thinned in many groups of blocks
+        # the thinning stages draw in many batches of 15 gates or cells
         monkeypatch.setattr(mc, "_GROUP_COST", 1000)
         law = TernaryLaw(0.45, 0.45, 0.1)
         src = SourceLaw("boson-polarized", modes=2, nbar=2.0)
@@ -272,21 +330,36 @@ class TestWithinGateStructure:
         xi, eta = _thin_per_gate(_rng(9, 1), law, n)
         assert np.all(xi + eta <= n)
         assert np.all(xi >= 0) and np.all(eta >= 0)
-        top = int(n.max())
+        histogram = np.bincount(n)
+        top = len(histogram) - 1
         for split in (0, top // 2, top):
             _force_split(monkeypatch, split)
-            sums = _gate_sums(_rng(9, 2), law, n)
-            xi, eta = sums[:, 0], sums[:, 1]
-            assert np.all(xi + eta <= n)
-            assert np.all(xi >= 0) and np.all(eta >= 0)
-            # one gate per block: the moment sums are the gate's moments
-            assert np.array_equal(sums[:, 2:], np.stack(
-                [xi * xi, eta * eta, xi * eta], axis=1))
+            batches = list(_thin(_rng(9, 2), histogram, law.s))
+            # every gate comes once, and none keeps more than its count
+            k, a = (np.concatenate([batch[i] for batch in batches])
+                    for i in (0, 1))
+            gates = np.concatenate([np.ones_like(k) if g is None else g
+                                    for k, _, g in batches])
+            assert np.array_equal(np.bincount(k, weights=gates,
+                                              minlength=top + 1), histogram)
+            assert np.all((a >= 0) & (a <= k))
+            # counts 0..split as drawn cells, the rest one by one, in order
+            assert all(np.all(k <= split) == (g is not None)
+                       for k, _, g in batches)
+            assert np.all(np.diff(k[k > split]) >= 0)
+            assert all(len(batch[0]) <= max(1000 // 64, split + 1)
+                       for batch in batches)
+            # both stages: each row's moment columns are its xi and eta's
+            cells, counts = _gate_cells(_rng(9, 3), law, n)
+            assert sum(cells.values()) == len(n)
+            for xi, eta, xi2, eta2, cross in counts.cells():
+                assert min(xi, eta) >= 0 and xi + eta <= top
+                assert (xi2, eta2, cross) == (xi * xi, eta * eta, xi * eta)
 
     @pytest.mark.parametrize("split", [None, 0, 1, 3])
     def test_joint_counts_match_mixture_pmf(self, split, monkeypatch):
         """The (xi, eta) cells of per-gate thinning (split None), and of
-        `_thinned_sums` with counts 0..split thinned as histograms in both
+        `_thin_counts` with counts 0..split thinned as histograms in both
         stages: with split 1, the gates with n = 0, 1 go one way and
         n = 2, 3 the other, and so do the detected counts."""
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -296,10 +369,11 @@ class TestWithinGateStructure:
         n = sample_occupancy(src, rng, size=gates)
         if split is None:
             xi, eta = _thin_per_gate(rng, LAW, n)
+            drawn = {(m, k): np.count_nonzero((xi == m) & (eta == k))
+                     for m in range(4) for k in range(4)}
         else:
             _force_split(monkeypatch, split)
-            sums = _gate_sums(rng, LAW, n)
-            xi, eta = sums[:, 0], sums[:, 1]
+            drawn = _gate_cells(rng, LAW, n)[0]
 
         cells = {}
         for m in range(4):
@@ -308,47 +382,48 @@ class TestWithinGateStructure:
                            for nn in range(m + k, 4))
                 cells[(m, k)] = prob
         expected = gates * np.array(list(cells.values()))
-        observed = np.array([np.count_nonzero((xi == m) & (eta == k))
-                             for (m, k) in cells])
+        observed = np.array([drawn.get(cell, 0) for cell in cells])
         assert observed.sum() == gates
         chi2 = ((observed - expected) ** 2 / expected).sum()
         p_value = scipy_stats.chi2.sf(chi2, df=len(cells) - 1)
         assert p_value > 0.001
 
-    def test_paths_agree_on_block_sums(self):
+    def test_paths_agree_on_sums(self):
         src = SourceLaw("boson-polarized", modes=2, nbar=1.0)
         n = sample_occupancy(src, _rng(17, 0), size=200000)
         xi, eta = _thin_per_gate(_rng(17, 1), LAW, n)
-        histogram = _thinned_sums(_rng(17, 2), LAW,
-                                  np.bincount(n)[None, :])[0]
+        counts = _Moments(5)
+        _thin_counts(_rng(17, 2), LAW, np.bincount(n), counts)
         for column, per_gate in enumerate(
                 (xi, eta, xi * xi, eta * eta, xi * eta)):
             # Given n, each path's sum has variance sum_k c_k Var(term | k)
             var = sum(per_gate[n == k].var() * np.count_nonzero(n == k)
                       for k in np.unique(n))
-            diff = int(per_gate.sum()) - int(histogram[column])
+            diff = int(per_gate.sum()) - counts.sums[column]
             assert abs(diff) <= 5.0 * math.sqrt(2.0 * var)
 
     @pytest.mark.parametrize("kind,gates,split", [
-        # occupancies up to 7, thinned as histograms up to 3 and 5
-        ("coherent", 3200, 3),
-        ("coherent", 64000, 5),
+        # occupancies up to 7, thinned as a histogram up to 5
+        ("coherent", 3200, 5),
+        # up to 10 of 13 as a histogram, the 3 gates above one by one
+        ("boson-polarized", 64000, 10),
         # at most 2 quanta: every gate goes through the histogram
         ("fermion-polarized", 12800, 2),
     ])
-    def test_block_sums_come_from_the_chosen_split(self, kind, gates, split):
+    def test_sums_come_from_the_chosen_split(self, kind, gates, split):
         cfg = SimulationConfig(
             law=LAW, source=SourceLaw(kind, modes=2, nbar=0.5),
             gates=gates, seed=3)
         rng, occupancy = _run_occupancy(cfg)
         assert _row_split(occupancy) == split
-        s_xi, s_eta, s_xi2, s_eta2, s_cross = _thinned_sums(
-            rng, LAW, occupancy).T
-        k = np.arange(occupancy.shape[1])
-        expected = zip(_block_sizes(cfg), s_xi, s_eta, occupancy @ k,
-                       s_xi2, s_eta2, occupancy @ (k * k), s_cross)
-        assert _simulate_blocks(cfg) == [tuple(map(int, block))
-                                         for block in expected]
+        counts = _Moments(5)
+        _thin_counts(rng, LAW, occupancy, counts)
+        k = np.arange(len(occupancy))
+        run_counts, run_occupancy = _simulate(cfg)
+        assert run_counts.sums == counts.sums
+        assert run_occupancy.sums == [int(occupancy @ k),
+                                      int(occupancy @ (k * k))]
+        assert run_counts.count == run_occupancy.count == gates
 
 
 class TestMemoryBound:
@@ -374,7 +449,7 @@ class TestBinomialTable:
     @pytest.mark.parametrize("pi", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("top", [0, 1, 7, 24])
     def test_rows_match_binomial_pmf(self, pi, top):
-        table = _binomial_table(top, pi)
+        table = _binomial_table(np.arange(top + 1), top, pi)
         assert table.shape == (top + 1, top + 1)
         assert not np.isnan(table).any()
         for k in range(top + 1):
@@ -389,33 +464,35 @@ class TestBinomialTable:
         LAW, *ZERO_PROBABILITY_LAWS, NOTHING_DETECTED,
         # 1 - r rounds below p, so p / (1 - r) would exceed 1
         TernaryLaw(0.1, 0.0, 0.9)], ids=repr)
-    def test_block_identities_on_split_run(self, law, split, monkeypatch):
-        """Occupancies reach 7; the run's first stage thins 0..5 as
-        histograms, or both stages thin 0..2 when the split is forced."""
+    def test_sum_identities_on_split_run(self, law, split, monkeypatch):
+        """Occupancies reach 7; the run thins 0..7 as one histogram in the
+        first stage, or both stages thin 0..2 when the split is forced."""
         cfg = SimulationConfig(
             law=law, source=SourceLaw("coherent", modes=1, nbar=1.0),
             gates=64000, seed=6)
         _, occupancy = _run_occupancy(cfg)
-        assert occupancy.shape[1] - 1 == 7
-        assert _row_split(occupancy) == 5
+        assert len(occupancy) - 1 == 7
+        assert _row_split(occupancy) == 7
         if split is not None:
             _force_split(monkeypatch, split)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            blocks = _simulate_blocks(cfg)
-            report = reduce_blocks(cfg, blocks)
-        for _, s_xi, s_eta, s_n, s_xi2, s_eta2, s_n2, s_cross in blocks:
-            assert s_xi + s_eta <= s_n
-            assert s_xi2 + 2 * s_cross + s_eta2 <= s_n2
-            if law.p == 0.0:
-                assert s_xi == s_xi2 == s_cross == 0
-            if law.q == 0.0:
-                assert s_eta == s_eta2 == s_cross == 0
-            if law.r == 0.0:
-                assert s_xi + s_eta == s_n
-                assert s_xi2 + 2 * s_cross + s_eta2 == s_n2
+            counts, moments = _simulate(cfg)
+            report = _estimates(cfg.gates, counts, moments)
+        s_xi, s_eta, s_xi2, s_eta2, s_cross = counts.sums
+        s_n, s_n2 = moments.sums
+        assert s_xi + s_eta <= s_n
+        assert s_xi2 + 2 * s_cross + s_eta2 <= s_n2
+        if law.p == 0.0:
+            assert s_xi == s_xi2 == s_cross == 0
+        if law.q == 0.0:
+            assert s_eta == s_eta2 == s_cross == 0
+        if law.r == 0.0:
+            assert s_xi + s_eta == s_n
+            assert s_xi2 + 2 * s_cross + s_eta2 == s_n2
         for name in ("mean_xi", "mean_eta", "f"):
             assert math.isfinite(report.estimate(name).value)
+            assert math.isfinite(report.estimate(name).stderr)
         assert math.isnan(report.r_hat.value) == (law.q == 0.0)
 
     def test_first_stage_covers_a_wide_law(self):
@@ -427,7 +504,7 @@ class TestBinomialTable:
             gates=10 ** 7, seed=1)
         _, occupancy = _run_occupancy(cfg)
         split = _row_split(occupancy)
-        assert occupancy[:, :split + 1].sum() >= 0.99 * cfg.gates
+        assert occupancy[:split + 1].sum() >= 0.99 * cfg.gates
 
 
 class TestEstimates:
@@ -516,16 +593,24 @@ class TestConfig:
         assert len({repr(r.as_dict()) for r in reports}) == 3
 
     @pytest.mark.parametrize("gates", [2, 63, 64, 65, 1000, 10000, 100000])
-    def test_block_partition_covers_all_gates(self, gates):
-        cfg = SimulationConfig(
-            law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
-            gates=gates)
-        counts = [block[0] for block in _simulate_blocks(cfg)]
-        assert len(counts) == min(64, gates)
-        assert sum(counts) == gates
-        assert max(counts) - min(counts) <= 1
-        report = simulate_series(cfg)
-        assert (report.gates, report.blocks) == (gates, min(64, gates))
+    def test_every_gate_is_counted(self, gates, monkeypatch):
+        """Mean 1 takes the table from 160 gates on (its 10 cells times
+        _CELL_GATES); mean 1e7 always goes per gate, in chunks."""
+        for nbar in (1.0, 1e7):
+            cfg = SimulationConfig(
+                law=LAW, source=SourceLaw("coherent", modes=1, nbar=nbar),
+                gates=gates)
+            per_gate = _occupancy_table(cfg) is None
+            assert per_gate == (nbar > 1.0 or gates < 160)
+            report, counts, occupancy = _recorded_run(cfg, monkeypatch)
+            assert counts.count == occupancy.count == gates
+            assert sum(counts.cells().values()) == gates
+            assert report.gates == gates
+            # the per-gate chunks differ in size by one gate at most
+            sizes = [len(rows) for rows in occupancy.rows]
+            if per_gate:
+                assert len(sizes) == min(64, gates)
+                assert max(sizes) - min(sizes) <= 1
 
 
 class TestUndefinedStatistics:
@@ -538,47 +623,153 @@ class TestUndefinedStatistics:
         assert math.isnan(report.r_hat.value)
         assert report.mean_eta_hat.value == 0.0
 
-    def test_degenerate_block_has_finite_stderr(self):
-        """A block with no eta count leaves K's jackknife error finite, so
-        verify scores it; a pooled 0/0 stays nan (test above)."""
-        src = SourceLaw("boson-polarized", modes=1, nbar=1.0)
-        cfg = SimulationConfig(law=LAW, source=src, gates=6400, seed=2)
-        blocks = _simulate_blocks(cfg)
-        count, s_xi, _, s_n, s_xi2, _, s_n2, _ = blocks[5]
-        blocks[5] = (count, s_xi, 0, s_n, s_xi2, 0, s_n2, 0)
-        report = reduce_blocks(cfg, blocks)
-        assert math.isfinite(report.k_hat.value)
-        assert math.isfinite(report.k_hat.stderr)
-        assert report.k_hat.stderr > 0.0
-        assert math.isfinite(verify(report, {"k": 2.0})["k"]["z"])
+    def test_undefined_ratio_has_nan_stderr(self):
+        """Without B counts, K is 0/0 and its error nan, while the mean
+        counts keep theirs."""
+        cfg = SimulationConfig(
+            law=TernaryLaw(0.5, 0.0, 0.5),
+            source=SourceLaw("coherent", modes=1, nbar=1.0),
+            gates=6400, seed=1)
+        report = simulate_series(cfg)
+        assert math.isnan(report.k_hat.value)
+        assert math.isnan(report.k_hat.stderr)
+        assert report.mean_eta_hat.stderr == 0.0
+        assert report.mean_xi_hat.stderr > 0.0
+        assert not verify(report, {"k": 1.0})["k"]["pass"]
+
+    def test_constant_statistic_has_zero_stderr(self):
+        """One polarized fermion mode: at most one quantum a gate, so xi*eta
+        is 0 in every gate, K is exactly 0 and so is its error."""
+        cfg = SimulationConfig(
+            law=LAW, source=SourceLaw("fermion-polarized", modes=1, nbar=0.7),
+            gates=6400, seed=1)
+        report = simulate_series(cfg)
+        assert (report.k_hat.value, report.k_hat.stderr) == (0.0, 0.0)
+        assert report.r_hat.stderr > 0.0
 
 
-class TestJackknife:
-    def test_stderr_is_leave_one_block_out(self):
-        """sqrt((B - 1) * var0) of the estimates without each block, here
-        for the mean xi count and K, formed independently in fractions."""
+class TestMoments:
+    def test_weighted_columns_equal_repeated_columns(self):
+        rng = np.random.default_rng(5)
+        features = _count_features(*rng.integers(0, 30, (2, 40)))
+        gates = rng.integers(1, 9, 40)
+        weighted, repeated = _Moments(5), _Moments(5)
+        weighted.add(features, gates)
+        repeated.add(np.repeat(features, gates, axis=1))
+        assert (weighted.count, weighted.sums) == (repeated.count,
+                                                   repeated.sums)
+        _assert_comoments_close(weighted.comoment, repeated.comoment, 1e-12)
+
+    def test_cells_pool_only_compact_pairs(self):
+        """Sorted counts k and kept counts a pool into distinct pairs when
+        the pairs span no more cells than there are gates."""
+        k, a = np.array([4, 4, 4, 5, 5]), np.array([1, 2, 1, 2, 2])
+        cells = _cells(k, a)
+        assert [c.tolist() for c in cells] == [[4, 4, 5], [1, 2, 2],
+                                               [2, 1, 2]]
+        # 2 gates over 1000 x 1000 cells stay one by one
+        k, a = np.array([0, 999]), np.array([0, 998])
+        assert _cells(k, a)[2] is None
+
+    def test_sums_stay_exact_past_int64(self):
+        """A wide occupancy histogram over many gates: sum gates * n**2
+        passes 2**63 and is summed in Python ints."""
+        n = np.array([3 * 10 ** 6, 3 * 10 ** 6 + 1])
+        gates = np.array([10 ** 7, 3])
+        moments = _Moments(2)
+        moments.add(_occupancy_features(n), gates)
+        expected = [sum(g * v ** p for g, v in zip(gates.tolist(), n.tolist()))
+                    for p in (1, 2)]
+        assert expected[1] >= 2 ** 63
+        assert moments.sums == expected
+
+
+def _fraction_moments(moments):
+    """The exact means and co-moment sum of a recorder's features."""
+    cells = moments.cells()
+    count = sum(cells.values())
+    width = len(next(iter(cells)))
+    mean = [Fraction(sum(row[i] * gates for row, gates in cells.items()),
+                     count) for i in range(width)]
+    comoment = [[sum((row[i] - mean[i]) * (row[j] - mean[j]) * gates
+                     for row, gates in cells.items())
+                 for j in range(width)] for i in range(width)]
+    return count, mean, comoment
+
+
+def _fraction_stderr(count, comoment, gradient):
+    quadratic = sum(gradient[i] * comoment[i][j] * gradient[j]
+                    for i in range(len(gradient))
+                    for j in range(len(gradient)))
+    return math.sqrt(quadratic / (count * (count - 1)))
+
+
+class TestDeltaMethod:
+    def test_stderr_matches_fraction_reference(self, monkeypatch):
+        """sqrt(g' S g / (N - 1)) for the mean xi count, K and F, formed
+        independently in fractions from the gates the run drew."""
         cfg = SimulationConfig(
             law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
             gates=6400, seed=4)
-        blocks = _simulate_blocks(cfg)
-        report = reduce_blocks(cfg, blocks)
-        pooled = [sum(column) for column in zip(*blocks)]
+        report, counts, occupancy = _recorded_run(cfg, monkeypatch)
+        count, (xi, eta, _, _, cross), comoment = _fraction_moments(counts)
+        k = cross / (xi * eta)
+        assert report.k_hat.value == pytest.approx(float(k), rel=1e-15)
+        assert report.mean_xi_hat.stderr == pytest.approx(
+            _fraction_stderr(count, comoment, [1, 0, 0, 0, 0]), rel=1e-9)
+        assert report.k_hat.stderr == pytest.approx(_fraction_stderr(
+            count, comoment, [-k / xi, -k / eta, 0, 0, 1 / (xi * eta)]),
+            rel=1e-9)
+        count, (n, n2), comoment = _fraction_moments(occupancy)
+        assert report.f_hat.stderr == pytest.approx(_fraction_stderr(
+            count, comoment, [-n2 / (n * n) - 1, 1 / n]), rel=1e-9)
 
-        def stderr(statistic):
-            values = [statistic(*(total - part for total, part
-                                   in zip(pooled, block)))
-                      for block in blocks]
-            mean = sum(values) / len(values)
-            var0 = sum((v - mean) ** 2 for v in values) / len(values)
-            return math.sqrt((len(blocks) - 1) * var0)
+    @pytest.mark.parametrize("src", [
+        SourceLaw("boson-polarized", modes=1, nbar=2.0),
+        SourceLaw("coherent", modes=1, nbar=1e7)], ids=repr)
+    def test_stderr_agrees_with_gate_jackknife(self, src, monkeypatch):
+        """For iid gates the delta method is the infinitesimal jackknife;
+        the delete-one-gate jackknife, over the gates the run drew, agrees
+        with it to O(1/N), on the table and on the per-gate chunks."""
+        cfg = SimulationConfig(law=LAW, source=src, gates=6400, seed=8)
+        report, counts, occupancy = _recorded_run(cfg, monkeypatch)
+        count_cells, occupancy_cells = counts.cells(), occupancy.cells()
+        gates = cfg.gates
 
-        def k_ratio(count, s_xi, s_eta, s_n, s_xi2, s_eta2, s_n2, s_cross):
-            return Fraction(s_cross * count, s_xi * s_eta)
+        def statistics(count_sums, occupancy_sums):
+            """K, R, F, the means, from sums over gates - 1 gates."""
+            xi, eta, xi2, eta2, cross = (s / (gates - 1) for s in count_sums)
+            n, n2 = (s / (gates - 1) for s in occupancy_sums)
+            var = (xi2 - xi * xi) * (eta2 - eta * eta)
+            return np.array([cross / (xi * eta),
+                             (cross - xi * eta) / math.sqrt(var),
+                             (n2 - n * n) / n, xi, eta])
 
-        mean_xi = stderr(lambda count, s_xi, *_: Fraction(s_xi, count))
-        assert report.mean_xi_hat.stderr == pytest.approx(mean_xi, rel=1e-9)
-        assert report.k_hat.stderr == pytest.approx(stderr(k_ratio),
-                                                    rel=1e-9)
+        # each gate left out: its count row, its occupancy row held fixed
+        leave_out, weights = [], []
+        for cells, sums, other in (
+                (count_cells, counts.sums, occupancy.sums),
+                (occupancy_cells, occupancy.sums, counts.sums)):
+            for row, cell_gates in cells.items():
+                less = [total - part for total, part in zip(sums, row)]
+                pair = (less, [s * (gates - 1) / gates for s in other])
+                if cells is occupancy_cells:
+                    pair = pair[::-1]
+                leave_out.append(statistics(*pair))
+                weights.append(cell_gates)
+        leave_out, weights = np.array(leave_out), np.array(weights)
+        jackknife = []
+        for half in (slice(0, len(count_cells)),
+                     slice(len(count_cells), None)):
+            values, w = leave_out[half], weights[half]
+            mean = w @ values / gates
+            jackknife.append(np.sqrt((gates - 1) / gates
+                                     * (w @ (values - mean) ** 2)))
+        # K, R and the means vary with the count row, F with the occupancy
+        expected = np.append(jackknife[0][[0, 1]], jackknife[1][2])
+        expected = np.append(expected, jackknife[0][[3, 4]])
+        got = [report.estimate(name).stderr for name in report.STATISTICS]
+        assert got == pytest.approx(expected, rel=0.01)
 
 
 KINDS = ("coherent", "boson-polarized", "boson-unpolarized", "boson-partial",

@@ -334,6 +334,21 @@ class TestPgf:
 
 
 class TestFactorialMoments:
+    @pytest.mark.parametrize("kind,nbar", [
+        ("coherent", 1e-200), ("boson-polarized", 5e-324),
+        # <n>**2 = 1e-320 is subnormal: K would keep 4 digits
+        ("fermion-polarized", 1e-160)])
+    def test_k_ratio_underflow_is_domain_error(self, kind, nbar):
+        fm = source_factorial_moments(SourceLaw(kind, modes=1, nbar=nbar))
+        with pytest.raises(DomainError, match=f"mean <n> = {nbar!r}"):
+            fm.k_ratio
+
+    def test_k_ratio_near_underflow_keeps_its_digits(self):
+        # <n>**2 = 1e-300 is still a normal float
+        fm = source_factorial_moments(
+            SourceLaw("boson-polarized", modes=3, nbar=1e-150 / 3))
+        assert fm.k_ratio == pytest.approx(4.0 / 3.0, rel=1e-15)
+
     def test_single_mode_boson(self):
         fm = source_factorial_moments(SourceLaw("boson-polarized", modes=1, nbar=2.0))
         assert fm.mean == pytest.approx(2.0)

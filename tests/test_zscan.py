@@ -1,0 +1,135 @@
+"""The z-scan: seeded Monte Carlo z-scores against the analytic values.
+
+A run's z-score for a statistic is (estimate - analytic) / stderr.  When
+the estimates and their standard errors are right, z is close to standard
+normal at every source and on every sampling path, so a scan over sources
+and seeds checks the estimator as a whole, whatever the stream.
+
+Run a larger scan with ``python tests/test_zscan.py GATES SEEDS``.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from hbtcount import (
+    SimulationConfig,
+    SourceLaw,
+    TernaryLaw,
+    exact_correlation,
+    series_moments,
+    simulate_series,
+)
+from hbtcount import mc
+from test_acceptance import GRID
+
+STATISTICS = ("k", "r", "f", "mean_xi", "mean_eta")
+LAW = TernaryLaw(0.3, 0.2, 0.5)
+
+# (source, law, _WINDOW_SIGMAS) beyond GRID, whose 12 points draw every
+# gate through the occupancy table and mostly through the binomial tables.
+PATH_CASES = [
+    # occupancies up to about 100: gates above the row split are thinned
+    # one by one, in both stages
+    (SourceLaw("boson-polarized", modes=1, nbar=10.0), LAW, None),
+    # a window that ends half an sd past the mean leaves a sixth of the
+    # gates in the tail cell, drawn by inversion
+    (SourceLaw("boson-partial", modes=2, nbar=3.0, polarization=0.4), LAW,
+     0.5),
+    # a window of about 10800 cells, wider than 10**4 gates: sample_occupancy
+    # and per-gate thinning, chunk by chunk
+    (SourceLaw("coherent", modes=1, nbar=1e4), LAW, None),
+]
+CASES = [(src, law, None) for src, law in GRID] + PATH_CASES
+
+
+def zscan(cases, gates, seeds):
+    """The z-score of each statistic, per case and seed, as an array of
+    shape (cases, seeds, statistics); nan where the run's stderr is 0 (a
+    statistic that does not vary, such as K for one fermion per gate)."""
+    z = np.full((len(cases), len(seeds), len(STATISTICS)), np.nan)
+    for i, (src, law, sigmas) in enumerate(cases):
+        sm = series_moments(law, src)
+        analytic = {"k": sm.k_ratio, "r": exact_correlation(law, src),
+                    "f": sm.fano, "mean_xi": sm.mean_xi,
+                    "mean_eta": sm.mean_eta}
+        with pytest.MonkeyPatch.context() as patch:
+            if sigmas is not None:
+                patch.setattr(mc, "_WINDOW_SIGMAS", sigmas)
+            for j, seed in enumerate(seeds):
+                report = simulate_series(SimulationConfig(
+                    law=law, source=src, gates=gates, seed=seed))
+                for m, name in enumerate(STATISTICS):
+                    est = report.estimate(name)
+                    if est.stderr != 0.0:
+                        z[i, j, m] = est.z_score(analytic[name])
+    return z
+
+
+def summary(z) -> dict:
+    values = z[~np.isnan(z)]
+    return {"count": values.size, "mean": float(values.mean()),
+            "sd": float(values.std()),
+            "above_4": int(np.count_nonzero(np.abs(values) > 4.0)),
+            "max_abs": float(np.abs(values).max())}
+
+
+# 15 cases x 20 seeds x 5 statistics, less the 2 that do not vary at the
+# point fermion-polarized M = 1, nbar = 1: 1460 z-scores.
+SEEDS = range(20)
+GATES = 10 ** 4
+# The bounds, for a pass probability above 0.999 when the estimator is
+# right:
+# * no |z| > 5: for a standard normal z, P(|z| > 5) = 5.7e-7, so by the
+#   union bound the chance of any among 1460 is below 8.3e-4.  A skewed z
+#   (the ratio statistics at 10**4 gates) moves mass from one tail to the
+#   other at first order and leaves their sum as it is.
+# * pooled sd in [0.9, 1.1]: over 100 disjoint sets of 20 seeds (1000 to
+#   2999), the pooled sd of a set had mean 1.002 and sd 0.022, so the
+#   bounds lie 4.7 and 4.5 of those sds away: a two-sided normal tail of
+#   7e-6.  (The parent estimator, a 64-block jackknife, gave 1.019 and
+#   0.028 on the same sets.)
+SD_BOUNDS = (0.9, 1.1)
+Z_MAX = 5.0
+
+
+def test_z_scores_are_standard_normal():
+    z = zscan(CASES, GATES, SEEDS)
+    result = summary(z)
+    assert result["count"] == 15 * 20 * 5 - 2 * 20
+    assert SD_BOUNDS[0] <= result["sd"] <= SD_BOUNDS[1], result
+    assert result["max_abs"] <= Z_MAX, result
+
+
+def test_scan_covers_each_path():
+    """Each PATH_CASES source takes the path that its comment names."""
+    split, tail, per_gate = (
+        SimulationConfig(law=law, source=src, gates=GATES)
+        for src, law, _ in PATH_CASES)
+    rng = np.random.default_rng(0)
+    histogram = mc._occupancy_histogram(rng, split)
+    detected = np.zeros(len(histogram), dtype=np.int64)
+    for _, d, gates in mc._thin(rng, histogram, LAW.s):
+        np.add.at(detected, d, 1 if gates is None else gates)
+    for stage in (histogram, mc._trimmed(detected)):
+        assert mc._row_split(stage) < len(stage) - 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_WINDOW_SIGMAS", PATH_CASES[1][2])
+        table = mc._occupancy_table(tail)
+        assert table.tail > 0.15
+    assert mc._occupancy_table(per_gate) is None
+
+
+if __name__ == "__main__":
+    gates, seeds = int(float(sys.argv[1])), int(sys.argv[2])
+    z = zscan(CASES, gates, range(seeds))
+    print("all", summary(z))
+    for m, name in enumerate(STATISTICS):
+        print(name, summary(z[:, :, m]))
+    worst = np.argwhere(np.abs(z) > 4.0)
+    for i, j, m in worst:
+        print(f"|z| > 4: case {i} seed {j} {STATISTICS[m]} "
+              f"{z[i, j, m]:+.2f}")
+    print("pooled sd per case:",
+          [round(float(np.nanstd(z[i])), 3) for i in range(len(CASES))])
