@@ -109,7 +109,11 @@ def alpha_qm(pump: float, f: float) -> float:
     """Quantum anticorrelation parameter (2 f Nw + Nw^2)/(f + Nw)^2 (< 1)."""
     if pump < 0.0 or f <= 0.0:
         raise ValueError("requires Nw >= 0 and f > 0")
-    return (2.0 * f * pump + pump * pump) / (f + pump) ** 2
+    try:
+        return (2.0 * f * pump + pump * pump) / (f + pump) ** 2
+    except OverflowError:
+        raise DomainError(f"alpha_qm: (f + Nw)**2 overflows at f = {f!r}, "
+                          f"Nw = {pump!r}") from None
 
 
 def alpha_mode_form(pump: float, f: float) -> tuple[float, float]:

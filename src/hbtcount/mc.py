@@ -11,8 +11,9 @@ bit-identical report.  Each layer is one exact draw for the whole run:
   and a tail cell with the exact mass past hi, then n by inversion for
   each tail gate.  A run whose window has more cells than its gates over
   _CELL_GATES, or than _TABLE_CELLS (_CONVOLVE_CELLS for two components),
-  draws _CHUNKS near-equal chunks of gates from `sample_occupancy` instead
-  and thins them gate by gate.
+  draws near-equal chunks of gates from `sample_occupancy` instead
+  (_CHUNKS, or more so that none exceeds _GROUP_COST // 64 gates) and
+  thins them gate by gate.
 * Counts, in two binomial-thinning stages: d ~ Binomial(n, s), then xi ~
   Binomial(d, p/(p + q)).  In each stage a row split j sends the gates
   with a count k <= j through one multinomial per row over the binomial
@@ -47,8 +48,8 @@ _WINDOW_SIGMAS = 8.0
 # (2-core Xeon, numpy 2.4).
 _GATE_COST = 6
 # A thinning stage's binomial table holds this many cells at most, which
-# bounds its time, and a batch of its draws, or of a chunk's features,
-# _GROUP_COST // 64 gates or cells, which bounds the memory of a run.
+# bounds its time, and a batch of its draws, or a chunk of gates drawn one
+# by one, _GROUP_COST // 64 gates or cells, which bounds the memory of a run.
 _GROUP_COST = 2 ** 20
 # Building an occupancy table costs up to this many gates drawn one by one
 # for each cell of its window: about 5 us a cell for a single-mode thermal
@@ -60,7 +61,8 @@ _CELL_GATES = 16
 # products, and 2**14 cells take about 0.07 s, 2**16 0.75 s.
 _TABLE_CELLS = 2 ** 17
 _CONVOLVE_CELLS = 2 ** 14
-# Runs without an occupancy table draw their gates in this many chunks.
+# Runs without an occupancy table draw their gates in this many chunks, or
+# more when a chunk would exceed _GROUP_COST // 64 gates.
 _CHUNKS = 64
 
 
@@ -373,13 +375,14 @@ def _simulate(cfg: SimulationConfig) -> tuple[_Moments, _Moments]:
     Every draw comes from one Philox stream keyed by the seed.  With an
     occupancy table, the whole run is drawn layer by layer; without one,
     chunk after chunk, gate by gate, chunk i covering gates [i*g//C,
-    (i+1)*g//C) for C = min(_CHUNKS, g).
+    (i+1)*g//C) for C = max(min(_CHUNKS, g), ceil(g / (_GROUP_COST // 64))).
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     counts, occupancy = _Moments(5), _Moments(2)
     histogram = _occupancy_histogram(rng, cfg)
     if histogram is None:
-        g, c = cfg.gates, min(_CHUNKS, cfg.gates)
+        g = cfg.gates
+        c = max(min(_CHUNKS, g), -(-g // (_GROUP_COST // 64)))
         for i in range(c):
             size = (i + 1) * g // c - i * g // c
             n = sample_occupancy(cfg.source, rng, size)
@@ -388,11 +391,8 @@ def _simulate(cfg: SimulationConfig) -> tuple[_Moments, _Moments]:
                 raise DomainError("occupancy too large: chunk sums of "
                                   "squares would overflow int64")
             xi, eta = _thin_per_gate(rng, cfg.law, n)
-            # features in parts, as in `_thin`, to bound their memory
-            for lo in range(0, size, _GROUP_COST // 64):
-                part = slice(lo, lo + _GROUP_COST // 64)
-                occupancy.add(_occupancy_features(n[part]))
-                counts.add(_count_features(xi[part], eta[part]))
+            occupancy.add(_occupancy_features(n))
+            counts.add(_count_features(xi, eta))
     else:
         n = np.flatnonzero(histogram)
         occupancy.add(_occupancy_features(n), histogram[n])
@@ -411,10 +411,18 @@ def verify(report: EstimateReport, analytic: dict,
 
     `analytic` maps statistic names (a subset of 'k', 'r', 'f', 'mean_xi',
     'mean_eta') to their analytic values.  Returns, per statistic, the
-    estimate, z-score and pass flag.
+    estimate, z-score and pass flag.  A run that detects no quantum cannot
+    define K or R (nor F when no quantum arrives): a DomainError names each
+    such statistic asked for, instead of a miss.
     """
     if not analytic:
         raise ValueError("no analytic values supplied")
+    if report.mean_xi_hat.value == report.mean_eta_hat.value == 0.0:
+        undefined = [name for name in analytic
+                     if math.isnan(report.estimate(name).value)]
+        if undefined:
+            raise DomainError(f"no quantum detected in {report.gates} gates: "
+                              f"{', '.join(undefined)} undefined")
     out = {}
     for name, target in analytic.items():
         est = report.estimate(name)  # raises on unknown names

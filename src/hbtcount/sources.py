@@ -9,8 +9,9 @@ polarization channel; two equal channels merge into one of order 2M.
 
 Every W_n comes from one array path: the components' `log_pmf` over an
 integer array, and `_window`, W_0..W_hi as one component's terms or one
-convolution of two.  `occupancy_table` adds the exact mass past hi, for
-the Monte Carlo occupancy histograms.
+convolution of two.  Every mass past a window, for `support_cutoff` and
+for the Monte Carlo occupancy histograms (`occupancy_table`), is summed
+from the components' terms past it, never taken as 1 minus a rounded sum.
 """
 
 from __future__ import annotations
@@ -26,22 +27,15 @@ import numpy as np
 from .elementary import _xlogy
 from .errors import DomainError
 
-KINDS = (
-    "coherent",
-    "boson-polarized",
-    "boson-partial",
-    "boson-unpolarized",
-    "fermion-polarized",
-    "fermion-partial",
-    "fermion-unpolarized",
-)
+KINDS = ("coherent", "boson-polarized", "boson-partial", "boson-unpolarized",
+         "fermion-polarized", "fermion-partial", "fermion-unpolarized")
 
 TRUNCATION_MASS = 1.0 - 1e-10
 TRUNCATION_CAP = 10 ** 6
-# An occupancy table sums a component's terms past its window until the
-# mass left is below this fraction of the sum: within its rounding.
+# A component's terms past a window are summed until the mass left is below
+# this fraction of their sum: within its rounding.
 _TAIL_EPS = 2.0 ** -53
-# support_cutoff's first window, and an occupancy table's first tail chunk.
+# support_cutoff's first window, and the first chunk of terms past a window.
 _FIRST_WINDOW = 64
 
 
@@ -52,8 +46,7 @@ _FIRST_WINDOW = 64
 
 
 def _lgamma(x):
-    """math.lgamma over an integer array, fed float by float without
-    building a list of Python ints."""
+    """math.lgamma over an integer array, float by float (no Python ints)."""
     return np.fromiter(map(math.lgamma, x.astype(float)), float, len(x))
 
 
@@ -85,8 +78,10 @@ class NegBinomial(NamedTuple):
 
     def log_pmf(self, n):
         order, b = self
-        return (_lgamma(order + n) - math.lgamma(order) - _lgamma(n + 1)
-                + order * math.log1p(-b) + _xlogy(n, b))
+        # the log binomial coefficient, 0 for one mode (a geometric law)
+        coef = 0.0 if order == 1 else (
+            _lgamma(order + n) - math.lgamma(order) - _lgamma(n + 1))
+        return coef + order * math.log1p(-b) + _xlogy(n, b)
 
     def pgf(self, z: float) -> float:
         order, b = self
@@ -100,9 +95,12 @@ class NegBinomial(NamedTuple):
         return order * per_mode, order * (order + 1) * per_mode * per_mode
 
     def sample(self, rng, size: int):
-        """Sum of `order` geometric draws per gate, an exact NB draw."""
-        draws = rng.geometric(1.0 - self.b, size=(size, self.order)) - 1
-        return draws.sum(axis=1)
+        """One exact draw a gate (numpy's gamma-Poisson mixture)."""
+        try:
+            return rng.negative_binomial(self.order, 1.0 - self.b, size)
+        except ValueError as exc:  # "n too large or p too small"
+            raise DomainError(
+                f"boson occupancy too large to draw: {exc}") from None
 
 
 class Binomial(NamedTuple):
@@ -171,9 +169,8 @@ class SourceLaw:
                 raise ValueError("polarization must lie in [0, 1]")
         elif self.polarization is not None:
             raise ValueError("polarization applies to partial kinds only")
-        if self.kind.startswith("fermion"):
-            if self.nbar > 1.0:
-                raise ValueError("fermion occupancy per mode cannot exceed 1")
+        if self.kind.startswith("fermion") and self.nbar > 1.0:
+            raise ValueError("fermion occupancy per mode cannot exceed 1")
 
     @cached_property
     def _components(self) -> tuple:
@@ -226,9 +223,8 @@ class FactorialMoments:
 
 
 def _window(src: SourceLaw, hi: int, terms=None):
-    """W_0..W_hi as one array: one component's terms, or one convolution of
-    two.  `terms` are the components' terms from n = 0 on (to hi at least,
-    or to the end of a support), when at hand."""
+    """W_0..W_hi: one component's terms, or one convolution of two; `terms`
+    are their terms from n = 0 to hi at least (or a support's end)."""
     if terms is None:
         n = np.arange(hi + 1)
         terms = [np.exp(comp.log_pmf(n)) for comp in src._components]
@@ -254,10 +250,7 @@ def source_pmf(src: SourceLaw, n: int) -> float:
 
 def source_pgf(src: SourceLaw, z: float) -> float:
     """Probability generating function Phi(z) = sum W_n z^n."""
-    out = 1.0
-    for comp in src._components:
-        out *= comp.pgf(z)
-    return out
+    return math.prod(comp.pgf(z) for comp in src._components)
 
 
 def source_factorial_moments(src: SourceLaw) -> FactorialMoments:
@@ -267,64 +260,80 @@ def source_factorial_moments(src: SourceLaw) -> FactorialMoments:
     if len(means) == 2:
         f2 += 2.0 * means[0] * means[1]
     second = f2 + mean
-    var = second - mean * mean
-    fano = var / mean
+    fano = (second - mean * mean) / mean
     return FactorialMoments(mean=mean, second=second, factorial2=f2,
                             fano=fano, mandel_q=fano - 1.0)
 
 
-def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
-    """Smallest n* whose cumulative weight, summed term by term from n = 0
-    in a window that doubles until it holds n*, reaches `mass`.
+def _component_terms(comp, hi: int, terms, limit=math.inf, room=math.inf):
+    """comp's terms from n = 0: `terms`, then on to hi and past it in chunks
+    of about doubling size until they hold its mass past hi (all of a
+    bounded support).  Returns all terms at hand and the holding ones, or
+    None for these once comp needs `limit` terms (its mean lies past them)
+    or its mass past hi, which bounds the source's, exceeds `room`."""
+    bound, mean = comp.max_count, comp.mean_f2()[0]
+    end = hi + 1 + _FIRST_WINDOW if bound is None else bound + 1
+    while True:
+        if end > len(terms):
+            n = np.arange(len(terms), end)
+            terms = np.append(terms, np.exp(comp.log_pmf(n)))
+        if bound is not None:
+            return terms, terms
+        # Past the mean the ratio r = w_n / w_(n-1) of these log-concave laws
+        # is below 1 and does not grow, so the mass past n is at most
+        # w_n r / (1 - r) = w_n**2 / (w_(n-1) - w_n); mass sums past hi.
+        w = terms[hi + 1:]
+        mass = np.cumsum(w)
+        stop = ((np.arange(hi + 1, len(terms)) > mean)
+                & (w * w <= _TAIL_EPS * mass * (terms[hi:-1] - w)))
+        if stop.any():
+            return terms, terms[:hi + 2 + np.argmax(stop)]
+        if mass[-1] > room or max(len(terms), mean) >= limit:
+            return terms, None
+        end = min(2 * len(terms) - hi, limit)
 
-    A window is convolved only once its weight reaches `mass`: for two
-    components, the weight up to hi is sum_k P(first = k) P(second <= hi - k),
-    O(hi) from the components' own terms.  Raises DomainError when the
-    weight up to n = TRUNCATION_CAP falls short.
-    """
+
+def _tail_split(terms, hi: int):
+    """`OccupancyTable.split` and `suffix` past the window 0..hi, from the
+    components' terms that hold their mass past hi."""
+    first, second = terms if len(terms) == 2 else (terms[0], np.ones(1))
+    suffix = np.append(np.cumsum(second[::-1])[::-1], 0.0)
+    low = np.clip(hi + 1 - np.arange(len(first)), 0, len(second))
+    return np.cumsum(first * suffix[low]), suffix
+
+
+def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
+    """Smallest n* whose mass past it, P(n > n*), is at most 1 - mass,
+    summed from the far end: the exact mass past a window 0..hi, then W_hi
+    down to W_(n*+1).  The window doubles until its mass past hi is at most
+    1 - mass, each tested in O(hi) from at most 3 hi terms a component
+    before it is convolved.  Raises DomainError when no window up to
+    TRUNCATION_CAP passes."""
     if src.max_count is not None:
         return src.max_count
-    hi, terms = _FIRST_WINDOW, [np.empty(0)] * len(src._components)
+    comps, room = src._components, 1.0 - mass
+    far = max(comp.mean_f2()[0] for comp in comps)
+    if far > 3 * TRUNCATION_CAP:  # no window reads terms past this mean
+        raise DomainError(f"support cutoff: a component mean {far!r} lies "
+                          f"past the {3 * TRUNCATION_CAP} terms read")
+    hi, terms = _FIRST_WINDOW, [np.empty(0)] * len(comps)
     while True:
-        # each window evaluates the terms of its new n only
-        n = np.arange(len(terms[0]), hi + 1)
-        terms = [np.append(old, np.exp(comp.log_pmf(n)))
-                 for old, comp in zip(terms, src._components)]
-        if len(terms) == 1:
-            weight = np.cumsum(terms[0])[-1]
-        else:
-            weight = terms[0] @ np.cumsum(terms[1])[::-1]
-        if weight >= mass:
-            cutoff = int(np.searchsorted(np.cumsum(_window(src, hi, terms)),
-                                         mass))
-            if cutoff <= hi:
-                return cutoff
+        terms, held = zip(*(_component_terms(comp, hi, t, 3 * hi, room)
+                            for comp, t in zip(comps, terms)))
+        tail = (math.inf if any(h is None for h in held)
+                else _tail_split(held, hi)[0][-1])
+        if tail <= room:
+            # P(n > m) for m = hi, hi - 1, ..., 0
+            past = np.cumsum(np.append(tail, _window(src, hi, held)[:0:-1]))
+            return hi + 1 - int(np.searchsorted(past, room, side="right"))
         if hi == TRUNCATION_CAP:
+            below = (np.cumsum(terms[1][:hi + 1])[::-1] if len(terms) == 2
+                     else 1.0)
+            weight = np.sum(terms[0][:hi + 1] * below)
             raise DomainError(f"support cutoff: the weight up to n = "
                               f"{TRUNCATION_CAP} is {float(weight)!r}, "
                               f"short of {mass!r}")
         hi = min(2 * hi + 1, TRUNCATION_CAP)
-
-
-def _component_terms(comp, hi: int):
-    """comp's pmf at n = 0, 1, ..., hi and on past hi until the mass left
-    is below _TAIL_EPS times the mass summed past hi (the whole support when
-    bounded).  Terms past hi come in chunks of about doubling size."""
-    if comp.max_count is not None:
-        return np.exp(comp.log_pmf(np.arange(comp.max_count + 1)))
-    mean = comp.mean_f2()[0]
-    terms = np.exp(comp.log_pmf(np.arange(hi + 1 + _FIRST_WINDOW)))
-    while True:
-        # Past the mean the ratio r = w_n / w_(n-1) of these log-concave
-        # laws is below 1 and does not grow, so the mass past n is at most
-        # w_n r / (1 - r) = w_n**2 / (w_(n-1) - w_n); cumsum sums past hi.
-        w = terms[hi + 1:]
-        stop = ((np.arange(hi + 1, len(terms)) > mean)
-                & (w * w <= _TAIL_EPS * np.cumsum(w) * (terms[hi:-1] - w)))
-        if stop.any():
-            return terms[:hi + 2 + np.argmax(stop)]
-        more = np.arange(len(terms), 2 * len(terms) - hi)
-        terms = np.append(terms, np.exp(comp.log_pmf(more)))
 
 
 @dataclass(frozen=True)
@@ -332,10 +341,9 @@ class OccupancyTable:
     """W_0..W_hi of a source, and the mass past hi summed term by term.
 
     For n = first + second, a sum of the source's components (second = 0
-    for one component), P(n > hi) = sum_k P(first = k) P(second > hi - k).
-    `split` is the running sum of those terms over k and `suffix[m]` is
-    P(second >= m), each a sum of component terms, so no mass is taken as
-    1 minus a rounded sum.
+    for one), `split` holds the running sums over k of P(first = k)
+    P(second > hi - k), whose total is P(n > hi), and `suffix[m]` is
+    P(second >= m), each summed from component terms.
     """
 
     window: np.ndarray
@@ -366,27 +374,18 @@ class OccupancyTable:
 
 
 def occupancy_table(src: SourceLaw, hi: int) -> OccupancyTable:
-    """The table of W_0..W_hi and the exact tail mass past hi.
-
-    Each component's pmf is evaluated once per term and a two-component
-    window is one convolution.  A window reaching the end of a bounded
-    support has tail 0.
-    """
+    """The table of W_0..W_hi and the exact mass past hi (0 at the end of a
+    bounded support); a two-component window is one convolution."""
     if hi < 0 or (src.max_count is not None and hi > src.max_count):
         raise ValueError("hi must lie in the support")
-    terms = [_component_terms(comp, hi) for comp in src._components]
-    window = _window(src, hi, terms)
-    first, second = terms if len(terms) == 2 else (terms[0], np.ones(1))
-    suffix = np.append(np.cumsum(second[::-1])[::-1], 0.0)
-    low = np.clip(hi + 1 - np.arange(len(first)), 0, len(second))
-    return OccupancyTable(window, np.cumsum(first * suffix[low]), suffix)
+    terms = [_component_terms(comp, hi, np.empty(0))[1]
+             for comp in src._components]
+    return OccupancyTable(_window(src, hi, terms), *_tail_split(terms, hi))
 
 
 def poisson_tv_distance(src: SourceLaw) -> float:
-    """Total-variation distance between {W_n} and a Poisson law of equal mean.
-
-    Goes to zero in the many-mode, low-occupancy limit at fixed total mean.
-    """
+    """Total-variation distance between {W_n} and a Poisson law of equal
+    mean; it goes to zero in the many-mode, low-occupancy limit."""
     mean = source_factorial_moments(src).mean
     poisson = SourceLaw("coherent", modes=1, nbar=mean)
     cutoff = max(support_cutoff(src), support_cutoff(poisson))

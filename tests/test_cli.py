@@ -256,6 +256,17 @@ class TestSimulateAndVerify:
         assert "mean <n> = 1e-200" in captured.err
         assert captured.out == ""
 
+    def test_verify_without_quanta_is_domain_error(self, capsys):
+        # no gate holds a quantum, so K, R and F are 0/0, not missed
+        code = cli.main(["verify", "--kind", "coherent", "--nbar", "1e-20",
+                         "--p", ".3", "--q", ".2", "--r", ".5",
+                         "--gates", "200"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DOMAIN
+        assert captured.err.startswith("error:")
+        assert "k, r, f undefined" in captured.err
+        assert captured.out == ""
+
     def test_verify_fails_with_tight_threshold(self, capsys):
         code, _ = run(["verify", "--kind", "thermal-boson", "--modes", "1",
                        "--nbar", "1.0", "--p", "0.3", "--q", "0.2",
@@ -379,6 +390,52 @@ class TestCachedParser:
         assert unseeded == call(self.SIM + ["--seed", "0"], capsys)
         assert rejected[0] == cli.EXIT_VALIDATION
         assert after[0] == cli.EXIT_OK
+
+
+class TestExtremeInputs:
+    """Every subcommand at extreme inputs gives an exit code from 0 to 3,
+    an `error:` line with codes 2 and 3, and never an exception."""
+
+    LAW = ["--p", ".3", "--q", ".2", "--r", ".5"]
+    SOURCE_COMMANDS = [["source"], ["source", "--pgf", "0.5,-1"], ["k"],
+                       ["k"] + LAW, ["simulate", "--gates", "200"] + LAW,
+                       ["verify", "--gates", "200"] + LAW]
+    FORMS = [["--kind", "coherent"]] + [
+        ["--kind", "thermal-boson", "--modes", modes] + flags
+        for modes in ("1", "1000000000")
+        for flags in ([], ["--unpolarized"], ["--polarization", "0.5"])] + [
+        ["--kind", "thermal-fermion"] + flags
+        for flags in ([], ["--unpolarized"], ["--polarization", "0.5"])]
+    NBARS = ["5e-324", "1e-20", "1e8", "1e15", "1e300"]
+    OTHER = [
+        ["moments", "--p", "5e-324", "--q", "0.5", "--r", "0.5",
+         "--n", "1000000000000000000"],
+        ["moments", "--p", "1", "--q", "0", "--r", "0", "--n", "0"],
+        ["curve", "--statistics", "boson", "--sweep", "0:1e300:3"],
+        ["curve", "--statistics", "fermion", "--unpolarized",
+         "--profile", "gaussian", "--sweep", "5e-324:5e-324:1"],
+        ["modes", "--x", "0,5e-324,1e300"],
+        ["modes", "--profile", "linear-approx", "--integer-part",
+         "--sweep", "1e8:1e300:2"],
+        ["aspect-grangier", "--f-override", "1e300"],
+        ["aspect-grangier", "--gate-ratio", "5e-324",
+         "--omega-ratio", "5e-324"],
+        ["aspect-grangier", "--reference-pump", "5e-324"],
+    ]
+
+    def test_exit_codes(self, capsys):
+        cases = [command + form + ["--nbar", nbar]
+                 for nbar in self.NBARS for form in self.FORMS
+                 for command in self.SOURCE_COMMANDS] + self.OTHER
+        bad, codes = [], set()
+        for argv in cases:
+            code, _, err = call(argv, capsys)
+            codes.add(code)
+            if code not in (0, 1, 2, 3) or (
+                    code in (2, 3) and not err.startswith("error:")):
+                bad.append((argv, code, err))
+        assert bad == []
+        assert {0, 2, 3} <= codes
 
 
 def readme_commands():

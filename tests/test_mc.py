@@ -197,6 +197,29 @@ class TestSampleOccupancy:
         p_value = scipy_stats.chi2.sf(chi2, df=top)
         assert p_value > 0.001
 
+    @pytest.mark.parametrize("src", [
+        SourceLaw("boson-polarized", modes=5, nbar=1.0),
+        SourceLaw("boson-partial", modes=3, nbar=2.0, polarization=0.5)],
+        ids=repr)
+    def test_multi_mode_boson_matches_pmf(self, src):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        draws = sample_occupancy(src, _rng(43, 0), size=2 * 10 ** 5)
+        # the top cell pools n >= 20; every cell expects 100 draws or more
+        top = 20
+        observed = np.bincount(np.minimum(draws, top), minlength=top + 1)
+        probs = np.array([source_pmf(src, n) for n in range(top)])
+        probs = np.append(probs, 1.0 - probs.sum())
+        chi2 = ((observed - len(draws) * probs) ** 2
+                / (len(draws) * probs)).sum()
+        p_value = scipy_stats.chi2.sf(chi2, df=top)
+        assert p_value > 0.001
+
+    def test_boson_draw_past_numpy_range_is_domain_error(self):
+        # a mean of 1e19 per gate is past what numpy's sampler can draw
+        src = SourceLaw("boson-polarized", modes=10 ** 4, nbar=1e15)
+        with pytest.raises(DomainError, match="too large to draw"):
+            sample_occupancy(src, _rng(3, 0), size=10)
+
     def test_coherent_mean_within_error(self):
         src = SourceLaw("coherent", modes=3, nbar=0.5)
         draws = sample_occupancy(src, _rng(7, 0), size=10 ** 6)
@@ -229,14 +252,13 @@ def _reference_components(src):
 
 
 def _reference_sample(src, rng, size):
-    """Poisson, geometric-matrix sum and binomial, in component order."""
+    """Poisson, negative binomial and binomial, in component order."""
     total = np.zeros(size, dtype=np.int64)
     for comp in _reference_components(src):
         if comp[0] == "poisson":
             total += rng.poisson(comp[1], size)
         elif comp[0] == "nb":
-            draws = rng.geometric(1.0 - comp[2], size=(size, comp[1])) - 1
-            total += draws.sum(axis=1)
+            total += rng.negative_binomial(comp[1], 1.0 - comp[2], size)
         else:
             total += rng.binomial(comp[1], comp[2], size)
     return total
@@ -445,6 +467,44 @@ class TestMemoryBound:
         assert peaks[1] < 2 * peaks[0]
 
 
+class TestFallbackChunks:
+    """Gates drawn one by one come in chunks of at most _GROUP_COST // 64
+    gates, however many gates the run has."""
+
+    def test_chunk_check_does_not_grow_with_gates(self, monkeypatch):
+        # 16-gate chunks: n**2 is about 2.5e17, so 16 gates keep their sums
+        # of squares below 2**63, and the 64 gates of an equal 64-chunk
+        # split of 4096 gates would not
+        monkeypatch.setattr(mc, "_GROUP_COST", 2 ** 10)
+        cfg = SimulationConfig(
+            law=LAW, source=SourceLaw("coherent", modes=1, nbar=5e8),
+            gates=4096, seed=2)
+        assert _occupancy_table(cfg) is None
+        report, counts, occupancy = _recorded_run(cfg, monkeypatch)
+        assert [len(rows) for rows in occupancy.rows] == [16] * 256
+        assert report.gates == counts.count == 4096
+        assert abs(report.mean_xi_hat.z_score(1.5e8)) < 5.0
+
+    def test_peak_does_not_grow_with_gates(self, monkeypatch):
+        """Chunks of 1024 gates: 8 times the gates raise the peak by less
+        than half (in 64 equal chunks, the chunks would grow 8 times)."""
+        monkeypatch.setattr(mc, "_GROUP_COST", 2 ** 16)
+        src = SourceLaw("coherent", modes=1, nbar=1e7)
+        # a first run takes the one-time allocations out of the peaks
+        simulate_series(SimulationConfig(law=LAW, source=src, gates=64))
+        peaks = []
+        for gates in (2 ** 16, 2 ** 19):
+            cfg = SimulationConfig(law=LAW, source=src, gates=gates, seed=1)
+            assert _occupancy_table(cfg) is None
+            tracemalloc.start()
+            try:
+                simulate_series(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
+
 class TestBinomialTable:
     @pytest.mark.parametrize("pi", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("top", [0, 1, 7, 24])
@@ -636,6 +696,19 @@ class TestUndefinedStatistics:
         assert report.mean_eta_hat.stderr == 0.0
         assert report.mean_xi_hat.stderr > 0.0
         assert not verify(report, {"k": 1.0})["k"]["pass"]
+
+    def test_run_without_quanta_is_domain_error(self):
+        """No gate of a 200-gate run at mean 1e-20 holds a quantum, so K, R
+        and F are 0/0: verify names them instead of reporting a miss."""
+        cfg = SimulationConfig(
+            law=LAW, source=SourceLaw("coherent", modes=1, nbar=1e-20),
+            gates=200, seed=1)
+        report = simulate_series(cfg)
+        assert all(math.isnan(report.estimate(name).value)
+                   for name in ("k", "r", "f"))
+        with pytest.raises(DomainError, match="k, f undefined"):
+            verify(report, {"k": 1.0, "mean_xi": 0.0, "f": 1.0})
+        assert verify(report, {"mean_xi": 0.0})["mean_xi"]["pass"]
 
     def test_constant_statistic_has_zero_stderr(self):
         """One polarized fermion mode: at most one quantum a gate, so xi*eta

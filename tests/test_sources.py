@@ -13,7 +13,9 @@ from hbtcount import (
 from hbtcount.errors import DomainError
 from hbtcount.sources import (
     KINDS,
+    TRUNCATION_CAP,
     TRUNCATION_MASS,
+    NegBinomial,
     _window,
     occupancy_table,
 )
@@ -208,6 +210,60 @@ class TestAgainstMpmath:
         for n in range(0, hi + 1, 7):
             assert source_pmf(src, n) == pytest.approx(
                 float(expected[n]), rel=1e-12, abs=1e-300)
+
+
+def _mp_tail(src, n):
+    """P(N > n) in mpmath at 40 digits: the regularized incomplete gamma
+    function for a Poisson law, the incomplete beta function for a negative
+    binomial of order M; unpolarized bosons are one of order 2M at nbar/2."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    m, nb = src.modes, mp.mpf(src.nbar)
+    if src.kind == "coherent":
+        return mp.gammainc(n + 1, 0, m * nb, regularized=True)
+    if src.kind == "boson-unpolarized":
+        m, nb = 2 * m, nb / 2
+    return mp.betainc(n + 1, m, 0, nb / (1 + nb), regularized=True)
+
+
+CUTOFF_CASES = [
+    # a float running sum of W_n from n = 0 stopped at 10641 and 17757
+    (SourceLaw("coherent", modes=100, nbar=100.0), TRUNCATION_MASS, 10643),
+    (SourceLaw("boson-polarized", modes=100, nbar=100.0), TRUNCATION_MASS,
+     17769),
+    (SourceLaw("boson-polarized", modes=20, nbar=100.0), 1 - 1e-12, 6932),
+    (SourceLaw("boson-polarized", modes=1, nbar=100.0), 1 - 1e-12, 2776),
+    # P(n > 40) = 1.115e-16 against 1 - mass = 1.110e-16; that float sum
+    # never reaches this mass
+    (SourceLaw("boson-unpolarized", modes=2, nbar=1.0), 1 - 1e-16, 41),
+]
+
+
+class TestCutoffAgainstMpmath:
+    """support_cutoff is the first n* with P(n > n*) <= 1 - mass, with
+    P(n > n*) from mpmath's incomplete gamma and beta functions."""
+
+    @pytest.mark.parametrize("src,mass,cutoff", CUTOFF_CASES, ids=repr)
+    def test_cutoff_matches_mpmath_tails(self, src, mass, cutoff):
+        room = 1 - pytest.importorskip("mpmath").mpf(mass)
+        assert _mp_tail(src, cutoff) <= room < _mp_tail(src, cutoff - 1)
+        assert support_cutoff(src, mass) == cutoff
+
+
+class TestCutoffWork:
+    def test_mass_past_the_cap_stops_each_tail_at_its_first_chunk(
+            self, monkeypatch):
+        """Each component's terms past a window stop once its own mass
+        there exceeds 1 - mass, so the windows read about 1e6 terms a
+        component, not the 3e6 that the last one may."""
+        evaluated = []
+        log_pmf = NegBinomial.log_pmf
+        monkeypatch.setattr(NegBinomial, "log_pmf", lambda comp, n: (
+            evaluated.append(len(n)), log_pmf(comp, n))[1])
+        src = SourceLaw("boson-partial", modes=1, nbar=3e6, polarization=0.5)
+        with pytest.raises(DomainError, match="short of"):
+            support_cutoff(src)
+        assert sum(evaluated) < 2.01 * TRUNCATION_CAP
 
 
 class TestFamilies:
