@@ -7,13 +7,16 @@ of a gate's d detected quanta does not depend on n.  Every draw comes from
 one Philox stream keyed by the seed, so a configuration gives a
 bit-identical report.  Each layer is one exact draw for the whole run:
 
-* Occupancies: one multinomial over a once-per-run pmf table W_0..W_hi
-  and a tail cell with the exact mass past hi, then n by inversion for
-  each tail gate.  A run whose window has more cells than its gates over
-  _CELL_GATES, or than _TABLE_CELLS (_CONVOLVE_CELLS for two components),
-  draws near-equal chunks of gates from `sample_occupancy` instead
-  (_CHUNKS, or more so that none exceeds _GROUP_COST // 64 gates) and
-  thins them gate by gate.
+* Occupancies: one multinomial over a once-per-run pmf table W_0..W_N,
+  with N the first count whose mass past it is at most 2**-53
+  (`sources._cutoff_window`).  The multinomial gives its last cell, the
+  table's most probable once sorted, whatever count is left: the mass
+  past N goes there with the rounding residue of the table's sum.  A run
+  whose table would have more cells than its gates over _CELL_GATES, or
+  than _TABLE_CELLS (_CONVOLVE_CELLS for two components), draws
+  near-equal chunks of gates from `sample_occupancy` instead (_CHUNKS, or
+  more so that none exceeds _GROUP_COST // 64 gates) and thins them gate
+  by gate.
 * Counts, in two binomial-thinning stages: d ~ Binomial(n, s), then xi ~
   Binomial(d, p/(p + q)).  In each stage a row split j sends the gates
   with a count k <= j through one multinomial per row over the binomial
@@ -36,13 +39,10 @@ import numpy as np
 
 from .elementary import TernaryLaw, _xlogy
 from .errors import DomainError
-from .sources import SourceLaw, occupancy_table, source_factorial_moments
+from .sources import (SourceLaw, _TAIL_EPS, _cutoff_window,
+                      source_factorial_moments)
 
 DEFAULT_Z_MAX = 4.0
-# Occupancy tables reach this many standard deviations past the mean; the
-# tail cell holds the rest exactly, so this only trades table cells
-# against tail draws.
-_WINDOW_SIGMAS = 8.0
 # The cost of thinning one gate by one binomial, in multinomial table
 # cells: timeit puts it at 2 to 4, and pass times are flat from 2 to 12
 # (2-core Xeon, numpy 2.4).
@@ -51,16 +51,17 @@ _GATE_COST = 6
 # bounds its time, and a batch of its draws, or a chunk of gates drawn one
 # by one, _GROUP_COST // 64 gates or cells, which bounds the memory of a run.
 _GROUP_COST = 2 ** 20
-# Building an occupancy table costs up to this many gates drawn one by one
-# for each cell of its window: about 5 us a cell for a single-mode thermal
-# source, whose tail runs on for about four windows past hi, against
-# 0.3 us a gate (2-core Xeon, numpy 2.4).
+# An occupancy table has at most one cell for this many gates.  Built once
+# a run, it costs 0.1-1.2 us a cell for one component and 2-6 us a cell
+# for two (tables of 300 to 3e4 cells, convolved whole), against 0.3-0.4 us
+# for a gate drawn and thinned one by one (2-core Xeon, numpy 2.4).
 _CELL_GATES = 16
-# The most cells in a one-component window, which bounds the memory of its
-# table; a two-component window is one direct convolution, cells**2
-# products, and 2**14 cells take about 0.07 s, 2**16 0.75 s.
+# The most cells in a one-component table, which bounds the memory of its
+# build, at most about 9 floats a cell (7.5 MiB for 110229 cells); a
+# two-component table is one direct convolution, cells**2 products:
+# 2**14 cells take 0.07 s, 2**15 0.22 s, 2**16 0.84 s.
 _TABLE_CELLS = 2 ** 17
-_CONVOLVE_CELLS = 2 ** 14
+_CONVOLVE_CELLS = 2 ** 15
 # Runs without an occupancy table draw their gates in this many chunks, or
 # more when a chunk would exceed _GROUP_COST // 64 gates.
 _CHUNKS = 64
@@ -76,6 +77,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.gates < 2:
             raise ValueError("insufficient data: need at least 2 gates")
+        if self.gates >= 2 ** 63:  # int64 in every draw and histogram
+            raise ValueError("gates must lie below 2**63")
         # the seed is the run's Philox key
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must lie in [0, 2**64)")
@@ -122,9 +125,13 @@ class EstimateReport:
 def sample_occupancy(source: SourceLaw, rng: np.random.Generator,
                      size: int | None = None):
     """Draw gate occupancies n ~ {W_n}, summing one draw per component
-    of the source in component order."""
+    of the source in component order.  A component whose parameters pass
+    numpy's sampler range raises DomainError."""
     shape = 1 if size is None else size
-    total = sum(comp.sample(rng, shape) for comp in source._components)
+    try:
+        total = sum(comp.sample(rng, shape) for comp in source._components)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"occupancy too large to draw: {exc}") from None
     return int(total[0]) if size is None else total
 
 
@@ -241,54 +248,39 @@ def _sorted_cells(pvals):
     return np.argsort(pvals, axis=-1, kind="stable"), np.sort(pvals, axis=-1)
 
 
-def _occupancy_table(cfg: SimulationConfig):
-    """The source's pmf table, reaching _WINDOW_SIGMAS standard deviations
-    past the mean (or the end of a bounded support), or None when that
-    window has more cells than the run's gates over _CELL_GATES, or than
-    _TABLE_CELLS (_CONVOLVE_CELLS for two components); gates are then
-    drawn one by one."""
-    fm = source_factorial_moments(cfg.source)
-    hi = fm.mean + _WINDOW_SIGMAS * math.sqrt(max(fm.fano * fm.mean, 0.0))
-    if cfg.source.max_count is not None:
-        hi = min(hi, cfg.source.max_count)
-    cap = _TABLE_CELLS if len(cfg.source._components) == 1 else _CONVOLVE_CELLS
-    if hi + 1 <= min(cfg.gates / _CELL_GATES, cap):  # False for nan
-        return occupancy_table(cfg.source, math.ceil(hi))
-    return None
-
-
 def _trimmed(histogram):
     """histogram without its trailing cells that count no gate."""
     return histogram[:np.flatnonzero(histogram)[-1] + 1]
 
 
 def _occupancy_histogram(rng: np.random.Generator, cfg: SimulationConfig):
-    """The run's gates per occupancy 0..top, with top the largest drawn:
-    one multinomial over the `_occupancy_table` W_0..W_hi and its tail
-    cell, then one inversion draw per tail gate; None without a table."""
-    table = _occupancy_table(cfg)
-    if table is None:
+    """The run's gates per occupancy 0..top, with top the largest drawn,
+    from one multinomial over the source's table W_0..W_N; None when that
+    table would exceed the run's cells (see the module docstring)."""
+    src = cfg.source
+    cells = min(cfg.gates // _CELL_GATES, _TABLE_CELLS
+                if len(src._components) == 1 else _CONVOLVE_CELLS)
+    window = (_cutoff_window(src, _TAIL_EPS, cells - 1)[0]
+              if source_factorial_moments(src).mean < cells else None)
+    if window is None:
         return None
-    order, pvals = _sorted_cells(np.append(table.window, table.tail))
-    cells = np.empty(len(pvals), dtype=np.int64)
-    cells[order] = rng.multinomial(cfg.gates, pvals)
-    occupancy, in_tail = cells[:-1], int(cells[-1])
-    if in_tail:
-        occupancy = np.bincount(table.sample_tail(rng, in_tail),
-                                minlength=table.hi + 1)
-        occupancy[:table.hi + 1] += cells[:-1]
-    return _trimmed(occupancy)
+    order, pvals = _sorted_cells(window)
+    histogram = np.empty(len(pvals), dtype=np.int64)
+    histogram[order] = rng.multinomial(cfg.gates, pvals)
+    return _trimmed(histogram)
 
 
 def _row_split(histogram) -> int:
     """The largest count j thinned as a histogram.  Thinning the rows 0..j
     that count a gate draws j + 1 table cells for each, and each gate with
     a count above j costs _GATE_COST cells; j minimises the sum, among the
-    j whose cells fit in _GROUP_COST."""
+    j whose cells fit in _GROUP_COST.  Costs are floats: _GATE_COST times
+    the gates left would wrap in int64 past about 1.5e18 gates."""
     width = np.arange(1, len(histogram) + 1)
     cells = np.cumsum(histogram > 0) * width
     left = histogram.sum() - np.cumsum(histogram)
-    cost = np.where(cells <= _GROUP_COST, cells + _GATE_COST * left, np.inf)
+    cost = np.where(cells <= _GROUP_COST,
+                    cells + float(_GATE_COST) * left, np.inf)
     return int(np.argmin(cost))
 
 
@@ -411,18 +403,18 @@ def verify(report: EstimateReport, analytic: dict,
 
     `analytic` maps statistic names (a subset of 'k', 'r', 'f', 'mean_xi',
     'mean_eta') to their analytic values.  Returns, per statistic, the
-    estimate, z-score and pass flag.  A run that detects no quantum cannot
-    define K or R (nor F when no quantum arrives): a DomainError names each
-    such statistic asked for, instead of a miss.
+    estimate, z-score and pass flag.  A statistic the run cannot define,
+    as K or R without counts at one detector or F without quanta, has a
+    nan estimate: a DomainError names each such statistic asked for,
+    instead of a miss.
     """
     if not analytic:
         raise ValueError("no analytic values supplied")
-    if report.mean_xi_hat.value == report.mean_eta_hat.value == 0.0:
-        undefined = [name for name in analytic
-                     if math.isnan(report.estimate(name).value)]
-        if undefined:
-            raise DomainError(f"no quantum detected in {report.gates} gates: "
-                              f"{', '.join(undefined)} undefined")
+    undefined = [name for name in analytic
+                 if math.isnan(report.estimate(name).value)]
+    if undefined:
+        raise DomainError(f"{', '.join(undefined)} undefined in "
+                          f"{report.gates} gates")
     out = {}
     for name, target in analytic.items():
         est = report.estimate(name)  # raises on unknown names

@@ -9,13 +9,16 @@ polarization channel; two equal channels merge into one of order 2M.
 
 Every W_n comes from one array path: the components' `log_pmf` over an
 integer array, and `_window`, W_0..W_hi as one component's terms or one
-convolution of two.  Every mass past a window, for `support_cutoff` and
-for the Monte Carlo occupancy histograms (`occupancy_table`), is summed
-from the components' terms past it, never taken as 1 minus a rounded sum.
+convolution of two.  Every truncation is one `_cutoff_window`: W_0..W_n*
+for the first n* whose mass past it, summed from the components' terms
+and never taken as 1 minus a rounded sum, is at most a given room; for a
+Monte Carlo occupancy table, _TAIL_EPS (float resolution), a mass its
+draw gives to the table's most probable cell.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -33,9 +36,10 @@ KINDS = ("coherent", "boson-polarized", "boson-partial", "boson-unpolarized",
 TRUNCATION_MASS = 1.0 - 1e-10
 TRUNCATION_CAP = 10 ** 6
 # A component's terms past a window are summed until the mass left is below
-# this fraction of their sum: within its rounding.
+# this fraction of their sum: within its rounding.  A Monte Carlo occupancy
+# table leaves out at most this mass.
 _TAIL_EPS = 2.0 ** -53
-# support_cutoff's first window, and the first chunk of terms past a window.
+# _cutoff_window's first window, and the first chunk of terms past a window.
 _FIRST_WINDOW = 64
 
 
@@ -96,11 +100,7 @@ class NegBinomial(NamedTuple):
 
     def sample(self, rng, size: int):
         """One exact draw a gate (numpy's gamma-Poisson mixture)."""
-        try:
-            return rng.negative_binomial(self.order, 1.0 - self.b, size)
-        except ValueError as exc:  # "n too large or p too small"
-            raise DomainError(
-                f"boson occupancy too large to draw: {exc}") from None
+        return rng.negative_binomial(self.order, 1.0 - self.b, size)
 
 
 class Binomial(NamedTuple):
@@ -267,17 +267,19 @@ def source_factorial_moments(src: SourceLaw) -> FactorialMoments:
 
 def _component_terms(comp, hi: int, terms, limit=math.inf, room=math.inf):
     """comp's terms from n = 0: `terms`, then on to hi and past it in chunks
-    of about doubling size until they hold its mass past hi (all of a
-    bounded support).  Returns all terms at hand and the holding ones, or
+    of about doubling size until they hold its mass past hi (or reach the
+    end of its support).  Returns all terms at hand and the holding ones, or
     None for these once comp needs `limit` terms (its mean lies past them)
     or its mass past hi, which bounds the source's, exceeds `room`."""
-    bound, mean = comp.max_count, comp.mean_f2()[0]
-    end = hi + 1 + _FIRST_WINDOW if bound is None else bound + 1
+    bound = math.inf if comp.max_count is None else comp.max_count
+    mean = comp.mean_f2()[0]
+    end = hi + 1 + _FIRST_WINDOW
     while True:
+        end = min(end, bound + 1)
         if end > len(terms):
             n = np.arange(len(terms), end)
             terms = np.append(terms, np.exp(comp.log_pmf(n)))
-        if bound is not None:
+        if len(terms) > bound:
             return terms, terms
         # Past the mean the ratio r = w_n / w_(n-1) of these log-concave laws
         # is below 1 and does not grow, so the mass past n is at most
@@ -293,94 +295,59 @@ def _component_terms(comp, hi: int, terms, limit=math.inf, room=math.inf):
         end = min(2 * len(terms) - hi, limit)
 
 
-def _tail_split(terms, hi: int):
-    """`OccupancyTable.split` and `suffix` past the window 0..hi, from the
-    components' terms that hold their mass past hi."""
-    first, second = terms if len(terms) == 2 else (terms[0], np.ones(1))
-    suffix = np.append(np.cumsum(second[::-1])[::-1], 0.0)
-    low = np.clip(hi + 1 - np.arange(len(first)), 0, len(second))
-    return np.cumsum(first * suffix[low]), suffix
-
-
-def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
-    """Smallest n* whose mass past it, P(n > n*), is at most 1 - mass,
-    summed from the far end: the exact mass past a window 0..hi, then W_hi
-    down to W_(n*+1).  The window doubles until its mass past hi is at most
-    1 - mass, each tested in O(hi) from at most 3 hi terms a component
-    before it is convolved.  Raises DomainError when no window up to
-    TRUNCATION_CAP passes."""
-    if src.max_count is not None:
-        return src.max_count
-    comps, room = src._components, 1.0 - mass
-    far = max(comp.mean_f2()[0] for comp in comps)
-    if far > 3 * TRUNCATION_CAP:  # no window reads terms past this mean
-        raise DomainError(f"support cutoff: a component mean {far!r} lies "
-                          f"past the {3 * TRUNCATION_CAP} terms read")
-    hi, terms = _FIRST_WINDOW, [np.empty(0)] * len(comps)
+def _cutoff_window(src: SourceLaw, room: float, cap: int):
+    """W_0..W_n* for the smallest n* whose mass past it, summed from the
+    components' terms, is at most `room`.  The window 0..hi doubles up to
+    `cap` (or the end of a bounded support) until P(n > hi) <= room, each
+    tested in O(hi) from at most 3 hi terms a component; n* is then
+    bisected in 0..hi and only W_0..W_n* convolved.  Returns that window,
+    or None when no window up to cap passes, and the component terms read."""
+    comps = src._components
+    top = cap if src.max_count is None else min(cap, src.max_count)
+    hi, terms = min(_FIRST_WINDOW, top), [np.empty(0)] * len(comps)
     while True:
         terms, held = zip(*(_component_terms(comp, hi, t, 3 * hi, room)
                             for comp, t in zip(comps, terms)))
-        tail = (math.inf if any(h is None for h in held)
-                else _tail_split(held, hi)[0][-1])
-        if tail <= room:
-            # P(n > m) for m = hi, hi - 1, ..., 0
-            past = np.cumsum(np.append(tail, _window(src, hi, held)[:0:-1]))
-            return hi + 1 - int(np.searchsorted(past, room, side="right"))
-        if hi == TRUNCATION_CAP:
-            below = (np.cumsum(terms[1][:hi + 1])[::-1] if len(terms) == 2
-                     else 1.0)
-            weight = np.sum(terms[0][:hi + 1] * below)
-            raise DomainError(f"support cutoff: the weight up to n = "
-                              f"{TRUNCATION_CAP} is {float(weight)!r}, "
-                              f"short of {mass!r}")
-        hi = min(2 * hi + 1, TRUNCATION_CAP)
+        if all(h is not None for h in held):
+            first, second = held if len(held) == 2 else (held[0], np.ones(1))
+            # P(n > m) = sum_k first[k] P(second >= m + 1 - k): `rev` against
+            # pad[m + 2:], which holds P(second >= j) from j = 1 - len(first)
+            suffix = np.cumsum(second[::-1])[::-1]
+            pad = np.concatenate((np.full(len(first), suffix[0]), suffix,
+                                  np.zeros(hi + 2)))
+            rev = first[::-1].copy()
+
+            def within(m):  # P(n > m) <= room, monotone in m
+                return rev @ pad[m + 2:m + 2 + len(rev)] <= room
+
+            if within(hi):
+                n_star = bisect.bisect_left(range(hi), True, key=within)
+                return _window(src, n_star, held), terms
+        if hi == top:
+            return None, terms
+        hi = min(2 * hi + 1, top)
 
 
-@dataclass(frozen=True)
-class OccupancyTable:
-    """W_0..W_hi of a source, and the mass past hi summed term by term.
-
-    For n = first + second, a sum of the source's components (second = 0
-    for one), `split` holds the running sums over k of P(first = k)
-    P(second > hi - k), whose total is P(n > hi), and `suffix[m]` is
-    P(second >= m), each summed from component terms.
-    """
-
-    window: np.ndarray
-    split: np.ndarray
-    suffix: np.ndarray
-
-    @property
-    def hi(self) -> int:
-        return len(self.window) - 1
-
-    @property
-    def tail(self) -> float:
-        """P(n > hi)."""
-        return float(self.split[-1])
-
-    def sample_tail(self, rng, size: int):
-        """size draws of n given n > hi, by inversion: first the first
-        component's value k, then the second's given that it is at least
-        hi + 1 - k."""
-        u = rng.random((2, size))
-        first = np.searchsorted(self.split, u[0] * self.split[-1],
-                                side="right")
-        low = np.clip(self.hi + 1 - first, 0, len(self.suffix) - 1)
-        second = np.searchsorted(-self.suffix,
-                                 -self.suffix[low] * (1.0 - u[1]),
-                                 side="right") - 1
-        return first + second
-
-
-def occupancy_table(src: SourceLaw, hi: int) -> OccupancyTable:
-    """The table of W_0..W_hi and the exact mass past hi (0 at the end of a
-    bounded support); a two-component window is one convolution."""
-    if hi < 0 or (src.max_count is not None and hi > src.max_count):
-        raise ValueError("hi must lie in the support")
-    terms = [_component_terms(comp, hi, np.empty(0))[1]
-             for comp in src._components]
-    return OccupancyTable(_window(src, hi, terms), *_tail_split(terms, hi))
+def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
+    """Smallest n* whose mass past it, P(n > n*), is at most 1 - mass
+    (`_cutoff_window`), or the end of a bounded support.  Raises
+    DomainError when no window up to TRUNCATION_CAP passes."""
+    if src.max_count is not None:
+        return src.max_count
+    far = max(comp.mean_f2()[0] for comp in src._components)
+    if far > 3 * TRUNCATION_CAP:  # no window reads terms past this mean
+        raise DomainError(f"support cutoff: a component mean {far!r} lies "
+                          f"past the {3 * TRUNCATION_CAP} terms read")
+    window, terms = _cutoff_window(src, 1.0 - mass, TRUNCATION_CAP)
+    if window is None:
+        hi = TRUNCATION_CAP
+        below = (np.cumsum(terms[1][:hi + 1])[::-1] if len(terms) == 2
+                 else 1.0)
+        weight = np.sum(terms[0][:hi + 1] * below)
+        raise DomainError(f"support cutoff: the weight up to n = "
+                          f"{TRUNCATION_CAP} is {float(weight)!r}, "
+                          f"short of {mass!r}")
+    return len(window) - 1
 
 
 def poisson_tv_distance(src: SourceLaw) -> float:

@@ -393,8 +393,9 @@ class TestCachedParser:
 
 
 class TestExtremeInputs:
-    """Every subcommand at extreme inputs gives an exit code from 0 to 3,
-    an `error:` line with codes 2 and 3, and never an exception."""
+    """Every subcommand at extreme inputs gives an exit code from 0 to 3
+    (the EXACT cases their own), an `error:` line with codes 2 and 3, and
+    never an exception."""
 
     LAW = ["--p", ".3", "--q", ".2", "--r", ".5"]
     SOURCE_COMMANDS = [["source"], ["source", "--pgf", "0.5,-1"], ["k"],
@@ -422,17 +423,37 @@ class TestExtremeInputs:
          "--omega-ratio", "5e-324"],
         ["aspect-grangier", "--reference-pump", "5e-324"],
     ]
+    FERMIONS = ["--kind", "thermal-fermion", "--nbar", "0.6", "--modes"]
+    EXACT = [
+        # the largest int64 gate count, and one past it
+        (["simulate", "--kind", "coherent", "--nbar", "1"] + LAW
+         + ["--gates", str(2 ** 63 - 1)], 0),
+        (["simulate"] + FERMIONS + ["4"] + LAW + ["--gates", str(2 ** 63 - 1)],
+         0),
+        (["simulate", "--kind", "coherent", "--nbar", "1"] + LAW
+         + ["--gates", str(2 ** 63)], 2),
+        # a Poisson mean and a binomial order past numpy's samplers
+        (["simulate", "--kind", "coherent", "--nbar", "1e19"] + LAW
+         + ["--gates", "200"], 3),
+        (["simulate"] + FERMIONS + [str(10 ** 29)] + LAW + ["--gates", "200"],
+         3),
+        # A counts but no B count: K and R are 0/0
+        (["verify", "--kind", "coherent", "--nbar", "0.01"] + LAW
+         + ["--gates", "200", "--seed", "0"], 3),
+    ]
 
     def test_exit_codes(self, capsys):
         cases = [command + form + ["--nbar", nbar]
                  for nbar in self.NBARS for form in self.FORMS
                  for command in self.SOURCE_COMMANDS] + self.OTHER
+        exact = {tuple(argv): code for argv, code in self.EXACT}
         bad, codes = [], set()
-        for argv in cases:
+        for argv in cases + [argv for argv, _ in self.EXACT]:
             code, _, err = call(argv, capsys)
             codes.add(code)
-            if code not in (0, 1, 2, 3) or (
-                    code in (2, 3) and not err.startswith("error:")):
+            if (code not in (0, 1, 2, 3)
+                    or code != exact.get(tuple(argv), code)
+                    or code in (2, 3) and not err.startswith("error:")):
                 bad.append((argv, code, err))
         assert bad == []
         assert {0, 2, 3} <= codes

@@ -30,7 +30,6 @@ from hbtcount.mc import (
     _estimates,
     _occupancy_features,
     _occupancy_histogram,
-    _occupancy_table,
     _row_split,
     _simulate,
     _thin,
@@ -56,6 +55,11 @@ def _run_occupancy(cfg):
     occupancy it drew."""
     rng = _rng(cfg.seed)
     return rng, _occupancy_histogram(rng, cfg)
+
+
+def _per_gate(cfg):
+    """Whether the run draws its gates one by one, without a table."""
+    return _run_occupancy(cfg)[1] is None
 
 
 class _Recorder(_Moments):
@@ -161,7 +165,7 @@ class TestDeterminism:
             law=LAW, source=SourceLaw(kind, modes=modes, nbar=nbar),
             gates=gates, seed=11)
         if path == "per-gate":
-            assert _occupancy_table(cfg) is None
+            assert _per_gate(cfg)
         else:
             _, occupancy = _run_occupancy(cfg)
             top = len(occupancy) - 1
@@ -214,9 +218,13 @@ class TestSampleOccupancy:
         p_value = scipy_stats.chi2.sf(chi2, df=top)
         assert p_value > 0.001
 
-    def test_boson_draw_past_numpy_range_is_domain_error(self):
-        # a mean of 1e19 per gate is past what numpy's sampler can draw
-        src = SourceLaw("boson-polarized", modes=10 ** 4, nbar=1e15)
+    @pytest.mark.parametrize("src", [
+        # means of 1e19 per gate are past what numpy's samplers can draw
+        SourceLaw("boson-polarized", modes=10 ** 4, nbar=1e15),
+        SourceLaw("coherent", modes=1, nbar=1e19),
+        # an order past int64
+        SourceLaw("fermion-polarized", modes=10 ** 29, nbar=0.5)], ids=repr)
+    def test_boson_draw_past_numpy_range_is_domain_error(self, src):
         with pytest.raises(DomainError, match="too large to draw"):
             sample_occupancy(src, _rng(3, 0), size=10)
 
@@ -288,20 +296,14 @@ class TestSamplerStream:
 
 class TestOccupancyHistogram:
     @pytest.mark.parametrize("src", PINNED_SOURCES, ids=repr)
-    def test_coarse_window_matches_pmf(self, src, monkeypatch):
+    def test_coarse_window_matches_pmf(self, src):
         scipy_stats = pytest.importorskip("scipy.stats")
-        # a window ending at the mean puts a large share in the tail cell
-        monkeypatch.setattr(mc, "_WINDOW_SIGMAS", 0.0)
         gates = 200000
         cfg = SimulationConfig(law=LAW, source=src, gates=gates, seed=23)
-        table = _occupancy_table(cfg)
-        hi = table.hi
-        assert hi == 3  # the mean is 2.1
         _, occupancy = _run_occupancy(cfg)
-        # every tail gate is booked
+        # every gate is booked
         assert occupancy.sum() == gates
         assert occupancy[-1] > 0
-        assert (occupancy[hi + 1:].sum() > 0) == (table.tail > 0)
 
         pmf = [source_pmf(src, n) for n in range(len(occupancy))]
         # cells from `last` on are pooled, keeping 5 expected gates or more
@@ -321,7 +323,7 @@ class TestOccupancyHistogram:
         cfg = SimulationConfig(
             law=LAW, source=SourceLaw("coherent", modes=1, nbar=1e7),
             gates=6400, seed=seed)
-        assert _occupancy_table(cfg) is None
+        assert _per_gate(cfg)
         rng = _rng(seed)
         xi, eta, n = [], [], []
         for _ in range(64):
@@ -425,10 +427,10 @@ class TestWithinGateStructure:
             assert abs(diff) <= 5.0 * math.sqrt(2.0 * var)
 
     @pytest.mark.parametrize("kind,gates,split", [
-        # occupancies up to 7, thinned as a histogram up to 5
+        # occupancies up to 6, thinned as a histogram up to 5
         ("coherent", 3200, 5),
-        # up to 10 of 13 as a histogram, the 3 gates above one by one
-        ("boson-polarized", 64000, 10),
+        # up to 9 of 11 as a histogram, the 4 gates above one by one
+        ("boson-polarized", 64000, 9),
         # at most 2 quanta: every gate goes through the histogram
         ("fermion-polarized", 12800, 2),
     ])
@@ -479,7 +481,7 @@ class TestFallbackChunks:
         cfg = SimulationConfig(
             law=LAW, source=SourceLaw("coherent", modes=1, nbar=5e8),
             gates=4096, seed=2)
-        assert _occupancy_table(cfg) is None
+        assert _per_gate(cfg)
         report, counts, occupancy = _recorded_run(cfg, monkeypatch)
         assert [len(rows) for rows in occupancy.rows] == [16] * 256
         assert report.gates == counts.count == 4096
@@ -495,7 +497,28 @@ class TestFallbackChunks:
         peaks = []
         for gates in (2 ** 16, 2 ** 19):
             cfg = SimulationConfig(law=LAW, source=src, gates=gates, seed=1)
-            assert _occupancy_table(cfg) is None
+            assert _per_gate(cfg)
+            tracemalloc.start()
+            try:
+                simulate_series(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
+
+class TestTableMemory:
+    def test_peak_does_not_grow_with_gates(self):
+        """A table run draws each layer for the whole run at once, as
+        counts per cell, so a thousand times the gates leave its peak
+        memory within half as much again."""
+        src = SourceLaw("boson-polarized", modes=1, nbar=1.0)
+        # a first run takes the one-time allocations out of the peaks
+        simulate_series(SimulationConfig(law=LAW, source=src, gates=64))
+        peaks = []
+        for gates in (10 ** 9, 10 ** 12):
+            cfg = SimulationConfig(law=LAW, source=src, gates=gates, seed=1)
+            assert not _per_gate(cfg)
             tracemalloc.start()
             try:
                 simulate_series(cfg)
@@ -654,14 +677,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("gates", [2, 63, 64, 65, 1000, 10000, 100000])
     def test_every_gate_is_counted(self, gates, monkeypatch):
-        """Mean 1 takes the table from 160 gates on (its 10 cells times
+        """Mean 1 takes the table from 288 gates on (its 18 cells times
         _CELL_GATES); mean 1e7 always goes per gate, in chunks."""
         for nbar in (1.0, 1e7):
             cfg = SimulationConfig(
                 law=LAW, source=SourceLaw("coherent", modes=1, nbar=nbar),
                 gates=gates)
-            per_gate = _occupancy_table(cfg) is None
-            assert per_gate == (nbar > 1.0 or gates < 160)
+            per_gate = _per_gate(cfg)
+            assert per_gate == (nbar > 1.0 or gates < 288)
             report, counts, occupancy = _recorded_run(cfg, monkeypatch)
             assert counts.count == occupancy.count == gates
             assert sum(counts.cells().values()) == gates
@@ -685,7 +708,7 @@ class TestUndefinedStatistics:
 
     def test_undefined_ratio_has_nan_stderr(self):
         """Without B counts, K is 0/0 and its error nan, while the mean
-        counts keep theirs."""
+        counts keep theirs; verify names K instead of reporting a miss."""
         cfg = SimulationConfig(
             law=TernaryLaw(0.5, 0.0, 0.5),
             source=SourceLaw("coherent", modes=1, nbar=1.0),
@@ -695,7 +718,8 @@ class TestUndefinedStatistics:
         assert math.isnan(report.k_hat.stderr)
         assert report.mean_eta_hat.stderr == 0.0
         assert report.mean_xi_hat.stderr > 0.0
-        assert not verify(report, {"k": 1.0})["k"]["pass"]
+        with pytest.raises(DomainError, match="k undefined"):
+            verify(report, {"k": 1.0})
 
     def test_run_without_quanta_is_domain_error(self):
         """No gate of a 200-gate run at mean 1e-20 holds a quantum, so K, R

@@ -16,8 +16,8 @@ from hbtcount.sources import (
     TRUNCATION_CAP,
     TRUNCATION_MASS,
     NegBinomial,
+    _cutoff_window,
     _window,
-    occupancy_table,
 )
 
 BOSON_GRID = [(m, nb) for m in (1, 2, 5, 20) for nb in (0.1, 0.5, 1.0, 2.0)]
@@ -215,7 +215,8 @@ class TestAgainstMpmath:
 def _mp_tail(src, n):
     """P(N > n) in mpmath at 40 digits: the regularized incomplete gamma
     function for a Poisson law, the incomplete beta function for a negative
-    binomial of order M; unpolarized bosons are one of order 2M at nbar/2."""
+    binomial of order M; unpolarized bosons are one of order 2M at nbar/2,
+    and partial bosons the sum of two of order M, one per channel."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     m, nb = src.modes, mp.mpf(src.nbar)
@@ -223,6 +224,14 @@ def _mp_tail(src, n):
         return mp.gammainc(n + 1, 0, m * nb, regularized=True)
     if src.kind == "boson-unpolarized":
         m, nb = 2 * m, nb / 2
+    if src.kind == "boson-partial":
+        pol = mp.mpf(src.polarization)
+        b1, b2 = (c / (1 + c) for c in (nb * (1 + pol) / 2,
+                                        nb * (1 - pol) / 2))
+        return 1 - mp.fsum(
+            mp.binomial(m + k - 1, k) * (1 - b1) ** m * b1 ** k
+            * (1 - mp.betainc(n - k + 1, m, 0, b2, regularized=True))
+            for k in range(n + 1))
     return mp.betainc(n + 1, m, 0, nb / (1 + nb), regularized=True)
 
 
@@ -236,6 +245,12 @@ CUTOFF_CASES = [
     # P(n > 40) = 1.115e-16 against 1 - mass = 1.110e-16; that float sum
     # never reaches this mass
     (SourceLaw("boson-unpolarized", modes=2, nbar=1.0), 1 - 1e-16, 41),
+    # float resolution, the Monte Carlo occupancy tables' truncation: one
+    # component, and two convolved
+    (SourceLaw("coherent", modes=3, nbar=0.7), 1 - 2 ** -53, 23),
+    (SourceLaw("boson-polarized", modes=1, nbar=0.7), 1 - 2 ** -53, 41),
+    (SourceLaw("boson-partial", modes=3, nbar=0.7, polarization=0.4),
+     1 - 2 ** -53, 39),
 ]
 
 
@@ -287,38 +302,36 @@ class TestFamilies:
         assert comp.b == 0.8 / 2.8
 
 
-class TestOccupancyTable:
+class TestCutoffWindow:
+    """The truncation of support_cutoff and of the Monte Carlo occupancy
+    tables, on bounded and unbounded supports alike: W_0..W_n* for the
+    first n* whose mass past it is within the room, when n* is within the
+    cap."""
+
     SOURCES = [SourceLaw(kind, modes=3, nbar=0.7,
                          polarization=0.4 if kind.endswith("partial") else None)
-               for kind in KINDS]
+               for kind in KINDS] + [
+        # a support of 2001 counts, cut off past about 66
+        SourceLaw("fermion-partial", modes=1000, nbar=0.02, polarization=0.4)]
 
     @pytest.mark.parametrize("src", SOURCES, ids=repr)
-    @pytest.mark.parametrize("hi", [0, 2, 5, 6, 20])
-    def test_window_and_tail_match_pmf(self, src, hi):
-        if src.max_count is not None and hi > src.max_count:
-            return
-        table = occupancy_table(src, hi)
-        expected = [source_pmf(src, n) for n in range(hi + 1)]
-        assert table.hi == hi
-        assert list(table.window) == pytest.approx(expected, rel=1e-12,
-                                                   abs=0.0)
-        end = src.max_count if src.max_count is not None else hi + 200
-        direct = math.fsum(source_pmf(src, n) for n in range(hi + 1, end + 1))
-        assert table.tail == pytest.approx(direct, rel=1e-12, abs=0.0)
-        if src.max_count == hi:
-            assert table.tail == 0.0
+    @pytest.mark.parametrize("room", [2.0 ** -53, 1e-12, 1e-6, 0.01, 0.3])
+    def test_window_ends_at_the_first_count_within_room(self, src, room):
+        window, _ = _cutoff_window(src, room, TRUNCATION_CAP)
+        n_star = len(window) - 1
+        assert list(window) == pytest.approx(
+            [source_pmf(src, n) for n in range(n_star + 1)], rel=1e-12,
+            abs=0.0)
+        # the terms past n* + 200 underflow to 0
+        end = min(n_star + 200, src.max_count or math.inf)
 
-    def test_window_below_the_mode(self):
-        # W_0 and W_1 underflow to 0, yet the tail holds all the mass
-        table = occupancy_table(SourceLaw("coherent", modes=1, nbar=1000.0),
-                                0)
-        assert table.window[0] == 0.0
-        assert table.tail == pytest.approx(1.0, rel=1e-10)
+        def past(n):
+            return math.fsum(source_pmf(src, k) for k in range(n + 1, end + 1))
 
-    def test_rejects_window_past_bounded_support(self):
-        src = SourceLaw("fermion-polarized", modes=3, nbar=0.5)
-        with pytest.raises(ValueError):
-            occupancy_table(src, 4)
+        assert past(n_star) <= room < past(n_star - 1)
+        assert len(_cutoff_window(src, room, n_star)[0]) == n_star + 1
+        if n_star > 0:
+            assert _cutoff_window(src, room, n_star - 1)[0] is None
 
 
 class TestBosonOccupancyLimit:

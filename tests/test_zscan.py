@@ -8,10 +8,10 @@ and seeds checks the estimator as a whole, whatever the stream.
 Run a larger scan with ``python tests/test_zscan.py GATES SEEDS``.
 """
 
+import math
 import sys
 
 import numpy as np
-import pytest
 
 from hbtcount import (
     SimulationConfig,
@@ -20,28 +20,27 @@ from hbtcount import (
     exact_correlation,
     series_moments,
     simulate_series,
+    source_factorial_moments,
 )
-from hbtcount import mc
+from hbtcount import mc, sources
 from test_acceptance import GRID
 
 STATISTICS = ("k", "r", "f", "mean_xi", "mean_eta")
 LAW = TernaryLaw(0.3, 0.2, 0.5)
 
-# (source, law, _WINDOW_SIGMAS) beyond GRID, whose 12 points draw every
-# gate through the occupancy table and mostly through the binomial tables.
+# (source, law) beyond GRID, whose 12 points draw every gate through the
+# occupancy table and mostly through the binomial tables.
 PATH_CASES = [
     # occupancies up to about 100: gates above the row split are thinned
     # one by one, in both stages
-    (SourceLaw("boson-polarized", modes=1, nbar=10.0), LAW, None),
-    # a window that ends half an sd past the mean leaves a sixth of the
-    # gates in the tail cell, drawn by inversion
-    (SourceLaw("boson-partial", modes=2, nbar=3.0, polarization=0.4), LAW,
-     0.5),
-    # a window of about 10800 cells, wider than 10**4 gates: sample_occupancy
+    (SourceLaw("boson-polarized", modes=1, nbar=10.0), LAW),
+    # a two-component table, one convolution, reaching past mean + 8 sd
+    (SourceLaw("boson-partial", modes=2, nbar=3.0, polarization=0.4), LAW),
+    # a table of about 10800 cells, wider than 10**4 gates: sample_occupancy
     # and per-gate thinning, chunk by chunk
-    (SourceLaw("coherent", modes=1, nbar=1e4), LAW, None),
+    (SourceLaw("coherent", modes=1, nbar=1e4), LAW),
 ]
-CASES = [(src, law, None) for src, law in GRID] + PATH_CASES
+CASES = GRID + PATH_CASES
 
 
 def zscan(cases, gates, seeds):
@@ -49,21 +48,18 @@ def zscan(cases, gates, seeds):
     shape (cases, seeds, statistics); nan where the run's stderr is 0 (a
     statistic that does not vary, such as K for one fermion per gate)."""
     z = np.full((len(cases), len(seeds), len(STATISTICS)), np.nan)
-    for i, (src, law, sigmas) in enumerate(cases):
+    for i, (src, law) in enumerate(cases):
         sm = series_moments(law, src)
         analytic = {"k": sm.k_ratio, "r": exact_correlation(law, src),
                     "f": sm.fano, "mean_xi": sm.mean_xi,
                     "mean_eta": sm.mean_eta}
-        with pytest.MonkeyPatch.context() as patch:
-            if sigmas is not None:
-                patch.setattr(mc, "_WINDOW_SIGMAS", sigmas)
-            for j, seed in enumerate(seeds):
-                report = simulate_series(SimulationConfig(
-                    law=law, source=src, gates=gates, seed=seed))
-                for m, name in enumerate(STATISTICS):
-                    est = report.estimate(name)
-                    if est.stderr != 0.0:
-                        z[i, j, m] = est.z_score(analytic[name])
+        for j, seed in enumerate(seeds):
+            report = simulate_series(SimulationConfig(
+                law=law, source=src, gates=gates, seed=seed))
+            for m, name in enumerate(STATISTICS):
+                est = report.estimate(name)
+                if est.stderr != 0.0:
+                    z[i, j, m] = est.z_score(analytic[name])
     return z
 
 
@@ -104,9 +100,9 @@ def test_z_scores_are_standard_normal():
 
 def test_scan_covers_each_path():
     """Each PATH_CASES source takes the path that its comment names."""
-    split, tail, per_gate = (
+    split, convolved, per_gate = (
         SimulationConfig(law=law, source=src, gates=GATES)
-        for src, law, _ in PATH_CASES)
+        for src, law in PATH_CASES)
     rng = np.random.default_rng(0)
     histogram = mc._occupancy_histogram(rng, split)
     detected = np.zeros(len(histogram), dtype=np.int64)
@@ -114,11 +110,12 @@ def test_scan_covers_each_path():
         np.add.at(detected, d, 1 if gates is None else gates)
     for stage in (histogram, mc._trimmed(detected)):
         assert mc._row_split(stage) < len(stage) - 1
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mc, "_WINDOW_SIGMAS", PATH_CASES[1][2])
-        table = mc._occupancy_table(tail)
-        assert table.tail > 0.15
-    assert mc._occupancy_table(per_gate) is None
+    assert mc._occupancy_histogram(rng, convolved) is not None
+    fm = source_factorial_moments(convolved.source)
+    window, _ = sources._cutoff_window(convolved.source, sources._TAIL_EPS,
+                                       GATES // mc._CELL_GATES - 1)
+    assert len(window) - 1 > fm.mean + 8.0 * math.sqrt(fm.fano * fm.mean)
+    assert mc._occupancy_histogram(rng, per_gate) is None
 
 
 if __name__ == "__main__":
