@@ -63,8 +63,9 @@ def _parse_sweep(spec: str) -> list[float]:
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError:
         raise ValueError("sweep must be formatted as x0:x1:steps") from None
-    if steps < 1 or hi < lo:
-        raise ValueError("sweep needs x1 >= x0 and at least one step")
+    if not 1 <= steps <= sources.TRUNCATION_CAP or hi < lo:
+        raise ValueError(f"sweep needs x1 >= x0 and 1 to "
+                         f"{sources.TRUNCATION_CAP} steps")
     if steps == 1:
         return [lo]
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
@@ -137,11 +138,13 @@ def _cmd_source(args) -> list[dict]:
     if args.pgf is not None:
         zs = [float(z) for z in args.pgf.split(",")]
         return [{"z": z, "pgf": sources.source_pgf(src, z)} for z in zs]
-    max_n = args.max_n if args.max_n is not None else sources.support_cutoff(src)
-    if max_n < 0:
-        raise ValueError("max-n must be a non-negative integer")
-    return [{"n": n, "pmf": w}
-            for n, w in enumerate(sources._window(src, max_n).tolist())]
+    if args.max_n is None:
+        window = sources._support_window(src)
+    elif 0 <= args.max_n <= sources.TRUNCATION_CAP:
+        window = sources._window(src, args.max_n)
+    else:
+        raise ValueError(f"max-n must lie in [0, {sources.TRUNCATION_CAP}]")
+    return [{"n": n, "pmf": w} for n, w in enumerate(window.tolist())]
 
 
 def _cmd_k(args) -> list[dict]:

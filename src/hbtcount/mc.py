@@ -20,7 +20,8 @@ bit-identical report.  Each layer is one exact draw for the whole run:
 * Counts, in two binomial-thinning stages: d ~ Binomial(n, s), then xi ~
   Binomial(d, p/(p + q)).  In each stage a row split j sends the gates
   with a count k <= j through one multinomial per row over the binomial
-  cells 0..j, and those with k > j through one binomial each.
+  cells 0..j, and those with k > j through one binomial each.  j prices a
+  table cell at 1, a gate at _GATE_COST and any gates at _START_COST more.
 
 Point estimates come from exact integer sums of per-gate features: (xi,
 eta, xi**2, eta**2, xi*eta) for K, R and the mean counts, (n, n**2) for
@@ -47,6 +48,11 @@ DEFAULT_Z_MAX = 4.0
 # cells: timeit puts it at 2 to 4, and pass times are flat from 2 to 12
 # (2-core Xeon, numpy 2.4).
 _GATE_COST = 6
+# The cost of starting to thin a stage's gates one by one, in table cells:
+# timeit puts it at 250-350 in the first stage and 650-850 in the second,
+# pass times are flat from 64 to 2048, and from 512 on a table run at 10**12
+# gates peaks at 1.7 times its memory at 10**9 (2-core Xeon, numpy 2.4).
+_START_COST = 256
 # A thinning stage's binomial table holds this many cells at most, which
 # bounds its time, and a batch of its draws, or a chunk of gates drawn one
 # by one, _GROUP_COST // 64 gates or cells, which bounds the memory of a run.
@@ -174,12 +180,12 @@ class _Moments:
 
 def _count_features(xi, eta):
     """(xi, eta, xi**2, eta**2, xi*eta), one column a gate."""
-    return np.stack([xi, eta, xi * xi, eta * eta, xi * eta])
+    return np.array([xi, eta, xi * xi, eta * eta, xi * eta])
 
 
 def _occupancy_features(n):
     """(n, n**2), one column a gate."""
-    return np.stack([n, n * n])
+    return np.array([n, n * n])
 
 
 def _estimates(gates: int, counts: _Moments,
@@ -191,25 +197,21 @@ def _estimates(gates: int, counts: _Moments,
         n, n2 = occupancy.means()
         var_xi, var_eta = xi2 - xi * xi, eta2 - eta * eta
         scale = np.sqrt(var_xi * var_eta)
-        k = cross / (xi * eta)
-        r = (cross - xi * eta) / scale
-        f = (n2 - n * n) / n
-        # each estimate, the moments of its features, and its gradient
-        terms = [
-            (k, counts, [-k / xi, -k / eta, 0.0, 0.0, 1.0 / (xi * eta)]),
-            (r, counts, [r * xi / var_xi - eta / scale,
-                         r * eta / var_eta - xi / scale,
-                         -0.5 * r / var_xi, -0.5 * r / var_eta,
-                         1.0 / scale]),
-            (f, occupancy, [-n2 / (n * n) - 1.0, 1.0 / n]),
-            (xi, counts, [1.0, 0.0, 0.0, 0.0, 0.0]),
-            (eta, counts, [0.0, 1.0, 0.0, 0.0, 0.0]),
-        ]
-        pairs = gates * (gates - 1.0)
-        return EstimateReport(gates, *(
-            Estimate(float(value), float(np.sqrt(
-                np.array(g) @ moments.comoment @ np.array(g) / pairs)))
-            for value, moments, g in terms))
+        k, r = cross / (xi * eta), (cross - xi * eta) / scale
+        # the gradients of K, R and the mean counts in the count features,
+        # one a row, and of F in the occupancy features
+        grad = np.array([
+            [-k / xi, -k / eta, 0.0, 0.0, 1.0 / (xi * eta)],
+            [r * xi / var_xi - eta / scale, r * eta / var_eta - xi / scale,
+             -0.5 * r / var_xi, -0.5 * r / var_eta, 1.0 / scale],
+            [1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]])
+        f_grad = np.array([-n2 / (n * n) - 1.0, 1.0 / n])
+        errors = np.sqrt(np.append(
+            np.einsum("ij,jk,ik->i", grad, counts.comoment, grad),
+            f_grad @ occupancy.comoment @ f_grad) / (gates * (gates - 1.0)))
+        return EstimateReport(gates, *(  # K, R, F, then the mean counts
+            Estimate(float(value), float(error)) for value, error in
+            zip((k, r, (n2 - n * n) / n, xi, eta), errors[[0, 1, 4, 2, 3]])))
 
 
 def _binomial_table(rows, top: int, pi: float):
@@ -240,12 +242,16 @@ def _thin_per_gate(rng: np.random.Generator, law: TernaryLaw, n):
     return xi, d - xi
 
 
-def _sorted_cells(pvals):
-    """The order that sorts pvals along the last axis, and the sorted
-    pvals.  A multinomial draw gives its last cell whatever count is left,
-    rounding residue included, so sorted cells send it to the most probable
-    cell, never to an impossible one."""
-    return np.argsort(pvals, axis=-1, kind="stable"), np.sort(pvals, axis=-1)
+def _multinomial(rng: np.random.Generator, n, pvals):
+    """Draw n gates over the cells of pvals, or n[i] over those of its row
+    i, sorted by their probability: a multinomial draw gives its last cell
+    whatever count is left, rounding residue included, so sorted cells send
+    it to the most probable cell, never to an impossible one."""
+    rows = () if pvals.ndim == 1 else (np.arange(len(pvals))[:, None],)
+    drawn = np.empty(pvals.shape, dtype=np.int64)
+    drawn[(*rows, np.argsort(pvals, kind="stable"))] = rng.multinomial(
+        n, np.sort(pvals))
+    return drawn
 
 
 def _trimmed(histogram):
@@ -262,26 +268,21 @@ def _occupancy_histogram(rng: np.random.Generator, cfg: SimulationConfig):
                 if len(src._components) == 1 else _CONVOLVE_CELLS)
     window = (_cutoff_window(src, _TAIL_EPS, cells - 1)[0]
               if source_factorial_moments(src).mean < cells else None)
-    if window is None:
-        return None
-    order, pvals = _sorted_cells(window)
-    histogram = np.empty(len(pvals), dtype=np.int64)
-    histogram[order] = rng.multinomial(cfg.gates, pvals)
-    return _trimmed(histogram)
+    return None if window is None else _trimmed(
+        _multinomial(rng, cfg.gates, window))
 
 
 def _row_split(histogram) -> int:
     """The largest count j thinned as a histogram.  Thinning the rows 0..j
-    that count a gate draws j + 1 table cells for each, and each gate with
-    a count above j costs _GATE_COST cells; j minimises the sum, among the
-    j whose cells fit in _GROUP_COST.  Costs are floats: _GATE_COST times
-    the gates left would wrap in int64 past about 1.5e18 gates."""
-    width = np.arange(1, len(histogram) + 1)
-    cells = np.cumsum(histogram > 0) * width
-    left = histogram.sum() - np.cumsum(histogram)
+    that count a gate draws j + 1 table cells for each, the gates above j
+    cost _GATE_COST cells each and _START_COST if any; j minimises the sum,
+    among the j whose cells fit in _GROUP_COST.  Costs are floats:
+    _GATE_COST times the gates left would wrap in int64 past 1.5e18."""
+    cells = (histogram > 0).cumsum() * np.arange(1, len(histogram) + 1)
+    left = float(_GATE_COST) * (histogram.sum() - histogram.cumsum())
     cost = np.where(cells <= _GROUP_COST,
-                    cells + float(_GATE_COST) * left, np.inf)
-    return int(np.argmin(cost))
+                    cells + left + _START_COST * (left > 0), np.inf)
+    return int(cost.argmin())
 
 
 def _gates_above(histogram, split: int):
@@ -290,7 +291,7 @@ def _gates_above(histogram, split: int):
     size = _GROUP_COST // 64
     counts = histogram[split + 1:]
     values = np.arange(split + 1, len(histogram))
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     starts = ends - counts
     for lo in range(0, int(counts.sum()), size):
         # the rows that hold gates lo..lo + size - 1, and their gates there
@@ -305,28 +306,36 @@ def _thin(rng: np.random.Generator, histogram, pi: float):
     """Thin the gates per count k in `histogram`: each of a gate's k units
     is kept with probability pi, so the gate keeps a ~ Binomial(k, pi).
 
-    Yields batches (k, a, gates) of counts, kept counts and the gates
-    with each pair (None: one gate each), drawn as they are read.  For a
-    row split j (`_row_split`), the gates with k <= j are thinned by one
-    multinomial per row that counts a gate, over the sorted cells of its
-    `_binomial_table` row; the gates with k > j by one binomial each.
-    Both draws are exact, and no batch holds more than _GROUP_COST // 64
-    gates or cells (or one table row), so memory does not grow with a
-    run's gates.
+    Yields batches (k, kept), drawn as they are read.  For a row split j
+    (`_row_split`), the gates with k <= j are thinned by one multinomial
+    per row that counts a gate, over the sorted cells of its
+    `_binomial_table` row: kept[i, a] gates of count k[i] keep a, a = 0..j.
+    The gates with k > j are thinned by one binomial each, k and kept one
+    gate a column, in order of k.  Both draws are exact, and no batch holds
+    more than _GROUP_COST // 64 gates or cells (or one table row), so memory
+    does not grow with a run's gates.
     """
     split = _row_split(histogram)
     occupied = np.flatnonzero(histogram[:split + 1])
     step = max(1, _GROUP_COST // 64 // (split + 1))
     for lo in range(0, len(occupied), step):
         rows = occupied[lo:lo + step]
-        order, pvals = _sorted_cells(_binomial_table(rows, split, pi))
-        drawn = np.empty(pvals.shape, dtype=np.int64)
-        drawn[np.arange(len(rows))[:, None], order] = rng.multinomial(
-            histogram[rows], pvals)
-        row, a = np.nonzero(drawn)
-        yield rows[row], a, drawn[row, a]
+        yield rows, _multinomial(rng, histogram[rows],
+                                 _binomial_table(rows, split, pi))
     for k in _gates_above(histogram, split):
-        yield k, rng.binomial(k, pi), None
+        yield k, rng.binomial(k, pi)
+
+
+def _detected(rng: np.random.Generator, occupancy, s: float):
+    """The gates per detected count d ~ Binomial(n, s) of the gates per
+    occupancy n in `occupancy`: the first `_thin` stage."""
+    detected = np.zeros(len(occupancy), dtype=np.int64)
+    for _, kept in _thin(rng, occupancy, s):
+        if kept.ndim == 2:  # the gates per row and kept count
+            detected[:kept.shape[1]] += kept.sum(axis=0)
+        else:  # a kept count a gate
+            np.add.at(detected, kept, 1)
+    return _trimmed(detected)
 
 
 def _thin_counts(rng: np.random.Generator, law: TernaryLaw, occupancy,
@@ -335,12 +344,12 @@ def _thin_counts(rng: np.random.Generator, law: TernaryLaw, occupancy,
     `occupancy`: their detected counts d, then the split xi of those, in
     two `_thin` stages, each with its own row split, and eta = d - xi."""
     s, t = _stage_probabilities(law)
-    detected = np.zeros(len(occupancy), dtype=np.int64)
-    for _, d, gates in _thin(rng, occupancy, s):
-        np.add.at(detected, d, 1 if gates is None else gates)
-    for d, xi, gates in _thin(rng, _trimmed(detected), t):
-        if gates is None:  # a narrow law's moments then cost a row a pair
-            d, xi, gates = _cells(d, xi)
+    for d, kept in _thin(rng, _detected(rng, occupancy, s), t):
+        if kept.ndim == 2:  # the table's (d, xi) cells that count a gate
+            row, xi = np.nonzero(kept)
+            d, gates = d[row], kept[row, xi]
+        else:  # a narrow law's moments then cost a row a pair
+            d, xi, gates = _cells(d, kept)
         counts.add(_count_features(xi, d - xi), gates)
 
 
@@ -352,21 +361,15 @@ def _cells(k, a):
     width = int(a.max() - low) + 1
     if (int(k[-1] - k[0]) + 1) * width > len(k):
         return k, a, None
-    key = k - k[0]
-    key *= width
-    key += a
-    gates = np.bincount(key - low)
+    gates = np.bincount((k - k[0]) * width + (a - low))
     cell = np.flatnonzero(gates)
     return k[0] + cell // width, low + cell % width, gates[cell]
 
 
 def _simulate(cfg: SimulationConfig) -> tuple[_Moments, _Moments]:
-    """Simulate the run: the moments of its gates' count features and of
-    their occupancy features.
-
-    Every draw comes from one Philox stream keyed by the seed.  With an
-    occupancy table, the whole run is drawn layer by layer; without one,
-    chunk after chunk, gate by gate, chunk i covering gates [i*g//C,
+    """The moments of the run's count features and occupancy features.
+    With an occupancy table, the whole run is drawn layer by layer; without
+    one, chunk after chunk, gate by gate, chunk i covering gates [i*g//C,
     (i+1)*g//C) for C = max(min(_CHUNKS, g), ceil(g / (_GROUP_COST // 64))).
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
@@ -419,11 +422,7 @@ def verify(report: EstimateReport, analytic: dict,
     for name, target in analytic.items():
         est = report.estimate(name)  # raises on unknown names
         z = est.z_score(target)
-        out[name] = {
-            "estimate": est.value,
-            "stderr": est.stderr,
-            "analytic": target,
-            "z": z,
-            "pass": bool(abs(z) <= z_max),
-        }
+        out[name] = {"estimate": est.value, "stderr": est.stderr,
+                     "analytic": target, "z": z,
+                     "pass": bool(abs(z) <= z_max)}
     return out

@@ -49,8 +49,15 @@ _FIRST_WINDOW = 64
 # the largest n with nonzero weight (None when unbounded).
 
 
+# math.lgamma(k) for 0 < k < 2**12 (inf at the pole k = 0), read by _lgamma
+_LGAMMA = np.array([math.inf, *map(math.lgamma, range(1, 2 ** 12))])
+
+
 def _lgamma(x):
-    """math.lgamma over an integer array, float by float (no Python ints)."""
+    """math.lgamma over an array of integers x >= 1: from _LGAMMA, or float
+    by float (no Python ints) when one is past it."""
+    if len(x) and x.max() < len(_LGAMMA):
+        return _LGAMMA[x]
     return np.fromiter(map(math.lgamma, x.astype(float)), float, len(x))
 
 
@@ -270,9 +277,13 @@ def _component_terms(comp, hi: int, terms, limit=math.inf, room=math.inf):
     of about doubling size until they hold its mass past hi (or reach the
     end of its support).  Returns all terms at hand and the holding ones, or
     None for these once comp needs `limit` terms (its mean lies past them)
-    or its mass past hi, which bounds the source's, exceeds `room`."""
+    or its mass past hi, which bounds the source's, exceeds `room`: without
+    reading a term when Cantelli's bound on that mass does."""
     bound = math.inf if comp.max_count is None else comp.max_count
-    mean = comp.mean_f2()[0]
+    mean, f2 = comp.mean_f2()
+    gap = mean - hi  # P(n > hi) >= gap**2 / (variance + gap**2) for gap > 0
+    if gap > 0 and gap * gap > room * (f2 + mean - mean * mean + gap * gap):
+        return terms, None
     end = hi + 1 + _FIRST_WINDOW
     while True:
         end = min(end, bound + 1)
@@ -334,20 +345,28 @@ def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
     DomainError when no window up to TRUNCATION_CAP passes."""
     if src.max_count is not None:
         return src.max_count
+    return len(_support_window(src, mass)) - 1
+
+
+def _support_window(src: SourceLaw, mass: float = TRUNCATION_MASS):
+    """W_0..W_n* for `support_cutoff`'s n*, with its checks and errors."""
+    if src.max_count is not None:
+        return _window(src, src.max_count)
     far = max(comp.mean_f2()[0] for comp in src._components)
     if far > 3 * TRUNCATION_CAP:  # no window reads terms past this mean
         raise DomainError(f"support cutoff: a component mean {far!r} lies "
                           f"past the {3 * TRUNCATION_CAP} terms read")
     window, terms = _cutoff_window(src, 1.0 - mass, TRUNCATION_CAP)
-    if window is None:
-        hi = TRUNCATION_CAP
-        below = (np.cumsum(terms[1][:hi + 1])[::-1] if len(terms) == 2
-                 else 1.0)
-        weight = np.sum(terms[0][:hi + 1] * below)
+    if window is None:  # the weight up to the cap, from its terms if read
+        n = np.arange(TRUNCATION_CAP + 1)
+        first, *second = (t[:len(n)] if len(t) >= len(n)
+                          else np.exp(comp.log_pmf(n))
+                          for comp, t in zip(src._components, terms))
+        below = np.cumsum(second[0])[::-1] if second else 1.0
+        weight = float(np.sum(first * below))
         raise DomainError(f"support cutoff: the weight up to n = "
-                          f"{TRUNCATION_CAP} is {float(weight)!r}, "
-                          f"short of {mass!r}")
-    return len(window) - 1
+                          f"{TRUNCATION_CAP} is {weight!r}, short of {mass!r}")
+    return window
 
 
 def poisson_tv_distance(src: SourceLaw) -> float:
@@ -355,6 +374,8 @@ def poisson_tv_distance(src: SourceLaw) -> float:
     mean; it goes to zero in the many-mode, low-occupancy limit."""
     mean = source_factorial_moments(src).mean
     poisson = SourceLaw("coherent", modes=1, nbar=mean)
-    cutoff = max(support_cutoff(src), support_cutoff(poisson))
-    return 0.5 * float(np.abs(_window(src, cutoff)
-                              - _window(poisson, cutoff)).sum())
+    own = _support_window(src)
+    cutoff = max(len(own) - 1, support_cutoff(poisson))
+    if len(own) <= cutoff:
+        own = _window(src, cutoff)
+    return 0.5 * float(np.abs(own - _window(poisson, cutoff)).sum())

@@ -440,6 +440,10 @@ class TestExtremeInputs:
         # A counts but no B count: K and R are 0/0
         (["verify", "--kind", "coherent", "--nbar", "0.01"] + LAW
          + ["--gates", "200", "--seed", "0"], 3),
+        # a table or a sweep longer than TRUNCATION_CAP rows, refused before
+        # anything is allocated (745 GiB and 1e11 floats)
+        (["source", "--kind", "coherent", "--max-n", "100000000000"], 2),
+        (["modes", "--sweep", "0:1:100000000000"], 2),
     ]
 
     def test_exit_codes(self, capsys):

@@ -27,6 +27,7 @@ from hbtcount.mc import (
     _binomial_table,
     _cells,
     _count_features,
+    _detected,
     _estimates,
     _occupancy_features,
     _occupancy_histogram,
@@ -36,6 +37,7 @@ from hbtcount.mc import (
     _thin_counts,
     _thin_per_gate,
 )
+from test_acceptance import GRID
 
 LAW = TernaryLaw(0.3, 0.2, 0.5)
 ZERO_PROBABILITY_LAWS = [TernaryLaw(0.5, 0.0, 0.5), TernaryLaw(0.5, 0.5, 0.0),
@@ -104,6 +106,17 @@ def _gate_cells(rng, law, n):
     return cells, counts
 
 
+def _thin_cells(rng, histogram, pi):
+    """`_thin`'s batches as (k, a, gates): a table's cells that count a
+    gate, with their gates, or gates one by one (gates None)."""
+    for k, kept in _thin(rng, histogram, pi):
+        if kept.ndim == 1:
+            yield k, kept, None
+        else:
+            row, a = np.nonzero(kept)
+            yield k[row], a, kept[row, a]
+
+
 def _assert_comoments_close(actual, expected, tol):
     """Each entry within tol of the product of the two features' spreads."""
     spread = np.sqrt(np.diag(expected))
@@ -157,7 +170,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("kind,modes,nbar,gates,path", [
         ("fermion-polarized", 2, 0.5, 12800, "table"),
-        ("boson-polarized", 1, 1.0, 64000, "split"),
+        ("boson-polarized", 1, 5.0, 6400, "split"),
         ("coherent", 1, 1e7, 6400, "per-gate"),
     ])
     def test_repeat_is_byte_identical(self, kind, modes, nbar, gates, path):
@@ -358,7 +371,7 @@ class TestWithinGateStructure:
         top = len(histogram) - 1
         for split in (0, top // 2, top):
             _force_split(monkeypatch, split)
-            batches = list(_thin(_rng(9, 2), histogram, law.s))
+            batches = list(_thin_cells(_rng(9, 2), histogram, law.s))
             # every gate comes once, and none keeps more than its count
             k, a = (np.concatenate([batch[i] for batch in batches])
                     for i in (0, 1))
@@ -426,17 +439,18 @@ class TestWithinGateStructure:
             diff = int(per_gate.sum()) - counts.sums[column]
             assert abs(diff) <= 5.0 * math.sqrt(2.0 * var)
 
-    @pytest.mark.parametrize("kind,gates,split", [
-        # occupancies up to 6, thinned as a histogram up to 5
-        ("coherent", 3200, 5),
-        # up to 9 of 11 as a histogram, the 4 gates above one by one
-        ("boson-polarized", 64000, 9),
+    @pytest.mark.parametrize("kind,nbar,gates,split", [
+        # occupancies up to 50, thinned as a histogram up to 42, the 46
+        # gates above one by one
+        ("coherent", 15.0, 3200, 42),
+        # up to 35 of 59 as a histogram, the 48 gates above one by one
+        ("boson-polarized", 5.0, 6400, 35),
         # at most 2 quanta: every gate goes through the histogram
-        ("fermion-polarized", 12800, 2),
+        ("fermion-polarized", 0.5, 12800, 2),
     ])
-    def test_sums_come_from_the_chosen_split(self, kind, gates, split):
+    def test_sums_come_from_the_chosen_split(self, kind, nbar, gates, split):
         cfg = SimulationConfig(
-            law=LAW, source=SourceLaw(kind, modes=2, nbar=0.5),
+            law=LAW, source=SourceLaw(kind, modes=2, nbar=nbar),
             gates=gates, seed=3)
         rng, occupancy = _run_occupancy(cfg)
         assert _row_split(occupancy) == split
@@ -448,6 +462,17 @@ class TestWithinGateStructure:
         assert run_occupancy.sums == [int(occupancy @ k),
                                       int(occupancy @ (k * k))]
         assert run_counts.count == run_occupancy.count == gates
+
+    def test_grid_thins_every_gate_in_tables(self):
+        """At 10**6 gates, the few gates in a grid source's tail cost less
+        in table rows than the start of thinning them one by one, so
+        neither stage leaves a gate above its row split (at this seed; over
+        seeds 0-29, one stage of 720 does)."""
+        for src, law in GRID:
+            cfg = SimulationConfig(law=law, source=src, gates=10 ** 6, seed=1)
+            rng, occupancy = _run_occupancy(cfg)
+            for stage in (occupancy, _detected(rng, occupancy, law.s)):
+                assert _row_split(stage) == len(stage) - 1, src
 
 
 class TestMemoryBound:

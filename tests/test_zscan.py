@@ -5,7 +5,9 @@ the estimates and their standard errors are right, z is close to standard
 normal at every source and on every sampling path, so a scan over sources
 and seeds checks the estimator as a whole, whatever the stream.
 
-Run a larger scan with ``python tests/test_zscan.py GATES SEEDS``.
+Run a larger scan with ``python tests/test_zscan.py GATES SEEDS``; it
+exits 1 when the pooled sd or the largest |z| leaves SCAN_SD_BOUNDS or
+SCAN_Z_MAX.
 """
 
 import math
@@ -88,6 +90,12 @@ GATES = 10 ** 4
 #   0.028 on the same sets.)
 SD_BOUNDS = (0.9, 1.1)
 Z_MAX = 5.0
+# The bounds of a larger scan from the command line, which exits 1 outside
+# them.  At 10**4 gates and 100 seeds (7300 z-scores), a pooled sd in
+# [0.95, 1.05] lies 6 of its sds, 1 / sqrt(2 * 7300), from 1, and a standard
+# normal passes |z| > 5.5 with chance 3.8e-8, 2.8e-4 for any of 7300.
+SCAN_SD_BOUNDS = (0.95, 1.05)
+SCAN_Z_MAX = 5.5
 
 
 def test_z_scores_are_standard_normal():
@@ -105,10 +113,7 @@ def test_scan_covers_each_path():
         for src, law in PATH_CASES)
     rng = np.random.default_rng(0)
     histogram = mc._occupancy_histogram(rng, split)
-    detected = np.zeros(len(histogram), dtype=np.int64)
-    for _, d, gates in mc._thin(rng, histogram, LAW.s):
-        np.add.at(detected, d, 1 if gates is None else gates)
-    for stage in (histogram, mc._trimmed(detected)):
+    for stage in (histogram, mc._detected(rng, histogram, LAW.s)):
         assert mc._row_split(stage) < len(stage) - 1
     assert mc._occupancy_histogram(rng, convolved) is not None
     fm = source_factorial_moments(convolved.source)
@@ -121,7 +126,8 @@ def test_scan_covers_each_path():
 if __name__ == "__main__":
     gates, seeds = int(float(sys.argv[1])), int(sys.argv[2])
     z = zscan(CASES, gates, range(seeds))
-    print("all", summary(z))
+    result = summary(z)
+    print("all", result)
     for m, name in enumerate(STATISTICS):
         print(name, summary(z[:, :, m]))
     worst = np.argwhere(np.abs(z) > 4.0)
@@ -130,3 +136,7 @@ if __name__ == "__main__":
               f"{z[i, j, m]:+.2f}")
     print("pooled sd per case:",
           [round(float(np.nanstd(z[i])), 3) for i in range(len(CASES))])
+    if not (SCAN_SD_BOUNDS[0] <= result["sd"] <= SCAN_SD_BOUNDS[1]
+            and result["max_abs"] <= SCAN_Z_MAX):
+        sys.exit(f"z-scan outside pooled sd {SCAN_SD_BOUNDS} or |z| <= "
+                 f"{SCAN_Z_MAX}")
