@@ -15,13 +15,14 @@ bit-identical report.  Each layer is one exact draw for the whole run:
   whose table would have more cells than its gates over _CELL_GATES, or
   than _TABLE_CELLS (_CONVOLVE_CELLS for two components), draws
   near-equal chunks of gates from `sample_occupancy` instead (_CHUNKS, or
-  more so that none exceeds _GROUP_COST // 64 gates) and thins them gate
-  by gate.
+  more so that none exceeds _GROUP_COST // 64 gates).
 * Counts, in two binomial-thinning stages: d ~ Binomial(n, s), then xi ~
-  Binomial(d, p/(p + q)).  In each stage a row split j sends the gates
-  with a count k <= j through one multinomial per row over the binomial
-  cells 0..j, and those with k > j through one binomial each.  j prices a
-  table cell at 1, a gate at _GATE_COST and any gates at _START_COST more.
+  Binomial(d, p/(p + q)).  In each stage of a table run a row split j
+  sends the gates with a count k <= j through one multinomial per row
+  over the binomial cells 0..j, and those with k > j through one binomial
+  each; j prices a table cell at 1, a gate at _GATE_COST and any gates at
+  _START_COST more.  A chunk's gates, and those past the second stage's j,
+  are split by one path, `_split_per_gate`.
 
 Point estimates come from exact integer sums of per-gate features: (xi,
 eta, xi**2, eta**2, xi*eta) for K, R and the mean counts, (n, n**2) for
@@ -40,8 +41,7 @@ import numpy as np
 
 from .elementary import TernaryLaw, _xlogy
 from .errors import DomainError
-from .sources import (SourceLaw, _TAIL_EPS, _cutoff_window,
-                      source_factorial_moments)
+from .sources import SourceLaw, _TAIL_EPS, _cutoff_window
 
 DEFAULT_Z_MAX = 4.0
 # The cost of thinning one gate by one binomial, in multinomial table
@@ -233,15 +233,6 @@ def _stage_probabilities(law: TernaryLaw):
     return law.s, (law.t_transmit if law.p + law.q > 0.0 else 0.0)
 
 
-def _thin_per_gate(rng: np.random.Generator, law: TernaryLaw, n):
-    """Per-gate counts: d ~ Binomial(n, s) detected, xi ~ Binomial(d,
-    p/(p + q)), and eta = d - xi."""
-    s, t = _stage_probabilities(law)
-    d = rng.binomial(n, s)
-    xi = rng.binomial(d, t)
-    return xi, d - xi
-
-
 def _multinomial(rng: np.random.Generator, n, pvals):
     """Draw n gates over the cells of pvals, or n[i] over those of its row
     i, sorted by their probability: a multinomial draw gives its last cell
@@ -266,8 +257,7 @@ def _occupancy_histogram(rng: np.random.Generator, cfg: SimulationConfig):
     src = cfg.source
     cells = min(cfg.gates // _CELL_GATES, _TABLE_CELLS
                 if len(src._components) == 1 else _CONVOLVE_CELLS)
-    window = (_cutoff_window(src, _TAIL_EPS, cells - 1)[0]
-              if source_factorial_moments(src).mean < cells else None)
+    window = _cutoff_window(src, _TAIL_EPS, cells - 1)[0]
     return None if window is None else _trimmed(
         _multinomial(rng, cfg.gates, window))
 
@@ -302,80 +292,79 @@ def _gates_above(histogram, split: int):
         yield np.repeat(values[rows], take)
 
 
-def _thin(rng: np.random.Generator, histogram, pi: float):
-    """Thin the gates per count k in `histogram`: each of a gate's k units
-    is kept with probability pi, so the gate keeps a ~ Binomial(k, pi).
+def _thin(rng: np.random.Generator, histogram, split: int, pi: float):
+    """Thin the gates per count k <= split in `histogram`: each unit of a
+    gate is kept with probability pi, so it keeps a ~ Binomial(k, pi).
 
-    Yields batches (k, kept), drawn as they are read.  For a row split j
-    (`_row_split`), the gates with k <= j are thinned by one multinomial
-    per row that counts a gate, over the sorted cells of its
-    `_binomial_table` row: kept[i, a] gates of count k[i] keep a, a = 0..j.
-    The gates with k > j are thinned by one binomial each, k and kept one
-    gate a column, in order of k.  Both draws are exact, and no batch holds
-    more than _GROUP_COST // 64 gates or cells (or one table row), so memory
-    does not grow with a run's gates.
+    Yields batches (k, kept), drawn as they are read: one multinomial per
+    row that counts a gate, over the sorted cells of its `_binomial_table`
+    row, so kept[i, a] gates of count k[i] keep a, a = 0..split.  The draw
+    is exact, and no batch holds more than _GROUP_COST // 64 cells (or one
+    table row), so memory does not grow with a run's gates.
     """
-    split = _row_split(histogram)
     occupied = np.flatnonzero(histogram[:split + 1])
     step = max(1, _GROUP_COST // 64 // (split + 1))
     for lo in range(0, len(occupied), step):
         rows = occupied[lo:lo + step]
         yield rows, _multinomial(rng, histogram[rows],
                                  _binomial_table(rows, split, pi))
-    for k in _gates_above(histogram, split):
-        yield k, rng.binomial(k, pi)
 
 
 def _detected(rng: np.random.Generator, occupancy, s: float):
     """The gates per detected count d ~ Binomial(n, s) of the gates per
-    occupancy n in `occupancy`: the first `_thin` stage."""
+    occupancy n in `occupancy`: the first thinning stage, its gates past
+    the row split (`_row_split`) one binomial each, in order of n."""
     detected = np.zeros(len(occupancy), dtype=np.int64)
-    for _, kept in _thin(rng, occupancy, s):
-        if kept.ndim == 2:  # the gates per row and kept count
-            detected[:kept.shape[1]] += kept.sum(axis=0)
-        else:  # a kept count a gate
-            np.add.at(detected, kept, 1)
+    split = _row_split(occupancy)
+    for _, kept in _thin(rng, occupancy, split, s):
+        detected[:kept.shape[1]] += kept.sum(axis=0)
+    for n in _gates_above(occupancy, split):
+        np.add.at(detected, rng.binomial(n, s), 1)
     return _trimmed(detected)
+
+
+def _split_per_gate(rng: np.random.Generator, d, t: float, counts: _Moments):
+    """Add to `counts` the count features of gates with detected counts d,
+    each split as xi ~ Binomial(d, t): pooled into their distinct (d, xi)
+    cells when those span no more cells than there are gates."""
+    xi = rng.binomial(d, t)
+    d_low, xi_low = d.min(), xi.min()
+    width = int(xi.max() - xi_low) + 1
+    gates = None
+    if (int(d.max() - d_low) + 1) * width <= len(d):
+        gates = np.bincount((d - d_low) * width + (xi - xi_low))
+        cell = np.flatnonzero(gates)
+        d, xi, gates = d_low + cell // width, xi_low + cell % width, gates[cell]
+    counts.add(_count_features(xi, d - xi), gates)
 
 
 def _thin_counts(rng: np.random.Generator, law: TernaryLaw, occupancy,
                  counts: _Moments):
     """Add to `counts` the count features of the gates per occupancy in
     `occupancy`: their detected counts d, then the split xi of those, in
-    two `_thin` stages, each with its own row split, and eta = d - xi."""
+    two thinning stages, each with its own row split, and eta = d - xi."""
     s, t = _stage_probabilities(law)
-    for d, kept in _thin(rng, _detected(rng, occupancy, s), t):
-        if kept.ndim == 2:  # the table's (d, xi) cells that count a gate
-            row, xi = np.nonzero(kept)
-            d, gates = d[row], kept[row, xi]
-        else:  # a narrow law's moments then cost a row a pair
-            d, xi, gates = _cells(d, kept)
-        counts.add(_count_features(xi, d - xi), gates)
-
-
-def _cells(k, a):
-    """The distinct pairs (k, a) of gates with these counts, k sorted, and
-    the gates with each; or the gates one by one (gates None) when the
-    pairs span more cells than there are gates."""
-    low = a.min()
-    width = int(a.max() - low) + 1
-    if (int(k[-1] - k[0]) + 1) * width > len(k):
-        return k, a, None
-    gates = np.bincount((k - k[0]) * width + (a - low))
-    cell = np.flatnonzero(gates)
-    return k[0] + cell // width, low + cell % width, gates[cell]
+    detected = _detected(rng, occupancy, s)
+    split = _row_split(detected)
+    for d, kept in _thin(rng, detected, split, t):
+        row, xi = np.nonzero(kept)  # the table's cells that count a gate
+        counts.add(_count_features(xi, d[row] - xi), kept[row, xi])
+    for d in _gates_above(detected, split):
+        _split_per_gate(rng, d, t, counts)
 
 
 def _simulate(cfg: SimulationConfig) -> tuple[_Moments, _Moments]:
     """The moments of the run's count features and occupancy features.
     With an occupancy table, the whole run is drawn layer by layer; without
     one, chunk after chunk, gate by gate, chunk i covering gates [i*g//C,
-    (i+1)*g//C) for C = max(min(_CHUNKS, g), ceil(g / (_GROUP_COST // 64))).
+    (i+1)*g//C) for C = max(min(_CHUNKS, g), ceil(g / (_GROUP_COST // 64))):
+    its occupancies, then their detected counts, then `_split_per_gate`.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     counts, occupancy = _Moments(5), _Moments(2)
     histogram = _occupancy_histogram(rng, cfg)
     if histogram is None:
+        s, t = _stage_probabilities(cfg.law)
         g = cfg.gates
         c = max(min(_CHUNKS, g), -(-g // (_GROUP_COST // 64)))
         for i in range(c):
@@ -385,9 +374,8 @@ def _simulate(cfg: SimulationConfig) -> tuple[_Moments, _Moments]:
             if int(n.max()) ** 2 * size >= 2 ** 63:
                 raise DomainError("occupancy too large: chunk sums of "
                                   "squares would overflow int64")
-            xi, eta = _thin_per_gate(rng, cfg.law, n)
             occupancy.add(_occupancy_features(n))
-            counts.add(_count_features(xi, eta))
+            _split_per_gate(rng, rng.binomial(n, s), t, counts)
     else:
         n = np.flatnonzero(histogram)
         occupancy.add(_occupancy_features(n), histogram[n])

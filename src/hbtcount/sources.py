@@ -341,17 +341,13 @@ def _cutoff_window(src: SourceLaw, room: float, cap: int):
 
 def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
     """Smallest n* whose mass past it, P(n > n*), is at most 1 - mass
-    (`_cutoff_window`), or the end of a bounded support.  Raises
+    (`_cutoff_window`), for bounded and unbounded supports alike.  Raises
     DomainError when no window up to TRUNCATION_CAP passes."""
-    if src.max_count is not None:
-        return src.max_count
     return len(_support_window(src, mass)) - 1
 
 
 def _support_window(src: SourceLaw, mass: float = TRUNCATION_MASS):
     """W_0..W_n* for `support_cutoff`'s n*, with its checks and errors."""
-    if src.max_count is not None:
-        return _window(src, src.max_count)
     far = max(comp.mean_f2()[0] for comp in src._components)
     if far > 3 * TRUNCATION_CAP:  # no window reads terms past this mean
         raise DomainError(f"support cutoff: a component mean {far!r} lies "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elementary import TernaryLaw
+from .elementary import TernaryLaw, sequence_r
 from .errors import DomainError
 from .sources import SourceLaw, source_factorial_moments
 
@@ -39,13 +39,6 @@ class SeriesMoments:
     mandel_q: float
 
 
-def _ratio_prefactor(law: TernaryLaw) -> float:
-    p, q = law.p, law.q
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        raise ValueError("correlation requires 0 < p < 1 and 0 < q < 1")
-    return math.sqrt(p * q / ((1.0 - p) * (1.0 - q)))
-
-
 def series_moments(law: TernaryLaw, src: SourceLaw) -> SeriesMoments:
     """Analytic series observables for a detection law and a source law."""
     fm = source_factorial_moments(src)
@@ -58,7 +51,7 @@ def series_moments(law: TernaryLaw, src: SourceLaw) -> SeriesMoments:
     var_xi = p * (1.0 - p) * fm.mean + p * p * fm.second - mean_xi * mean_xi
     var_eta = q * (1.0 - q) * fm.mean + q * q * fm.second - mean_eta * mean_eta
     cross = p * q * fm.factorial2
-    r_coeff = _ratio_prefactor(law) * (fm.fano - 1.0)
+    r_coeff = -sequence_r(law) * (fm.fano - 1.0)
     return SeriesMoments(mean_xi=mean_xi, var_xi=var_xi,
                          mean_eta=mean_eta, var_eta=var_eta,
                          cross=cross, k_ratio=fm.k_ratio, r_coeff=r_coeff,

@@ -444,6 +444,12 @@ class TestExtremeInputs:
         # anything is allocated (745 GiB and 1e11 floats)
         (["source", "--kind", "coherent", "--max-n", "100000000000"], 2),
         (["modes", "--sweep", "0:1:100000000000"], 2),
+        # a bounded support cut by the exact-tail rule, as an unbounded one:
+        # a mean past the terms read, and 1209 rows of 10**9 + 1
+        (["source", "--kind", "thermal-fermion", "--modes", "1000000000",
+          "--nbar", "0.5"], 3),
+        (["source", "--kind", "thermal-fermion", "--modes", "1000000000",
+          "--nbar", "1e-6"], 0),
     ]
 
     def test_exit_codes(self, capsys):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -25,17 +26,17 @@ from hbtcount import mc
 from hbtcount.mc import (
     _Moments,
     _binomial_table,
-    _cells,
     _count_features,
     _detected,
     _estimates,
+    _gates_above,
     _occupancy_features,
     _occupancy_histogram,
     _row_split,
     _simulate,
+    _split_per_gate,
     _thin,
     _thin_counts,
-    _thin_per_gate,
 )
 from test_acceptance import GRID
 
@@ -50,6 +51,14 @@ def _rng(seed, word=0):
     """A Philox generator keyed (seed, word); a run's stream is word 0."""
     return np.random.Generator(np.random.Philox(
         key=np.array([seed, word], dtype=np.uint64)))
+
+
+def _two_binomials(rng, law, n):
+    """Reference per-gate counts: d ~ Binomial(n, s) detected, then xi ~
+    Binomial(d, p/(p + q)) at detector A, and eta = d - xi."""
+    d = rng.binomial(n, law.s)
+    xi = rng.binomial(d, law.t_transmit)
+    return xi, d - xi
 
 
 def _run_occupancy(cfg):
@@ -107,14 +116,15 @@ def _gate_cells(rng, law, n):
 
 
 def _thin_cells(rng, histogram, pi):
-    """`_thin`'s batches as (k, a, gates): a table's cells that count a
-    gate, with their gates, or gates one by one (gates None)."""
-    for k, kept in _thin(rng, histogram, pi):
-        if kept.ndim == 1:
-            yield k, kept, None
-        else:
-            row, a = np.nonzero(kept)
-            yield k[row], a, kept[row, a]
+    """A thinning stage's draws as (k, a, gates), as `_detected` makes
+    them: `_thin`'s table cells that count a gate, with their gates, then
+    the gates past the row split one by one (gates None)."""
+    split = mc._row_split(histogram)
+    for k, kept in _thin(rng, histogram, split, pi):
+        row, a = np.nonzero(kept)
+        yield k[row], a, kept[row, a]
+    for k in _gates_above(histogram, split):
+        yield k, rng.binomial(k, pi), None
 
 
 def _assert_comoments_close(actual, expected, tol):
@@ -341,7 +351,7 @@ class TestOccupancyHistogram:
         xi, eta, n = [], [], []
         for _ in range(64):
             n.append(sample_occupancy(cfg.source, rng, 100))
-            for values, drawn in zip((xi, eta), _thin_per_gate(rng, LAW,
+            for values, drawn in zip((xi, eta), _two_binomials(rng, LAW,
                                                                n[-1])):
                 values.append(drawn)
         xi, eta, n = map(np.concatenate, (xi, eta, n))
@@ -364,7 +374,7 @@ class TestWithinGateStructure:
         law = TernaryLaw(0.45, 0.45, 0.1)
         src = SourceLaw("boson-polarized", modes=2, nbar=2.0)
         n = sample_occupancy(src, _rng(9, 0), size=5000)
-        xi, eta = _thin_per_gate(_rng(9, 1), law, n)
+        xi, eta = _two_binomials(_rng(9, 1), law, n)
         assert np.all(xi + eta <= n)
         assert np.all(xi >= 0) and np.all(eta >= 0)
         histogram = np.bincount(n)
@@ -405,7 +415,7 @@ class TestWithinGateStructure:
         gates = 200000
         n = sample_occupancy(src, rng, size=gates)
         if split is None:
-            xi, eta = _thin_per_gate(rng, LAW, n)
+            xi, eta = _two_binomials(rng, LAW, n)
             drawn = {(m, k): np.count_nonzero((xi == m) & (eta == k))
                      for m in range(4) for k in range(4)}
         else:
@@ -428,7 +438,7 @@ class TestWithinGateStructure:
     def test_paths_agree_on_sums(self):
         src = SourceLaw("boson-polarized", modes=2, nbar=1.0)
         n = sample_occupancy(src, _rng(17, 0), size=200000)
-        xi, eta = _thin_per_gate(_rng(17, 1), LAW, n)
+        xi, eta = _two_binomials(_rng(17, 1), LAW, n)
         counts = _Moments(5)
         _thin_counts(_rng(17, 2), LAW, np.bincount(n), counts)
         for column, per_gate in enumerate(
@@ -782,16 +792,23 @@ class TestMoments:
                                                    repeated.sums)
         _assert_comoments_close(weighted.comoment, repeated.comoment, 1e-12)
 
-    def test_cells_pool_only_compact_pairs(self):
-        """Sorted counts k and kept counts a pool into distinct pairs when
-        the pairs span no more cells than there are gates."""
-        k, a = np.array([4, 4, 4, 5, 5]), np.array([1, 2, 1, 2, 2])
-        cells = _cells(k, a)
-        assert [c.tolist() for c in cells] == [[4, 4, 5], [1, 2, 2],
-                                               [2, 1, 2]]
-        # 2 gates over 1000 x 1000 cells stay one by one
-        k, a = np.array([0, 999]), np.array([0, 998])
-        assert _cells(k, a)[2] is None
+    def test_split_per_gate_pools_only_compact_cells(self):
+        """Detected counts d, in any order, pool into their distinct (d, xi)
+        cells when those span no more cells than there are gates, and stay
+        one by one otherwise; either way with the reference's draws."""
+        for d, t, pooled in (
+                # 2 x at most 6 cells for 100 gates, unsorted
+                (np.tile([5, 4], 50), 0.4, True),
+                # 1000 x 1 cells for 3 gates, two of them in one cell
+                (np.array([999, 0, 999]), 0.0, False)):
+            xi = _rng(31, 1).binomial(d, t)
+            counts = _Recorder(5)
+            _split_per_gate(_rng(31, 1), d, t, counts)
+            cells = Counter(zip(xi.tolist(), (d - xi).tolist()))
+            assert {row[:2]: g for row, g in counts.cells().items()} == cells
+            assert len(counts.rows[0]) == (len(cells) if pooled else len(d))
+            assert counts.sums == _count_features(xi, d - xi).sum(
+                axis=1).tolist()
 
     def test_sums_stay_exact_past_int64(self):
         """A wide occupancy histogram over many gates: sum gates * n**2
