@@ -178,7 +178,11 @@ def empirical_observables(rec: GateRecord,
         raise ValueError("reference pump must be positive")
     t_obs = rec.singles_t / total
     r_obs = rec.singles_r / total
-    return t_obs, r_obs, t_obs * r_obs * rec.pump / reference_pump
+    m_emp = t_obs * r_obs * rec.pump / reference_pump
+    if not math.isfinite(m_emp):
+        raise DomainError(f"M_emp overflows at reference pump "
+                          f"{reference_pump!r}")
+    return t_obs, r_obs, m_emp
 
 
 def load_table1(path: str | None = None) -> list[GateRecord]:

@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Subcommands: moments, source, k, curve, modes, aspect-grangier, simulate,
-verify.  Output is CSV (default) or JSON, written to stdout or --out.
+verify.  Output is CSV (default) or JSON, written to stdout or --out;
+JSON writes null for a float that is not finite.
 Exit codes: 0 success, 1 failed verification, 2 validation error,
 3 numeric domain error.
 """
@@ -13,6 +14,7 @@ import io
 import csv as _csv
 import functools
 import json
+import math
 import sys
 
 from . import anticorrelation as ac
@@ -37,10 +39,13 @@ def _fmt(value, precision: int):
 
 def _render(rows: list[dict], fmt: str, precision: int) -> str:
     if fmt == "json":
-        def conv(v):
-            return float(_fmt(v, precision)) if isinstance(v, float) else v
+        def conv(v):  # RFC 8259 has no nan or inf: null for those
+            if not isinstance(v, float):
+                return v
+            v = float(_fmt(v, precision))
+            return v if math.isfinite(v) else None
         payload = [{k: conv(v) for k, v in row.items()} for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     writer = _csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()

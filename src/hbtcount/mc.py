@@ -16,13 +16,11 @@ bit-identical report.  Each layer is one exact draw for the whole run:
   than _TABLE_CELLS (_CONVOLVE_CELLS for two components), draws
   near-equal chunks of gates from `sample_occupancy` instead (_CHUNKS, or
   more so that none exceeds _GROUP_COST // 64 gates).
-* Counts, in two binomial-thinning stages: d ~ Binomial(n, s), then xi ~
-  Binomial(d, p/(p + q)).  In each stage of a table run a row split j
-  sends the gates with a count k <= j through one multinomial per row
-  over the binomial cells 0..j, and those with k > j through one binomial
-  each; j prices a table cell at 1, a gate at _GATE_COST and any gates at
-  _START_COST more.  A chunk's gates, and those past the second stage's j,
-  are split by one path, `_split_per_gate`.
+* Counts, in two binomial-thinning stages (`_thin`): d ~ Binomial(n, s),
+  then xi ~ Binomial(d, p/(p + q)).  Every batch of gates is cells (k, a,
+  gates): gates[i] gates of count k[i] that keep a[i].  Each stage's row
+  split prices a table cell at 1, a gate thinned one by one at _GATE_COST
+  and any such gates at _START_COST more.
 
 Point estimates come from exact integer sums of per-gate features: (xi,
 eta, xi**2, eta**2, xi*eta) for K, R and the mean counts, (n, n**2) for
@@ -154,22 +152,22 @@ class _Moments:
     def means(self):
         return np.array([total / self.count for total in self.sums])
 
-    def add(self, features, gates=None):
-        """Add gates with these non-negative int64 features, one row a
-        feature: one gate a column, or gates[i] gates for column i."""
-        count = features.shape[1] if gates is None else int(gates.sum())
-        if gates is None:  # callers keep these int64 sums from wrapping
-            sums = features.sum(axis=1).tolist()
-        elif count * int(features.max()) < 2 ** 63:
+    def add(self, features, gates):
+        """Add gates[i] gates with the non-negative int64 features of column
+        i, one row a feature; the sums are int64 when they cannot wrap."""
+        count = int(gates.sum())
+        if count * int(features.max()) < 2 ** 63:
             sums = (features @ gates).tolist()
         else:  # in Python ints
             sums = (features.astype(object) @ gates.astype(object)).tolist()
         mean = np.array([total / count for total in sums])
-        dev = features - mean[:, None]
-        # einsum, not a BLAS matmul, whose first call maps about 0.4 MB of
-        # buffers for these 5 x 5 products
-        self.comoment += np.einsum(
-            "ij,kj->ik", dev if gates is None else dev * gates, dev)
+        # the deviations and their weighted copy in one block (as two arrays
+        # a fallback chunk faulted in about 500 more pages), and einsum, not
+        # a BLAS matmul, whose first call maps about 0.4 MB of buffers
+        dev, weighted = np.empty((2, *features.shape))
+        np.subtract(features, mean[:, None], out=dev)
+        np.multiply(dev, gates, out=weighted)
+        self.comoment += np.einsum("ij,kj->ik", weighted, dev)
         if self.count:
             delta = mean - self.means()
             self.comoment += np.outer(delta, delta) * (
@@ -275,6 +273,22 @@ def _row_split(histogram) -> int:
     return int(cost.argmin())
 
 
+def _pooled(k, a):
+    """Gates of counts k that keep a, as cells (k, a, gates): pooled by one
+    bincount when the (k, a) cells span no more cells than there are gates,
+    else one cell a gate.  Few new arrays, gates a view of ones: after a heap
+    trim, each new 128 KiB array of a batch faults its pages in again."""
+    k_low, a_low = k.min(), a.min()
+    width = int(a.max() - a_low) + 1
+    if (int(k.max() - k_low) + 1) * width > len(k):
+        return k, a, np.broadcast_to(np.int64(1), k.shape)
+    key = (k - k_low) * width
+    key += a - a_low
+    gates = np.bincount(key)
+    cell = np.flatnonzero(gates)
+    return k_low + cell // width, a_low + cell % width, gates[cell]
+
+
 def _gates_above(histogram, split: int):
     """The counts k > split of the gates in `histogram`, in order, as
     arrays of at most _GROUP_COST // 64 gates."""
@@ -292,65 +306,42 @@ def _gates_above(histogram, split: int):
         yield np.repeat(values[rows], take)
 
 
-def _thin(rng: np.random.Generator, histogram, split: int, pi: float):
-    """Thin the gates per count k <= split in `histogram`: each unit of a
-    gate is kept with probability pi, so it keeps a ~ Binomial(k, pi).
-
-    Yields batches (k, kept), drawn as they are read: one multinomial per
-    row that counts a gate, over the sorted cells of its `_binomial_table`
-    row, so kept[i, a] gates of count k[i] keep a, a = 0..split.  The draw
-    is exact, and no batch holds more than _GROUP_COST // 64 cells (or one
-    table row), so memory does not grow with a run's gates.
-    """
+def _thin(rng: np.random.Generator, histogram, pi: float):
+    """Thin the gates per count k in `histogram`, each unit kept with
+    probability pi, so a gate keeps a ~ Binomial(k, pi).  Yields cells (k,
+    a, gates) as they are drawn: those of one multinomial per occupied row
+    k <= j, the row split (`_row_split`), over its `_binomial_table` row, at
+    most _GROUP_COST // 64 cells (or one row) a draw; then the gates above
+    j, one binomial each in the batches of `_gates_above`, by `_pooled`.
+    The draw is exact, and memory does not grow with a run's gates."""
+    split = _row_split(histogram)
     occupied = np.flatnonzero(histogram[:split + 1])
     step = max(1, _GROUP_COST // 64 // (split + 1))
     for lo in range(0, len(occupied), step):
         rows = occupied[lo:lo + step]
-        yield rows, _multinomial(rng, histogram[rows],
-                                 _binomial_table(rows, split, pi))
+        kept = _multinomial(rng, histogram[rows],
+                            _binomial_table(rows, split, pi))
+        row, a = np.nonzero(kept)
+        yield rows[row], a, kept[row, a]
+    for k in _gates_above(histogram, split):
+        yield _pooled(k, rng.binomial(k, pi))
 
 
 def _detected(rng: np.random.Generator, occupancy, s: float):
-    """The gates per detected count d ~ Binomial(n, s) of the gates per
-    occupancy n in `occupancy`: the first thinning stage, its gates past
-    the row split (`_row_split`) one binomial each, in order of n."""
+    """First thinning stage: gates per detected count d ~ Binomial(n, s)."""
     detected = np.zeros(len(occupancy), dtype=np.int64)
-    split = _row_split(occupancy)
-    for _, kept in _thin(rng, occupancy, split, s):
-        detected[:kept.shape[1]] += kept.sum(axis=0)
-    for n in _gates_above(occupancy, split):
-        np.add.at(detected, rng.binomial(n, s), 1)
+    for _, d, gates in _thin(rng, occupancy, s):
+        np.add.at(detected, d, gates)
     return _trimmed(detected)
-
-
-def _split_per_gate(rng: np.random.Generator, d, t: float, counts: _Moments):
-    """Add to `counts` the count features of gates with detected counts d,
-    each split as xi ~ Binomial(d, t): pooled into their distinct (d, xi)
-    cells when those span no more cells than there are gates."""
-    xi = rng.binomial(d, t)
-    d_low, xi_low = d.min(), xi.min()
-    width = int(xi.max() - xi_low) + 1
-    gates = None
-    if (int(d.max() - d_low) + 1) * width <= len(d):
-        gates = np.bincount((d - d_low) * width + (xi - xi_low))
-        cell = np.flatnonzero(gates)
-        d, xi, gates = d_low + cell // width, xi_low + cell % width, gates[cell]
-    counts.add(_count_features(xi, d - xi), gates)
 
 
 def _thin_counts(rng: np.random.Generator, law: TernaryLaw, occupancy,
                  counts: _Moments):
     """Add to `counts` the count features of the gates per occupancy in
-    `occupancy`: their detected counts d, then the split xi of those, in
-    two thinning stages, each with its own row split, and eta = d - xi."""
+    `occupancy`: detected counts d, their split xi, and eta = d - xi."""
     s, t = _stage_probabilities(law)
-    detected = _detected(rng, occupancy, s)
-    split = _row_split(detected)
-    for d, kept in _thin(rng, detected, split, t):
-        row, xi = np.nonzero(kept)  # the table's cells that count a gate
-        counts.add(_count_features(xi, d[row] - xi), kept[row, xi])
-    for d in _gates_above(detected, split):
-        _split_per_gate(rng, d, t, counts)
+    for d, xi, gates in _thin(rng, _detected(rng, occupancy, s), t):
+        counts.add(_count_features(xi, d - xi), gates)
 
 
 def _simulate(cfg: SimulationConfig) -> tuple[_Moments, _Moments]:
@@ -358,8 +349,7 @@ def _simulate(cfg: SimulationConfig) -> tuple[_Moments, _Moments]:
     With an occupancy table, the whole run is drawn layer by layer; without
     one, chunk after chunk, gate by gate, chunk i covering gates [i*g//C,
     (i+1)*g//C) for C = max(min(_CHUNKS, g), ceil(g / (_GROUP_COST // 64))):
-    its occupancies, then their detected counts, then `_split_per_gate`.
-    """
+    its occupancies, then both thinning stages, one binomial a gate."""
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     counts, occupancy = _Moments(5), _Moments(2)
     histogram = _occupancy_histogram(rng, cfg)
@@ -370,12 +360,16 @@ def _simulate(cfg: SimulationConfig) -> tuple[_Moments, _Moments]:
         for i in range(c):
             size = (i + 1) * g // c - i * g // c
             n = sample_occupancy(cfg.source, rng, size)
-            # xi, eta <= n, so this bounds every int64 sum of the chunk
+            # _Moments keeps every sum exact; this bound, n.max()**2 times
+            # size, keeps the per-gate products n*n, xi*xi, xi*eta in int64
             if int(n.max()) ** 2 * size >= 2 ** 63:
                 raise DomainError("occupancy too large: chunk sums of "
                                   "squares would overflow int64")
-            occupancy.add(_occupancy_features(n))
-            _split_per_gate(rng, rng.binomial(n, s), t, counts)
+            occupancy.add(_occupancy_features(n),
+                          np.broadcast_to(np.int64(1), n.shape))
+            d = rng.binomial(n, s)
+            d, xi, gates = _pooled(d, rng.binomial(d, t))
+            counts.add(_count_features(xi, d - xi), gates)
     else:
         n = np.flatnonzero(histogram)
         occupancy.add(_occupancy_features(n), histogram[n])

@@ -45,8 +45,8 @@ _FIRST_WINDOW = 64
 
 # -- primitive components --------------------------------------------------
 # Each owns log_pmf(n) over an integer array n (-inf outside the support),
-# pgf(z), mean_f2() = (<n>, <n(n-1)>), sample(rng, size) and max_count,
-# the largest n with nonzero weight (None when unbounded).
+# pgf(z), mean_f2() = (<n>, <n(n-1)>), variance(), sample(rng, size) and
+# max_count, the largest n with nonzero weight (None when unbounded).
 
 
 # math.lgamma(k) for 0 < k < 2**12 (inf at the pole k = 0), read by _lgamma
@@ -75,6 +75,9 @@ class Poisson(NamedTuple):
 
     def mean_f2(self) -> tuple[float, float]:
         return self.mean, self.mean * self.mean
+
+    def variance(self) -> float:
+        return self.mean
 
     def sample(self, rng, size: int):
         return rng.poisson(self.mean, size)
@@ -105,6 +108,10 @@ class NegBinomial(NamedTuple):
         per_mode = b / (1.0 - b)
         return order * per_mode, order * (order + 1) * per_mode * per_mode
 
+    def variance(self) -> float:
+        per_mode = self.b / (1.0 - self.b)
+        return self.order * per_mode * (1.0 + per_mode)
+
     def sample(self, rng, size: int):
         """One exact draw a gate (numpy's gamma-Poisson mixture)."""
         return rng.negative_binomial(self.order, 1.0 - self.b, size)
@@ -134,6 +141,9 @@ class Binomial(NamedTuple):
     def mean_f2(self) -> tuple[float, float]:
         order, a = self
         return order * a, order * (order - 1) * a * a
+
+    def variance(self) -> float:
+        return self.order * self.a * (1.0 - self.a)
 
     def sample(self, rng, size: int):
         return rng.binomial(self.order, self.a, size)
@@ -267,6 +277,9 @@ def source_factorial_moments(src: SourceLaw) -> FactorialMoments:
     if len(means) == 2:
         f2 += 2.0 * means[0] * means[1]
     second = f2 + mean
+    if not math.isfinite(second - mean * mean):  # inf - inf past 1.3e154
+        raise DomainError(f"occupancy too large: <n(n-1)> or <n^2> "
+                          f"overflows at mean <n> = {mean!r}")
     fano = (second - mean * mean) / mean
     return FactorialMoments(mean=mean, second=second, factorial2=f2,
                             fano=fano, mandel_q=fano - 1.0)
@@ -280,9 +293,11 @@ def _component_terms(comp, hi: int, terms, limit=math.inf, room=math.inf):
     or its mass past hi, which bounds the source's, exceeds `room`: without
     reading a term when Cantelli's bound on that mass does."""
     bound = math.inf if comp.max_count is None else comp.max_count
-    mean, f2 = comp.mean_f2()
-    gap = mean - hi  # P(n > hi) >= gap**2 / (variance + gap**2) for gap > 0
-    if gap > 0 and gap * gap > room * (f2 + mean - mean * mean + gap * gap):
+    mean = comp.mean_f2()[0]
+    # P(n > hi) >= gap**2 / (variance + gap**2) for gap > 0, so it exceeds
+    # room when gap * (1 - room) > room * variance / gap: no term overflows
+    gap = mean - hi
+    if gap > 0 and gap * (1.0 - room) > room * (comp.variance() / gap):
         return terms, None
     end = hi + 1 + _FIRST_WINDOW
     while True:

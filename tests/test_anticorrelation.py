@@ -5,6 +5,7 @@ import pytest
 
 from hbtcount import (
     CascadeModel,
+    DomainError,
     GateRecord,
     accidental_coincidences,
     alpha_mode_form,
@@ -210,6 +211,10 @@ class TestGateRecord:
         assert t_obs + r_obs == pytest.approx(1.0)
         assert m_emp == pytest.approx(
             t_obs * r_obs * 0.12 / REFERENCE_PUMP)
+
+    def test_m_emp_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="reference pump 5e-324"):
+            empirical_observables(self.REC, reference_pump=5e-324)
 
     def test_rejects_excess_singles(self):
         with pytest.raises(ValueError):

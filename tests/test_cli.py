@@ -18,6 +18,11 @@ def read_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def _refuse(constant):
+    """A `parse_constant` that refuses NaN and Infinity, as RFC 8259 does."""
+    raise ValueError(f"non-finite JSON constant {constant}")
+
+
 class TestMoments:
     def test_binary_limit(self, capsys):
         code, out = run(["moments", "--p", "0.5", "--q", "0.5", "--r", "0",
@@ -294,6 +299,19 @@ class TestOutputHandling:
         code, _ = run(["--precision", "0", "modes", "--x", "1.0"], capsys)
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("argv", [
+        # k_n is undefined at n = 0
+        ["moments", "--p", ".3", "--q", ".2", "--r", ".5", "--n", "0"],
+        # no quanta: K, R and F are undefined
+        ["simulate", "--kind", "coherent", "--nbar", "1e-20", "--p", ".3",
+         "--q", ".2", "--r", ".5", "--gates", "200", "--analytic"],
+    ])
+    def test_json_writes_null_for_non_finite(self, argv, capsys):
+        code, out = run(["--format", "json"] + argv, capsys)
+        assert code == cli.EXIT_OK
+        rows = json.loads(out, parse_constant=_refuse)
+        assert None in (value for row in rows for value in row.values())
+
     def test_csv_round_trip(self, capsys):
         _, out = run(["--precision", "12", "curve", "--statistics", "boson",
                       "--sweep", "0:5:6"], capsys)
@@ -394,7 +412,9 @@ class TestCachedParser:
 
 class TestExtremeInputs:
     """Every subcommand at extreme inputs gives an exit code from 0 to 3
-    (the EXACT cases their own), an `error:` line with codes 2 and 3, and
+    (the EXACT cases their own), an `error:` line with codes 2 and 3, no
+    nan or inf with code 0 (but in the K, R and F rows of `simulate`, which
+    a run without counts cannot define), JSON without NaN or Infinity, and
     never an exception."""
 
     LAW = ["--p", ".3", "--q", ".2", "--r", ".5"]
@@ -450,23 +470,46 @@ class TestExtremeInputs:
           "--nbar", "0.5"], 3),
         (["source", "--kind", "thermal-fermion", "--modes", "1000000000",
           "--nbar", "1e-6"], 0),
+        # <n(n-1)> = mean**2 overflows past a Poisson mean of about 1.3e154
+        (["k", "--kind", "coherent", "--nbar", "1e300"], 3),
+        (["k"] + LAW + ["--kind", "coherent", "--nbar", "1e300"], 3),
+        # M_emp = T_obs * R_obs * Nw / (Nw)_0 overflows
+        (["aspect-grangier", "--reference-pump", "5e-324"], 3),
     ]
 
+    @staticmethod
+    def _non_finite(argv, out):
+        """The CSV rows of `out` that hold nan or inf, but for the K, R and F
+        rows of `simulate`."""
+        rows = [line.split(",") for line in out.splitlines()]
+        return [row for row in rows if {"nan", "inf", "-inf"} & set(row)
+                and not (argv[0] == "simulate" and row[0] in ("k", "r", "f"))]
+
+    def cases(self):
+        return [command + form + ["--nbar", nbar]
+                for nbar in self.NBARS for form in self.FORMS
+                for command in self.SOURCE_COMMANDS] + self.OTHER + [
+            argv for argv, _ in self.EXACT]
+
     def test_exit_codes(self, capsys):
-        cases = [command + form + ["--nbar", nbar]
-                 for nbar in self.NBARS for form in self.FORMS
-                 for command in self.SOURCE_COMMANDS] + self.OTHER
         exact = {tuple(argv): code for argv, code in self.EXACT}
         bad, codes = [], set()
-        for argv in cases + [argv for argv, _ in self.EXACT]:
-            code, _, err = call(argv, capsys)
+        for argv in self.cases():
+            code, out, err = call(argv, capsys)
             codes.add(code)
             if (code not in (0, 1, 2, 3)
                     or code != exact.get(tuple(argv), code)
-                    or code in (2, 3) and not err.startswith("error:")):
+                    or code in (2, 3) and not err.startswith("error:")
+                    or code == 0 and self._non_finite(argv, out)):
                 bad.append((argv, code, err))
         assert bad == []
         assert {0, 2, 3} <= codes
+
+    def test_json_is_strict(self, capsys):
+        for argv in self.cases():
+            code, out, _ = call(["--format", "json"] + argv, capsys)
+            if code in (0, 1):
+                json.loads(out, parse_constant=_refuse)
 
 
 def readme_commands():

@@ -29,12 +29,11 @@ from hbtcount.mc import (
     _count_features,
     _detected,
     _estimates,
-    _gates_above,
     _occupancy_features,
     _occupancy_histogram,
     _row_split,
+    _pooled,
     _simulate,
-    _split_per_gate,
     _thin,
     _thin_counts,
 )
@@ -81,11 +80,10 @@ class _Recorder(_Moments):
         super().__init__(width)
         self.rows, self.gates = [], []
 
-    def add(self, features, gates=None):
+    def add(self, features, gates):
         super().add(features, gates)
         self.rows.append(features.T)
-        self.gates.append(np.ones(features.shape[1], dtype=np.int64)
-                          if gates is None else gates)
+        self.gates.append(gates)
 
     def cells(self) -> dict:
         """The gates per distinct feature row, keyed by the row's tuple."""
@@ -115,16 +113,9 @@ def _gate_cells(rng, law, n):
     return cells, counts
 
 
-def _thin_cells(rng, histogram, pi):
-    """A thinning stage's draws as (k, a, gates), as `_detected` makes
-    them: `_thin`'s table cells that count a gate, with their gates, then
-    the gates past the row split one by one (gates None)."""
-    split = mc._row_split(histogram)
-    for k, kept in _thin(rng, histogram, split, pi):
-        row, a = np.nonzero(kept)
-        yield k[row], a, kept[row, a]
-    for k in _gates_above(histogram, split):
-        yield k, rng.binomial(k, pi), None
+def _ones(features):
+    """One gate for each column of features."""
+    return np.ones(features.shape[1], dtype=np.int64)
 
 
 def _assert_comoments_close(actual, expected, tol):
@@ -166,9 +157,9 @@ class TestDeterminism:
                    for size in (5, 1000, 37)]
         forward, backward = _Moments(5), _Moments(5)
         for batch in batches:
-            forward.add(batch)
+            forward.add(batch, _ones(batch))
         for batch in reversed(batches):
-            backward.add(batch)
+            backward.add(batch, _ones(batch))
         assert forward.sums == backward.sums
         _assert_comoments_close(forward.comoment, backward.comoment, 1e-12)
         occupancy = _Moments(2)
@@ -381,18 +372,18 @@ class TestWithinGateStructure:
         top = len(histogram) - 1
         for split in (0, top // 2, top):
             _force_split(monkeypatch, split)
-            batches = list(_thin_cells(_rng(9, 2), histogram, law.s))
+            batches = list(_thin(_rng(9, 2), histogram, law.s))
             # every gate comes once, and none keeps more than its count
-            k, a = (np.concatenate([batch[i] for batch in batches])
-                    for i in (0, 1))
-            gates = np.concatenate([np.ones_like(k) if g is None else g
-                                    for k, _, g in batches])
+            k, a, gates = (np.concatenate([batch[i] for batch in batches])
+                           for i in (0, 1, 2))
             assert np.array_equal(np.bincount(k, weights=gates,
                                               minlength=top + 1), histogram)
-            assert np.all((a >= 0) & (a <= k))
-            # counts 0..split as drawn cells, the rest one by one, in order
-            assert all(np.all(k <= split) == (g is not None)
-                       for k, _, g in batches)
+            assert np.all((a >= 0) & (a <= k)) and np.all(gates > 0)
+            # counts 0..split from the table first, then the rest in order
+            table = [np.all(k <= split) for k, _, _ in batches]
+            assert table == sorted(table, reverse=True)
+            assert all(np.all(k > split) for (k, _, _), drawn
+                       in zip(batches, table) if not drawn)
             assert np.all(np.diff(k[k > split]) >= 0)
             assert all(len(batch[0]) <= max(1000 // 64, split + 1)
                        for batch in batches)
@@ -787,34 +778,40 @@ class TestMoments:
         gates = rng.integers(1, 9, 40)
         weighted, repeated = _Moments(5), _Moments(5)
         weighted.add(features, gates)
-        repeated.add(np.repeat(features, gates, axis=1))
+        columns = np.repeat(features, gates, axis=1)
+        repeated.add(columns, _ones(columns))
         assert (weighted.count, weighted.sums) == (repeated.count,
                                                    repeated.sums)
         _assert_comoments_close(weighted.comoment, repeated.comoment, 1e-12)
 
-    def test_split_per_gate_pools_only_compact_cells(self):
-        """Detected counts d, in any order, pool into their distinct (d, xi)
-        cells when those span no more cells than there are gates, and stay
-        one by one otherwise; either way with the reference's draws."""
+    def test_pooled_pools_only_compact_cells(self):
+        """Counts d, in any order, and their kept xi pool into their
+        distinct (d, xi) cells when those span no more cells than there are
+        gates, and stay one cell a gate otherwise."""
         for d, t, pooled in (
                 # 2 x at most 6 cells for 100 gates, unsorted
                 (np.tile([5, 4], 50), 0.4, True),
                 # 1000 x 1 cells for 3 gates, two of them in one cell
                 (np.array([999, 0, 999]), 0.0, False)):
             xi = _rng(31, 1).binomial(d, t)
-            counts = _Recorder(5)
-            _split_per_gate(_rng(31, 1), d, t, counts)
-            cells = Counter(zip(xi.tolist(), (d - xi).tolist()))
-            assert {row[:2]: g for row, g in counts.cells().items()} == cells
-            assert len(counts.rows[0]) == (len(cells) if pooled else len(d))
-            assert counts.sums == _count_features(xi, d - xi).sum(
-                axis=1).tolist()
+            k, a, gates = _pooled(d, xi)
+            cells = Counter(zip(d.tolist(), xi.tolist()))
+            if pooled:
+                assert dict(zip(zip(k.tolist(), a.tolist()),
+                                gates.tolist())) == cells
+            else:
+                assert np.array_equal(k, d) and np.array_equal(a, xi)
+            assert len(k) == (len(cells) if pooled else len(d))
+            assert gates.dtype == np.int64 and gates.sum() == len(d)
 
-    def test_sums_stay_exact_past_int64(self):
-        """A wide occupancy histogram over many gates: sum gates * n**2
-        passes 2**63 and is summed in Python ints."""
-        n = np.array([3 * 10 ** 6, 3 * 10 ** 6 + 1])
-        gates = np.array([10 ** 7, 3])
+    @pytest.mark.parametrize("n,gates", [
+        # a wide occupancy histogram over many gates
+        (np.array([3 * 10 ** 6, 3 * 10 ** 6 + 1]), np.array([10 ** 7, 3])),
+        # gates one by one, each n**2 within int64 and their sum not
+        (np.full(4, 2 * 10 ** 9), np.ones(4, dtype=np.int64)),
+    ], ids=["histogram", "per-gate"])
+    def test_sums_stay_exact_past_int64(self, n, gates):
+        """sum gates * n**2 passes 2**63 and is summed in Python ints."""
         moments = _Moments(2)
         moments.add(_occupancy_features(n), gates)
         expected = [sum(g * v ** p for g, v in zip(gates.tolist(), n.tolist()))

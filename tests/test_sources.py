@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -280,6 +281,15 @@ class TestCutoffWork:
             support_cutoff(src)
         assert sum(evaluated) < 2.01 * TRUNCATION_CAP
 
+    @pytest.mark.parametrize("nbar", [1e150, 1e300])
+    def test_mean_past_the_cap_reads_no_term(self, nbar):
+        """Cantelli's bound fails the window at once, also where the square
+        of the Poisson mean overflows."""
+        window, terms = _cutoff_window(SourceLaw("coherent", nbar=nbar),
+                                       2.0 ** -53, 2 ** 17 - 1)
+        assert window is None
+        assert [len(t) for t in terms] == [0]
+
 
 class TestFamilies:
     """Polarized kinds are P = 1 and unpolarized kinds P = 0 of the partial
@@ -411,6 +421,22 @@ class TestFactorialMoments:
         fm = source_factorial_moments(SourceLaw(kind, modes=1, nbar=nbar))
         with pytest.raises(DomainError, match=f"mean <n> = {nbar!r}"):
             fm.k_ratio
+
+    @pytest.mark.parametrize("nbar", [1e155, 1e300])
+    def test_second_moment_overflow_is_domain_error(self, nbar):
+        # <n(n-1)> = mean**2 is inf, and the Fano factor inf - inf
+        with pytest.raises(DomainError,
+                           match=re.escape(f"mean <n> = {nbar!r}")):
+            source_factorial_moments(SourceLaw("coherent", nbar=nbar))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_component_variance(self, kind):
+        src = SourceLaw(kind, modes=3, nbar=0.7, polarization=0.4
+                        if kind.endswith("partial") else None)
+        for comp in src._components:
+            mean, f2 = comp.mean_f2()
+            assert comp.variance() == pytest.approx(f2 + mean - mean * mean,
+                                                    rel=1e-12)
 
     def test_k_ratio_near_underflow_keeps_its_digits(self):
         # <n>**2 = 1e-300 is still a normal float
