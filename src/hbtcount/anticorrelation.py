@@ -174,8 +174,8 @@ def empirical_observables(rec: GateRecord,
     total = rec.singles_t + rec.singles_r
     if total == 0:
         raise DomainError("no singles recorded")
-    if reference_pump <= 0.0:
-        raise ValueError("reference pump must be positive")
+    if not 0.0 < reference_pump < math.inf:
+        raise ValueError("reference pump must be positive and finite")
     t_obs = rec.singles_t / total
     r_obs = rec.singles_r / total
     m_emp = t_obs * r_obs * rec.pump / reference_pump

@@ -161,7 +161,7 @@ def _cmd_k(args) -> list[dict]:
     if law is not None:
         sm = stats.series_moments(law, src)
         row["R"] = sm.r_coeff
-    elif fm.fano == 1.0:
+    elif fm.mandel_q == 0.0:  # R = 0 for every law
         row["R"] = 0.0
     return [row]
 

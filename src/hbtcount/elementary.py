@@ -33,7 +33,7 @@ class TernaryLaw:
 
     def __post_init__(self):
         p, q, r = float(self.p), float(self.q), float(self.r)
-        if min(p, q, r) < 0.0 or max(p, q, r) > 1.0:
+        if not all(0.0 <= x <= 1.0 for x in (p, q, r)):  # nan too
             raise ValueError("probabilities must lie in [0, 1]")
         total = p + q + r
         if abs(total - 1.0) > SUM_INPUT_TOL:

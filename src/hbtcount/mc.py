@@ -395,6 +395,8 @@ def verify(report: EstimateReport, analytic: dict,
     """
     if not analytic:
         raise ValueError("no analytic values supplied")
+    if not math.isfinite(z_max):
+        raise ValueError(f"z_max must be finite, not {z_max}")
     undefined = [name for name in analytic
                  if math.isnan(report.estimate(name).value)]
     if undefined:

@@ -24,8 +24,8 @@ def gaussian_mode_count(x: float) -> float:
     M = [erf(sqrt(pi) x)/x - (1/pi x^2)(1 - exp(-pi x^2))]^(-1);
     tends to 1 as x -> 0 and to x as x -> infinity.
     """
-    if x < 0.0:
-        raise ValueError("overlap x must be non-negative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("overlap x must be finite and non-negative")
     if x < SERIES_THRESHOLD:
         x2 = math.pi * x * x
         inv = 1.0 - x2 / 6.0 + x2 * x2 / 30.0 - x2 ** 3 / 168.0
@@ -41,8 +41,8 @@ def lorentzian_mode_count(x: float) -> float:
     M = [1/x - (1/2 x^2)(1 - exp(-2x))]^(-1); tends to 1 as x -> 0 and to
     x as x -> infinity.
     """
-    if x < 0.0:
-        raise ValueError("overlap x must be non-negative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("overlap x must be finite and non-negative")
     if x < SERIES_THRESHOLD:
         inv = (1.0 - 2.0 * x / 3.0 + x * x / 3.0
                - 2.0 * x ** 3 / 15.0 + 2.0 * x ** 4 / 45.0)
@@ -53,8 +53,8 @@ def lorentzian_mode_count(x: float) -> float:
 
 def linear_mode_count(x: float) -> float:
     """Simple upper approximation M = 1 + x to both closed forms."""
-    if x < 0.0:
-        raise ValueError("overlap x must be non-negative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("overlap x must be finite and non-negative")
     return 1.0 + x
 
 

@@ -45,8 +45,11 @@ _FIRST_WINDOW = 64
 
 # -- primitive components --------------------------------------------------
 # Each owns log_pmf(n) over an integer array n (-inf outside the support),
-# pgf(z), mean_f2() = (<n>, <n(n-1)>), variance(), sample(rng, size) and
-# max_count, the largest n with nonzero weight (None when unbounded).
+# pgf(z), sample(rng, size), max_count (the largest n with nonzero weight,
+# None when unbounded), and two moment members computed from its defining
+# parameters: the mean <n> and Mandel's Q = var n / <n> - 1, the wave part
+# of the variance over <n> (0 for Poisson, +nbar for bosons, -a for
+# fermions).  A source's K = 1 + Q/<n> and F = 1 + Q follow from their sums.
 
 
 # math.lgamma(k) for 0 < k < 2**12 (inf at the pole k = 0), read by _lgamma
@@ -66,6 +69,7 @@ class Poisson(NamedTuple):
 
     mean: float
     max_count = None
+    mandel_q = 0.0
 
     def log_pmf(self, n):
         return n * math.log(self.mean) - self.mean - _lgamma(n + 1)
@@ -73,44 +77,41 @@ class Poisson(NamedTuple):
     def pgf(self, z: float) -> float:
         return math.exp(self.mean * (z - 1.0))
 
-    def mean_f2(self) -> tuple[float, float]:
-        return self.mean, self.mean * self.mean
-
-    def variance(self) -> float:
-        return self.mean
-
     def sample(self, rng, size: int):
         return rng.poisson(self.mean, size)
 
 
 class NegBinomial(NamedTuple):
-    """Negative binomial law of order N and ratio b (bosons, K = 1 + 1/N)."""
+    """Negative binomial law of order N, nbar a mode (bosons, K = 1 + 1/N)."""
 
     order: int
-    b: float
+    nbar: float
     max_count = None
 
+    @property
+    def b(self) -> float:
+        return self.nbar / (1.0 + self.nbar)
+
+    @property
+    def mean(self) -> float:
+        return self.order * self.nbar
+
+    @property
+    def mandel_q(self) -> float:
+        return self.nbar
+
     def log_pmf(self, n):
-        order, b = self
+        order, b = self.order, self.b
         # the log binomial coefficient, 0 for one mode (a geometric law)
         coef = 0.0 if order == 1 else (
             _lgamma(order + n) - math.lgamma(order) - _lgamma(n + 1))
         return coef + order * math.log1p(-b) + _xlogy(n, b)
 
     def pgf(self, z: float) -> float:
-        order, b = self
+        order, b = self.order, self.b
         if b * z >= 1.0:
             raise DomainError("boson pgf requires b*z < 1")
         return ((1.0 - b) / (1.0 - b * z)) ** order
-
-    def mean_f2(self) -> tuple[float, float]:
-        order, b = self
-        per_mode = b / (1.0 - b)
-        return order * per_mode, order * (order + 1) * per_mode * per_mode
-
-    def variance(self) -> float:
-        per_mode = self.b / (1.0 - self.b)
-        return self.order * per_mode * (1.0 + per_mode)
 
     def sample(self, rng, size: int):
         """One exact draw a gate (numpy's gamma-Poisson mixture)."""
@@ -127,6 +128,14 @@ class Binomial(NamedTuple):
     def max_count(self) -> int:
         return self.order
 
+    @property
+    def mean(self) -> float:
+        return self.order * self.a
+
+    @property
+    def mandel_q(self) -> float:
+        return -self.a
+
     def log_pmf(self, n):
         order, a = self
         rest = order - n
@@ -138,23 +147,16 @@ class Binomial(NamedTuple):
     def pgf(self, z: float) -> float:
         return (1.0 + self.a * (z - 1.0)) ** self.order
 
-    def mean_f2(self) -> tuple[float, float]:
-        order, a = self
-        return order * a, order * (order - 1) * a * a
-
-    def variance(self) -> float:
-        return self.order * self.a * (1.0 - self.a)
-
     def sample(self, rng, size: int):
         return rng.binomial(self.order, self.a, size)
 
 
 def _neg_binomial(order: int, nbar: float) -> NegBinomial:
-    b = nbar / (1.0 + nbar)
-    if b >= 1.0:
+    comp = NegBinomial(order, nbar)
+    if comp.b >= 1.0:
         raise DomainError("boson occupancy too large: the ratio "
                           "nbar / (1 + nbar) rounds to 1")
-    return NegBinomial(order, b)
+    return comp
 
 
 @dataclass(frozen=True)
@@ -174,11 +176,15 @@ class SourceLaw:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown source kind: {self.kind!r}")
-        if self.modes != int(self.modes) or self.modes < 1:
+        if not 1 <= self.modes < math.inf or self.modes != int(self.modes):
             raise ValueError("modes must be a positive integer")
         object.__setattr__(self, "modes", int(self.modes))
-        if not self.nbar > 0.0:
-            raise ValueError("nbar must be positive")
+        if self.modes > sys.float_info.max:  # the component means are floats
+            raise DomainError(f"too many modes: M = 10**"
+                              f"{math.log10(self.modes):.1f} is past float "
+                              f"range")
+        if not 0.0 < self.nbar < math.inf:
+            raise ValueError("nbar must be positive and finite")
         if self.kind.endswith("partial"):
             if self.polarization is None:
                 raise ValueError("partial kinds require a polarization degree")
@@ -267,25 +273,27 @@ def source_pmf(src: SourceLaw, n: int) -> float:
 
 def source_pgf(src: SourceLaw, z: float) -> float:
     """Probability generating function Phi(z) = sum W_n z^n."""
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, not {z}")
     return math.prod(comp.pgf(z) for comp in src._components)
 
 
 def source_factorial_moments(src: SourceLaw) -> FactorialMoments:
-    """Analytic <n>, <n^2>, <n(n-1)>, Fano factor and Mandel Q."""
-    means, f2s = zip(*(comp.mean_f2() for comp in src._components))
-    mean, f2 = sum(means), sum(f2s)
-    if len(means) == 2:
-        f2 += 2.0 * means[0] * means[1]
-    second = f2 + mean
-    if not math.isfinite(second - mean * mean):  # inf - inf past 1.3e154
+    """Analytic <n>, <n^2>, <n(n-1)>, Fano factor and Mandel Q: independent
+    components add their means and variances, so Q is their Qs weighted by
+    mean, F = 1 + Q and <n(n-1)> = <n>(<n> + Q)."""
+    comps = src._components
+    mean = sum(comp.mean for comp in comps)
+    q = sum(comp.mean / mean * comp.mandel_q for comp in comps)
+    f2 = mean * (mean + q)
+    if not math.isfinite(f2 + mean):  # past a mean of about 1.3e154
         raise DomainError(f"occupancy too large: <n(n-1)> or <n^2> "
                           f"overflows at mean <n> = {mean!r}")
-    fano = (second - mean * mean) / mean
-    return FactorialMoments(mean=mean, second=second, factorial2=f2,
-                            fano=fano, mandel_q=fano - 1.0)
+    return FactorialMoments(mean=mean, second=f2 + mean, factorial2=f2,
+                            fano=1.0 + q, mandel_q=q)
 
 
-def _component_terms(comp, hi: int, terms, limit=math.inf, room=math.inf):
+def _component_terms(comp, hi: int, terms, limit, room):
     """comp's terms from n = 0: `terms`, then on to hi and past it in chunks
     of about doubling size until they hold its mass past hi (or reach the
     end of its support).  Returns all terms at hand and the holding ones, or
@@ -293,11 +301,12 @@ def _component_terms(comp, hi: int, terms, limit=math.inf, room=math.inf):
     or its mass past hi, which bounds the source's, exceeds `room`: without
     reading a term when Cantelli's bound on that mass does."""
     bound = math.inf if comp.max_count is None else comp.max_count
-    mean = comp.mean_f2()[0]
+    mean = comp.mean
+    variance = mean * (1.0 + comp.mandel_q)
     # P(n > hi) >= gap**2 / (variance + gap**2) for gap > 0, so it exceeds
     # room when gap * (1 - room) > room * variance / gap: no term overflows
     gap = mean - hi
-    if gap > 0 and gap * (1.0 - room) > room * (comp.variance() / gap):
+    if gap > 0 and gap * (1.0 - room) > room * (variance / gap):
         return terms, None
     end = hi + 1 + _FIRST_WINDOW
     while True:
@@ -363,7 +372,7 @@ def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
 
 def _support_window(src: SourceLaw, mass: float = TRUNCATION_MASS):
     """W_0..W_n* for `support_cutoff`'s n*, with its checks and errors."""
-    far = max(comp.mean_f2()[0] for comp in src._components)
+    far = max(comp.mean for comp in src._components)
     if far > 3 * TRUNCATION_CAP:  # no window reads terms past this mean
         raise DomainError(f"support cutoff: a component mean {far!r} lies "
                           f"past the {3 * TRUNCATION_CAP} terms read")
@@ -384,9 +393,9 @@ def poisson_tv_distance(src: SourceLaw) -> float:
     """Total-variation distance between {W_n} and a Poisson law of equal
     mean; it goes to zero in the many-mode, low-occupancy limit."""
     mean = source_factorial_moments(src).mean
-    poisson = SourceLaw("coherent", modes=1, nbar=mean)
-    own = _support_window(src)
-    cutoff = max(len(own) - 1, support_cutoff(poisson))
-    if len(own) <= cutoff:
-        own = _window(src, cutoff)
-    return 0.5 * float(np.abs(own - _window(poisson, cutoff)).sum())
+    laws = (src, SourceLaw("coherent", modes=1, nbar=mean))
+    windows = [_support_window(law) for law in laws]
+    hi = max(map(len, windows)) - 1
+    own, poisson = (w if len(w) > hi else _window(law, hi)
+                    for w, law in zip(windows, laws))
+    return 0.5 * float(np.abs(own - poisson).sum())

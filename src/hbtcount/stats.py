@@ -41,32 +41,27 @@ class SeriesMoments:
 
 def series_moments(law: TernaryLaw, src: SourceLaw) -> SeriesMoments:
     """Analytic series observables for a detection law and a source law."""
-    fm = source_factorial_moments(src)
-    if fm.mean <= 0.0:
-        raise ValueError("series ratios require a positive mean occupancy")
-    p, q = law.p, law.q
-    mean_xi = p * fm.mean
-    mean_eta = q * fm.mean
-    # second moments from <xi^2> = p(1-p)<n> + p^2 <n^2>
-    var_xi = p * (1.0 - p) * fm.mean + p * p * fm.second - mean_xi * mean_xi
-    var_eta = q * (1.0 - q) * fm.mean + q * q * fm.second - mean_eta * mean_eta
-    cross = p * q * fm.factorial2
-    r_coeff = -sequence_r(law) * (fm.fano - 1.0)
-    return SeriesMoments(mean_xi=mean_xi, var_xi=var_xi,
-                         mean_eta=mean_eta, var_eta=var_eta,
-                         cross=cross, k_ratio=fm.k_ratio, r_coeff=r_coeff,
-                         fano=fm.fano, mandel_q=fm.mandel_q)
+    fm = source_factorial_moments(src)  # a SourceLaw's mean is positive
+    p, q, nq = law.p, law.q, fm.mandel_q
+    mean_xi, mean_eta = p * fm.mean, q * fm.mean
+    # var xi = p(1-p)<n> + p^2 var n = p<n>(1 + pQ), and likewise for eta
+    return SeriesMoments(mean_xi=mean_xi, var_xi=mean_xi * (1.0 + p * nq),
+                         mean_eta=mean_eta, var_eta=mean_eta * (1.0 + q * nq),
+                         cross=p * q * fm.factorial2, k_ratio=fm.k_ratio,
+                         r_coeff=-sequence_r(law) * nq,
+                         fano=fm.fano, mandel_q=nq)
 
 
 def exact_correlation(law: TernaryLaw, src: SourceLaw) -> float:
-    """Pearson correlation of (xi, eta), cov / (sigma_xi * sigma_eta).
+    """Pearson correlation of (xi, eta), cov / (sigma_xi * sigma_eta), with
+    cov = pq<n>Q.
 
     This is the quantity a sample correlation coefficient estimates; it
     coincides with SeriesMoments.r_coeff only when the count variances
     reduce to their within-gate parts.
     """
     sm = series_moments(law, src)
-    cov = sm.cross - sm.mean_xi * sm.mean_eta
+    cov = sm.mean_xi * law.q * sm.mandel_q
     return cov / math.sqrt(sm.var_xi * sm.var_eta)
 
 

@@ -63,6 +63,10 @@ class TestK:
         row = read_csv(out)[0]
         assert float(row["K"]) == pytest.approx(1.0)
         assert float(row["R"]) == pytest.approx(0.0)
+        # F = 1 + Q with Q = 0, not a rounded (<n^2> - <n>^2) / <n>
+        code, out = run(["k", "--kind", "coherent", "--nbar", "3.3"], capsys)
+        row = read_csv(out)[0]
+        assert (row["fano"], row["K"], row["R"]) == ("1", "1", "0")
 
     def test_law_flags_add_r_column(self, capsys):
         code, out = run(["k", "--kind", "thermal-boson", "--modes", "2",
@@ -475,6 +479,24 @@ class TestExtremeInputs:
         (["k"] + LAW + ["--kind", "coherent", "--nbar", "1e300"], 3),
         # M_emp = T_obs * R_obs * Nw / (Nw)_0 overflows
         (["aspect-grangier", "--reference-pump", "5e-324"], 3),
+        # a mode count of 201 digits, whose moments or draws overflow, and
+        # one of 401 digits, past float range
+        *((command + ["--kind", kind, "--modes", str(10 ** digits)], 3)
+          for command in (["k"], ["source"],
+                          ["simulate", "--gates", "200"] + LAW)
+          for kind in ("thermal-boson", "thermal-fermion", "coherent")
+          for digits in (200, 400)),
+        # nan and inf are refused where they enter
+        (["modes", "--x", "inf"], 2),
+        (["modes", "--x", "nan"], 2),
+        (["curve", "--statistics", "boson", "--sweep", "0:inf:3"], 2),
+        (["curve", "--statistics", "boson", "--sweep", "nan:1:3"], 2),
+        (["moments", "--p", "nan", "--q", ".5", "--r", ".5"], 2),
+        (["source", "--kind", "coherent", "--pgf", "nan"], 2),
+        (["source", "--kind", "coherent", "--nbar", "inf", "--pgf", "0.5"], 2),
+        (["verify", "--kind", "coherent"] + LAW
+         + ["--gates", "200", "--z-max", "nan"], 2),
+        (["aspect-grangier", "--reference-pump", "nan"], 2),
     ]
 
     @staticmethod

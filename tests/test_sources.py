@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from hbtcount import (
@@ -430,13 +431,30 @@ class TestFactorialMoments:
             source_factorial_moments(SourceLaw("coherent", nbar=nbar))
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_component_variance(self, kind):
+    def test_component_mean_and_q_against_pmf_sums(self, kind):
+        """Each component's mean and mean * (1 + Q) are its pmf's mean and
+        variance."""
         src = SourceLaw(kind, modes=3, nbar=0.7, polarization=0.4
                         if kind.endswith("partial") else None)
+        n = np.arange(400)
         for comp in src._components:
-            mean, f2 = comp.mean_f2()
-            assert comp.variance() == pytest.approx(f2 + mean - mean * mean,
-                                                    rel=1e-12)
+            w = np.exp(comp.log_pmf(n))
+            mean = math.fsum(n * w)
+            assert comp.mean == pytest.approx(mean, rel=1e-12)
+            assert comp.mean * (1.0 + comp.mandel_q) == pytest.approx(
+                math.fsum((n - mean) ** 2 * w), rel=1e-12)
+
+    def test_many_mode_fermion_fano_is_exact(self):
+        # <n^2> - <n>^2 at <n> = 5e14 kept about 2 digits of F
+        fm = source_factorial_moments(
+            SourceLaw("fermion-polarized", modes=10 ** 15, nbar=0.5))
+        assert fm.fano == 0.5
+
+    def test_boson_mean_is_exact(self):
+        # nbar, not b / (1 - b) from the ratio b = nbar / (1 + nbar)
+        fm = source_factorial_moments(
+            SourceLaw("boson-polarized", modes=1, nbar=1e15))
+        assert fm.mean == 1e15
 
     def test_k_ratio_near_underflow_keeps_its_digits(self):
         # <n>**2 = 1e-300 is still a normal float

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hbtcount import (
@@ -55,6 +56,25 @@ class TestSeriesMoments:
         assert sm.k_ratio == pytest.approx(1.0)
         assert sm.r_coeff == pytest.approx(0.0, abs=1e-14)
         assert sm.fano == pytest.approx(1.0)
+
+    def test_coherent_moments_are_exact(self):
+        """F = 1, Q = 0, R = 0 and a zero covariance at every occupancy: no
+        squared mean is subtracted from a raw second moment."""
+        bad = []
+        for modes in (1, 3, 7):
+            for nbar in np.logspace(-3, 15, 1000).tolist():
+                src = SourceLaw("coherent", modes=modes, nbar=nbar)
+                sm = series_moments(LAW_A, src)
+                got = (sm.fano, sm.mandel_q, sm.r_coeff,
+                       exact_correlation(LAW_A, src))
+                if got != (1.0, 0.0, 0.0, 0.0):
+                    bad.append((modes, nbar, got))
+        assert bad == []
+
+    def test_coherent_count_variance_is_its_mean(self):
+        sm = series_moments(LAW_A, SourceLaw("coherent", nbar=1e12))
+        assert sm.var_xi == pytest.approx(3e11, rel=1e-15)
+        assert sm.var_eta == pytest.approx(2e11, rel=1e-15)
 
     def test_single_mode_boson_bump(self):
         for nbar in (0.3, 1.0, 2.5):
