@@ -38,8 +38,8 @@ class CascadeModel:
     gamma1: float               # upper-level decay rate, 1/s
 
     def __post_init__(self):
-        if min(self.pump_rate, self.gate, self.lifetime,
-               self.solid_angle_ratio, self.gamma1) <= 0.0:
+        if not all(x > 0.0 for x in (self.pump_rate, self.gate, self.lifetime,
+                                     self.solid_angle_ratio, self.gamma1)):
             raise ValueError("cascade parameters must be positive")
         if self.gamma2 <= self.gamma1:
             raise ValueError("requires gamma2 = 1/tau_s > gamma1")
@@ -90,7 +90,7 @@ def cascade_population(t: float, gamma1: float, gamma2: float) -> float:
     P2(t) = gamma1/(gamma2-gamma1) * (exp(-gamma1 t) - exp(-gamma2 t));
     the degenerate-rate limit gamma1 -> gamma2 uses gamma1*t*exp(-gamma1 t).
     """
-    if gamma1 <= 0.0 or gamma2 <= 0.0 or t < 0.0:
+    if not (gamma1 > 0.0 and gamma2 > 0.0 and t >= 0.0):
         raise ValueError("rates must be positive and t non-negative")
     if abs(gamma1 - gamma2) / gamma2 < 1e-12:
         return gamma1 * t * math.exp(-gamma1 * t)
@@ -100,14 +100,14 @@ def cascade_population(t: float, gamma1: float, gamma2: float) -> float:
 
 def gate_overlap(gate: float, lifetime: float, omega_ratio: float) -> float:
     """Overlap factor f(w) = (Omega2/Omega1) * (1 - exp(-w/tau_s))."""
-    if min(gate, lifetime, omega_ratio) <= 0.0:
+    if not all(x > 0.0 for x in (gate, lifetime, omega_ratio)):
         raise ValueError("gate, lifetime and solid-angle ratio must be positive")
     return omega_ratio * -math.expm1(-gate / lifetime)
 
 
 def alpha_qm(pump: float, f: float) -> float:
     """Quantum anticorrelation parameter (2 f Nw + Nw^2)/(f + Nw)^2 (< 1)."""
-    if pump < 0.0 or f <= 0.0:
+    if not (pump >= 0.0 and f > 0.0):
         raise ValueError("requires Nw >= 0 and f > 0")
     try:
         return (2.0 * f * pump + pump * pump) / (f + pump) ** 2
@@ -118,7 +118,7 @@ def alpha_qm(pump: float, f: float) -> float:
 
 def alpha_mode_form(pump: float, f: float) -> tuple[float, float]:
     """Equivalent mode form: M = (f + Nw)^2 / f^2, alpha = 1 - 1/M."""
-    if pump < 0.0 or f <= 0.0:
+    if not (pump >= 0.0 and f > 0.0):
         raise ValueError("requires Nw >= 0 and f > 0")
     m_bar = ((f + pump) / f) ** 2
     return 1.0 - 1.0 / m_bar, m_bar
@@ -130,7 +130,7 @@ def k_anticorrelation(pump: float, f: float) -> tuple[float, float]:
     The dimensionless overlap is x = 4 * Nw * f; returns (K, M) with
     K = 1 - 1/M and M the Lorentzian mode count at x.
     """
-    if pump < 0.0 or f <= 0.0:
+    if not (pump >= 0.0 and f > 0.0):
         raise ValueError("requires Nw >= 0 and f > 0")
     m = lorentzian_mode_count(4.0 * pump * f)
     return 1.0 - 1.0 / m, m

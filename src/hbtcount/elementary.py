@@ -111,7 +111,7 @@ def sequence_gf(law: TernaryLaw, n: int, x, y):
     """Generating function (p x + q y + r)^n; |x| <= 1, |y| <= 1."""
     if n != int(n) or n < 0:
         raise ValueError("n must be a non-negative integer")
-    if abs(x) > 1.0 + 1e-15 or abs(y) > 1.0 + 1e-15:
+    if not (abs(x) <= 1.0 + 1e-15 and abs(y) <= 1.0 + 1e-15):
         raise ValueError("subsidiary variables must lie in the unit disk")
     return (law.p * x + law.q * y + law.r) ** int(n)
 

@@ -219,9 +219,15 @@ def _binomial_table(rows, top: int, pi: float):
     k = np.asarray(rows)[:, None]
     rest = np.maximum(k - a, 0)
     log_fact = np.cumsum(np.log(np.maximum(a, 1)))
-    table = np.exp(log_fact[k] - log_fact[a] - log_fact[rest]
-                   + _xlogy(a, pi) + _xlogy(rest, -pi, math.log1p))
-    return np.where(a <= k, table, 0.0)
+    # in place in one array, in the order log k! - log a! - log rest!
+    # + a log pi + rest log(1 - pi)
+    table = log_fact[k] - log_fact[a]
+    table -= log_fact[rest]
+    table += _xlogy(a, pi)
+    table += _xlogy(rest, -pi, math.log1p)
+    np.exp(table, out=table)
+    table[a > k] = 0.0
+    return table
 
 
 def _stage_probabilities(law: TernaryLaw):
@@ -360,8 +366,10 @@ def _simulate(cfg: SimulationConfig) -> tuple[_Moments, _Moments]:
         for i in range(c):
             size = (i + 1) * g // c - i * g // c
             n = sample_occupancy(cfg.source, rng, size)
-            # _Moments keeps every sum exact; this bound, n.max()**2 times
-            # size, keeps the per-gate products n*n, xi*xi, xi*eta in int64
+            # n.max()**2 < 2**63 alone keeps the per-gate products n*n,
+            # xi*xi, xi*eta in int64; the factor size keeps the chunk's sums
+            # on _Moments.add's int64 path too.  Both of its paths are exact,
+            # so this guard is stricter than exactness needs.
             if int(n.max()) ** 2 * size >= 2 ** 63:
                 raise DomainError("occupancy too large: chunk sums of "
                                   "squares would overflow int64")

@@ -88,14 +88,14 @@ class ModeProfile:
 
 def asymptotic_mode_count(gate: float, bandwidth: float) -> float:
     """Large-M asymptote for the longitudinal mode count, tau_D * delta_nu."""
-    if gate <= 0.0 or bandwidth <= 0.0:
+    if not (gate > 0.0 and bandwidth > 0.0):
         raise ValueError("gate duration and bandwidth must be positive")
     return gate * bandwidth
 
 
 def cartesian_mode_count(m_x: float, m_y: float, m_t: float) -> float:
     """Factorized mode count M_x * M_y * M_t (valid under cross-spectral purity)."""
-    if min(m_x, m_y, m_t) < 1.0:
+    if not (m_x >= 1.0 and m_y >= 1.0 and m_t >= 1.0):
         raise ValueError("each factor must be at least 1")
     return m_x * m_y * m_t
 

@@ -44,12 +44,14 @@ _FIRST_WINDOW = 64
 
 
 # -- primitive components --------------------------------------------------
-# Each owns log_pmf(n) over an integer array n (-inf outside the support),
-# pgf(z), sample(rng, size), max_count (the largest n with nonzero weight,
-# None when unbounded), and two moment members computed from its defining
-# parameters: the mean <n> and Mandel's Q = var n / <n> - 1, the wave part
-# of the variance over <n> (0 for Poisson, +nbar for bosons, -a for
-# fermions).  A source's K = 1 + Q/<n> and F = 1 + Q follow from their sums.
+# Each is evaluated from its defining parameters alone (a mean; an order and
+# the occupation per mode, nbar or a), with no derived parameter stored or
+# rounded.  Each owns log_pmf(n) over an integer array n (-inf outside the
+# support), pgf(z), sample(rng, size), max_count (the largest n with nonzero
+# weight, None when unbounded), and two moment members: the mean <n> and
+# Mandel's Q = var n / <n> - 1, the wave part of the variance over <n> (0
+# for Poisson, +nbar for bosons, -a for fermions).  A source's K = 1 + Q/<n>
+# and F = 1 + Q follow from their sums.
 
 
 # math.lgamma(k) for 0 < k < 2**12 (inf at the pole k = 0), read by _lgamma
@@ -89,10 +91,6 @@ class NegBinomial(NamedTuple):
     max_count = None
 
     @property
-    def b(self) -> float:
-        return self.nbar / (1.0 + self.nbar)
-
-    @property
     def mean(self) -> float:
         return self.order * self.nbar
 
@@ -101,21 +99,24 @@ class NegBinomial(NamedTuple):
         return self.nbar
 
     def log_pmf(self, n):
-        order, b = self.order, self.b
+        order, nbar = self
         # the log binomial coefficient, 0 for one mode (a geometric law)
         coef = 0.0 if order == 1 else (
             _lgamma(order + n) - math.lgamma(order) - _lgamma(n + 1))
-        return coef + order * math.log1p(-b) + _xlogy(n, b)
+        # log(nbar / (1 + nbar)), without cancellation on either side of 1
+        log_b = (math.log(nbar) - math.log1p(nbar) if nbar < 1.0
+                 else -math.log1p(1.0 / nbar))
+        return coef - order * math.log1p(nbar) + n * log_b
 
     def pgf(self, z: float) -> float:
-        order, b = self.order, self.b
-        if b * z >= 1.0:
-            raise DomainError("boson pgf requires b*z < 1")
-        return ((1.0 - b) / (1.0 - b * z)) ** order
+        base = 1.0 - self.nbar * (z - 1.0)
+        if not base > 0.0:
+            raise DomainError("boson pgf requires nbar*(z - 1) < 1")
+        return base ** -self.order
 
     def sample(self, rng, size: int):
         """One exact draw a gate (numpy's gamma-Poisson mixture)."""
-        return rng.negative_binomial(self.order, 1.0 - self.b, size)
+        return rng.negative_binomial(self.order, 1.0 / (1.0 + self.nbar), size)
 
 
 class Binomial(NamedTuple):
@@ -149,14 +150,6 @@ class Binomial(NamedTuple):
 
     def sample(self, rng, size: int):
         return rng.binomial(self.order, self.a, size)
-
-
-def _neg_binomial(order: int, nbar: float) -> NegBinomial:
-    comp = NegBinomial(order, nbar)
-    if comp.b >= 1.0:
-        raise DomainError("boson occupancy too large: the ratio "
-                          "nbar / (1 + nbar) rounds to 1")
-    return comp
 
 
 @dataclass(frozen=True)
@@ -204,7 +197,7 @@ class SourceLaw:
         family, suffix = self.kind.split("-")
         pol = {"polarized": 1.0, "unpolarized": 0.0}.get(suffix,
                                                          self.polarization)
-        make = _neg_binomial if family == "boson" else Binomial
+        make = NegBinomial if family == "boson" else Binomial
         # equal to 0.5 * nb * (1 +/- P) for normal nb, and exactly nb at P = 1
         channels = [nb * (0.5 * (1.0 + pol)), nb * (0.5 * (1.0 - pol))]
         if pol == 1.0:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .elementary import TernaryLaw, sequence_r
-from .errors import DomainError
 from .sources import SourceLaw, source_factorial_moments
 
 
@@ -74,7 +73,7 @@ def thermal_k(statistics: str, modes: float, polarized: bool) -> float:
     """
     if statistics not in ("boson", "fermion"):
         raise ValueError("statistics must be 'boson' or 'fermion'")
-    if modes <= 0.0:
+    if not modes > 0.0:
         raise ValueError("mode count must be positive")
     order = modes if polarized else 2.0 * modes
     if statistics == "boson":
@@ -93,7 +92,7 @@ def energy_fluctuation(statistics: str, mean_energy: float, quantum: float,
     """
     if statistics not in ("boson", "fermion"):
         raise ValueError("statistics must be 'boson' or 'fermion'")
-    if mean_energy <= 0.0 or quantum <= 0.0 or modes <= 0.0:
+    if not (mean_energy > 0.0 and quantum > 0.0 and modes > 0.0):
         raise ValueError("mean energy, quantum and mode count must be positive")
     if statistics == "boson":
         return quantum * mean_energy + mean_energy ** 2 / modes
@@ -104,20 +103,20 @@ def energy_fluctuation(statistics: str, mean_energy: float, quantum: float,
 
 def max_contrast_pump(mean_detected: float) -> float:
     """No-loss fraction s = 2/(1 + <n>) at which R reaches 1 for T = 1/2."""
-    if mean_detected <= 1.0:
+    if not mean_detected > 1.0:
         raise ValueError("maximum contrast requires a mean occupancy above 1")
     return 2.0 / (1.0 + mean_detected)
 
 
 def entropy_change(mean: float) -> float:
     """Entropy change (1+<n>)ln(1+<n>) - <n>ln<n> in units of k_B."""
-    if mean <= 0.0:
-        raise DomainError("entropy change requires a positive mean")
+    if not mean > 0.0:
+        raise ValueError("entropy change requires a positive mean")
     return (1.0 + mean) * math.log1p(mean) - mean * math.log(mean)
 
 
 def contrast_z(n_background: float, n_coincidence: float) -> float:
     """Relative dip size Z = N_bg / (N_bg - N_c); equals M (polarized) or 2M."""
-    if n_coincidence < 0.0 or n_background <= n_coincidence:
+    if not n_background > n_coincidence >= 0.0:
         raise ValueError("requires N_bg > N_c >= 0")
     return n_background / (n_background - n_coincidence)

@@ -231,18 +231,25 @@ class TestSimulateAndVerify:
         assert err.startswith("error:") == (expected == cli.EXIT_DOMAIN)
 
     @pytest.mark.parametrize("command", ["k", "verify"])
-    def test_boson_occupancy_past_float_resolution_is_domain_error(
-            self, capsys, command):
-        # nbar / (1 + nbar) rounds to 1 from nbar = 2**53 on
-        argv = [command, "--kind", "thermal-boson", "--modes", "1",
+    def test_boson_occupancy_past_float_resolution(self, capsys, command):
+        # the law is evaluated from nbar, past nbar = 2**53 too; a run's
+        # occupancies of about 1e17 have squares past int64, which the
+        # gate-by-gate chunks refuse
+        argv = [command, "--kind", "thermal-boson", "--modes", "3",
                 "--nbar", "1e17"]
         if command == "verify":
             argv += ["--p", ".3", "--q", ".2", "--r", ".5", "--gates", "1000"]
         code = cli.main(argv)
         captured = capsys.readouterr()
-        assert code == cli.EXIT_DOMAIN
-        assert captured.err.startswith("error:")
-        assert captured.out == ""
+        if command == "k":
+            assert code == cli.EXIT_OK
+            assert captured.out.splitlines()[1] == (
+                "thermal-boson,3e+17,1e+17,1.33333")
+        else:
+            assert code == cli.EXIT_DOMAIN
+            assert captured.err.startswith("error: occupancy too large: "
+                                           "chunk sums of squares")
+            assert captured.out == ""
 
     def test_channel_occupancy_underflow_is_domain_error(self, capsys):
         code = cli.main(["k", "--kind", "thermal-boson", "--unpolarized",

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hbtcount.sources import (
     TRUNCATION_MASS,
     NegBinomial,
     _cutoff_window,
+    _lgamma,
     _window,
 )
 
@@ -309,8 +312,7 @@ class TestFamilies:
     def test_unpolarized_is_one_component_of_twice_the_order(self):
         src = SourceLaw("boson-unpolarized", modes=3, nbar=0.8)
         (comp,) = src._components
-        assert comp.order == 6
-        assert comp.b == 0.8 / 2.8
+        assert comp == NegBinomial(6, 0.4)
 
 
 class TestCutoffWindow:
@@ -346,17 +348,88 @@ class TestCutoffWindow:
 
 
 class TestBosonOccupancyLimit:
-    @pytest.mark.parametrize("kind", ["boson-polarized", "boson-unpolarized",
-                                      "boson-partial"])
-    def test_ratio_rounding_to_one_is_domain_error(self, kind):
-        src = SourceLaw(kind, modes=1, nbar=1e17, polarization=0.5
+    @pytest.mark.parametrize("nbar", [1e17, 1e100])
+    @pytest.mark.parametrize("kind,channels", [
+        ("boson-polarized", [(1, 1.0)]), ("boson-unpolarized", [(2, 0.5)]),
+        ("boson-partial", [(1, 0.75), (1, 0.25)])])
+    def test_occupancy_past_float_resolution_has_exact_moments(
+            self, kind, channels, nbar):
+        # (order, share of nbar) a component: mean sum(order * share) nbar
+        # = nbar, Mandel Q sum(order * share**2) nbar
+        src = SourceLaw(kind, modes=1, nbar=nbar, polarization=0.5
                         if kind == "boson-partial" else None)
-        with pytest.raises(DomainError, match="rounds to 1"):
-            source_factorial_moments(src)
+        fm = source_factorial_moments(src)
+        q = sum(order * share ** 2 for order, share in channels) * nbar
+        assert fm.mean == nbar
+        assert fm.mandel_q == pytest.approx(q, rel=1e-15)
+        assert fm.fano == pytest.approx(1.0 + q, rel=1e-15)
+        assert fm.factorial2 == pytest.approx(nbar * (nbar + q), rel=1e-15)
+        assert fm.k_ratio == pytest.approx(1.0 + q / nbar, rel=1e-15)
 
     def test_largest_resolved_occupancy_is_finite(self):
         src = SourceLaw("boson-polarized", modes=1, nbar=1e15)
         assert math.isfinite(source_factorial_moments(src).fano)
+
+
+NEG_BINOMIAL_NBARS = [5e-324, 1e-300, 1e-10, 1 / 3, 1.0, 7.0, 1e4, 2.0 ** 51,
+                      1e15, 1e17, 1e100]
+
+
+class TestNegBinomialFromNbar:
+    """The boson component is evaluated from nbar alone: its pmf, pgf and
+    draws follow the law whose mean is order * nbar, at every nbar."""
+
+    @pytest.mark.parametrize("nbar", NEG_BINOMIAL_NBARS)
+    @pytest.mark.parametrize("order", [1, 3, 1000])
+    def test_log_pmf_against_mpmath(self, order, nbar):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+        comp = NegBinomial(order, nbar)
+        # counts 0..40 and 40 log-spaced ones up to 40 means past the mean,
+        # within int64
+        top = min(40 * comp.mean + 40, 2 ** 62)
+        n = np.unique(np.concatenate((
+            np.arange(41), np.geomspace(1, top, 40).astype(np.int64),
+            [int(comp.mean)])))
+        got = comp.log_pmf(n)
+        # the log binomial coefficient as log_pmf forms it, an lgamma
+        # difference whose rounding grows as n ln n ulps at large n
+        coef = _lgamma(order + n) - math.lgamma(order) - _lgamma(n + 1)
+        nb = mp.mpf(nbar)
+        for k, value, c in zip(n.tolist(), got, coef):
+            exact_coef = (mp.loggamma(order + k) - mp.loggamma(order)
+                          - mp.loggamma(k + 1))
+            exact = (exact_coef - k * mp.log1p(1 / nb)
+                     - order * mp.log1p(nb))
+            if exact < math.log(sys.float_info.min):
+                continue  # W_n is not a normal float
+            # the error of log W_n is W_n's relative error
+            error = abs(float(value - exact))
+            if order == 1:
+                assert error <= 3e-13, k
+            else:  # the coefficient's own error and a few ulps of the rest
+                rest = abs(value - c) + abs(float(exact))
+                assert error <= (abs(float(c - exact_coef))
+                                 + 4 * 2.0 ** -53 * rest), k
+
+    def test_pgf_from_nbar(self):
+        # (1 + 1e15 * 0.5)**-3, 8e-45 to 6e-15
+        value = NegBinomial(3, 1e15).pgf(0.5)
+        exact = 1 / (1 + Fraction(10 ** 15) / 2) ** 3
+        assert value == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+        assert value == pytest.approx(8e-45, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("nbar", [1e-20, 0.3, 7.0, 1e15, 1e100])
+    def test_sample_draws_with_p_from_nbar(self, nbar):
+        calls = []
+
+        class Recorder:
+            def negative_binomial(self, n, p, size):
+                calls.append((n, p, size))
+                return np.zeros(size, dtype=np.int64)
+
+        NegBinomial(3, nbar).sample(Recorder(), 5)
+        assert calls == [(3, 1.0 / (1.0 + nbar), 5)]
 
 
 class TestChannelUnderflow:

@@ -17,6 +17,7 @@ from hbtcount import (
     thermal_k,
     trinomial_pmf,
 )
+from hbtcount import anticorrelation, elementary, modes
 from hbtcount.errors import DomainError
 
 LAW_A = TernaryLaw(0.3, 0.2, 0.5)
@@ -236,8 +237,10 @@ class TestEntropyChange:
             4.0 * math.log(4.0) - 3.0 * math.log(3.0))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        # a mean that is not positive is an invalid argument
+        with pytest.raises(ValueError) as info:
             entropy_change(0.0)
+        assert type(info.value) is ValueError
 
 
 class TestContrastZ:
@@ -271,3 +274,45 @@ class TestExactCorrelation:
     def test_bounded_by_one(self):
         for src, law in GRID:
             assert abs(exact_correlation(law, src)) <= 1.0 + 1e-12
+
+
+NAN = math.nan
+CASCADE = (1e4, 1e-8, 5e-9, 0.5, 1e7)  # CascadeModel's fields in order
+NAN_CALLS = [
+    (thermal_k, ("boson", NAN, True)),
+    (energy_fluctuation, ("boson", NAN, 1.0, 1.0)),
+    (energy_fluctuation, ("boson", 1.0, NAN, 1.0)),
+    (energy_fluctuation, ("fermion", 1.0, 1.0, NAN)),
+    (max_contrast_pump, (NAN,)),
+    (entropy_change, (NAN,)),
+    (contrast_z, (NAN, 0.0)),
+    (contrast_z, (100.0, NAN)),
+    (modes.asymptotic_mode_count, (NAN, 1.0)),
+    (modes.asymptotic_mode_count, (1.0, NAN)),
+    (modes.cartesian_mode_count, (NAN, 1.0, 1.0)),
+    (modes.cartesian_mode_count, (1.0, 1.0, NAN)),
+    (anticorrelation.alpha_qm, (NAN, 1.0)),
+    (anticorrelation.alpha_qm, (1.0, NAN)),
+    (anticorrelation.alpha_mode_form, (NAN, 1.0)),
+    (anticorrelation.alpha_mode_form, (1.0, NAN)),
+    (anticorrelation.k_anticorrelation, (1.0, NAN)),
+    (anticorrelation.gate_overlap, (NAN, 1.0, 1.0)),
+    (anticorrelation.gate_overlap, (1.0, 1.0, NAN)),
+    (anticorrelation.cascade_population, (NAN, 1.0, 2.0)),
+    (anticorrelation.cascade_population, (1.0, NAN, 2.0)),
+    (anticorrelation.cascade_population, (1.0, 1.0, NAN)),
+    *((anticorrelation.CascadeModel, CASCADE[:i] + (NAN,) + CASCADE[i + 1:])
+      for i in range(len(CASCADE))),
+    (elementary.sequence_gf, (LAW_A, 3, NAN, 0.5)),
+    (elementary.sequence_gf, (LAW_A, 3, 0.5, NAN)),
+]
+
+
+@pytest.mark.parametrize("func,args", NAN_CALLS, ids=[
+    f"{func.__name__}{i}" for i, (func, _) in enumerate(NAN_CALLS)])
+def test_nan_is_refused(func, args):
+    """A nan argument fails each helper's range test, as an invalid
+    argument (ValueError, not DomainError), never a nan result."""
+    with pytest.raises(ValueError) as info:
+        func(*args)
+    assert type(info.value) is ValueError
