@@ -107,8 +107,8 @@ def gate_overlap(gate: float, lifetime: float, omega_ratio: float) -> float:
 
 def alpha_qm(pump: float, f: float) -> float:
     """Quantum anticorrelation parameter (2 f Nw + Nw^2)/(f + Nw)^2 (< 1)."""
-    if not (pump >= 0.0 and f > 0.0):
-        raise ValueError("requires Nw >= 0 and f > 0")
+    if not (math.inf > pump >= 0.0 and math.inf > f > 0.0):
+        raise ValueError("requires finite Nw >= 0 and f > 0")
     try:
         return (2.0 * f * pump + pump * pump) / (f + pump) ** 2
     except OverflowError:
@@ -118,8 +118,8 @@ def alpha_qm(pump: float, f: float) -> float:
 
 def alpha_mode_form(pump: float, f: float) -> tuple[float, float]:
     """Equivalent mode form: M = (f + Nw)^2 / f^2, alpha = 1 - 1/M."""
-    if not (pump >= 0.0 and f > 0.0):
-        raise ValueError("requires Nw >= 0 and f > 0")
+    if not (math.inf > pump >= 0.0 and math.inf > f > 0.0):
+        raise ValueError("requires finite Nw >= 0 and f > 0")
     m_bar = ((f + pump) / f) ** 2
     return 1.0 - 1.0 / m_bar, m_bar
 

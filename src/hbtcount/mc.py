@@ -20,7 +20,9 @@ bit-identical report.  Each layer is one exact draw for the whole run:
   then xi ~ Binomial(d, p/(p + q)).  Every batch of gates is cells (k, a,
   gates): gates[i] gates of count k[i] that keep a[i].  Each stage's row
   split prices a table cell at 1, a gate thinned one by one at _GATE_COST
-  and any such gates at _START_COST more.
+  and any such gates at _START_COST more.  A histogram whose whole table
+  costs no more than _START_COST + _GATE_COST cells is thinned whole, with
+  no cost search, and a stage with no gate above its split draws no tail.
 
 Point estimates come from exact integer sums of per-gate features: (xi,
 eta, xi**2, eta**2, xi*eta) for K, R and the mean counts, (n, n**2) for
@@ -217,11 +219,13 @@ def _binomial_table(rows, top: int, pi: float):
     a = 0..top (0 when a > rows[i]), evaluated in log space; rows <= top."""
     a = np.arange(top + 1)
     k = np.asarray(rows)[:, None]
-    rest = np.maximum(k - a, 0)
+    rest = k - a
+    np.maximum(rest, 0, out=rest)
+    # log_fact[i] = log i! for i = 0..top: the row of log a! as it stands
     log_fact = np.cumsum(np.log(np.maximum(a, 1)))
     # in place in one array, in the order log k! - log a! - log rest!
     # + a log pi + rest log(1 - pi)
-    table = log_fact[k] - log_fact[a]
+    table = log_fact[k] - log_fact
     table -= log_fact[rest]
     table += _xlogy(a, pi)
     table += _xlogy(rest, -pi, math.log1p)
@@ -242,11 +246,12 @@ def _multinomial(rng: np.random.Generator, n, pvals):
     i, sorted by their probability: a multinomial draw gives its last cell
     whatever count is left, rounding residue included, so sorted cells send
     it to the most probable cell, never to an impossible one."""
-    rows = () if pvals.ndim == 1 else (np.arange(len(pvals))[:, None],)
-    drawn = np.empty(pvals.shape, dtype=np.int64)
-    drawn[(*rows, np.argsort(pvals, kind="stable"))] = rng.multinomial(
-        n, np.sort(pvals))
-    return drawn
+    order = pvals.argsort(kind="stable")
+    if pvals.ndim == 2:  # flat indices: row i starts at i * its width
+        order += np.arange(0, pvals.size, pvals.shape[1])[:, None]
+    drawn = np.empty(pvals.size, dtype=np.int64)
+    drawn[order.ravel()] = rng.multinomial(n, np.sort(pvals)).ravel()
+    return drawn.reshape(pvals.shape)
 
 
 def _trimmed(histogram):
@@ -271,7 +276,16 @@ def _row_split(histogram) -> int:
     that count a gate draws j + 1 table cells for each, the gates above j
     cost _GATE_COST cells each and _START_COST if any; j minimises the sum,
     among the j whose cells fit in _GROUP_COST.  Costs are floats:
-    _GATE_COST times the gates left would wrap in int64 past 1.5e18."""
+    _GATE_COST times the gates left would wrap in int64 past 1.5e18.
+
+    The last cell of `histogram` counts a gate, so a j below the top
+    leaves a gate above it and costs _START_COST + _GATE_COST at least,
+    while the top costs len(histogram)**2 cells at most (the two tie only
+    if every row counts a gate and the rows 0..j none, which cannot be): a
+    histogram whose top costs no more (16 cells or fewer at these costs) is
+    thinned whole, unsearched."""
+    if len(histogram) ** 2 <= _START_COST + _GATE_COST:
+        return len(histogram) - 1
     cells = (histogram > 0).cumsum() * np.arange(1, len(histogram) + 1)
     left = float(_GATE_COST) * (histogram.sum() - histogram.cumsum())
     cost = np.where(cells <= _GROUP_COST,
@@ -329,8 +343,9 @@ def _thin(rng: np.random.Generator, histogram, pi: float):
                             _binomial_table(rows, split, pi))
         row, a = np.nonzero(kept)
         yield rows[row], a, kept[row, a]
-    for k in _gates_above(histogram, split):
-        yield _pooled(k, rng.binomial(k, pi))
+    if split + 1 < len(histogram):  # a gate lies above the split
+        for k in _gates_above(histogram, split):
+            yield _pooled(k, rng.binomial(k, pi))
 
 
 def _detected(rng: np.random.Generator, occupancy, s: float):

@@ -265,10 +265,17 @@ def source_pmf(src: SourceLaw, n: int) -> float:
 
 
 def source_pgf(src: SourceLaw, z: float) -> float:
-    """Probability generating function Phi(z) = sum W_n z^n."""
+    """Probability generating function Phi(z) = sum W_n z^n; DomainError
+    when it passes float range."""
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, not {z}")
-    return math.prod(comp.pgf(z) for comp in src._components)
+    try:  # a component's ** or exp raises, a product of two goes to inf
+        value = math.prod(comp.pgf(z) for comp in src._components)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"pgf overflows float range at z = {z!r}")
+    return value
 
 
 def source_factorial_moments(src: SourceLaw) -> FactorialMoments:

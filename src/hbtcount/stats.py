@@ -92,8 +92,9 @@ def energy_fluctuation(statistics: str, mean_energy: float, quantum: float,
     """
     if statistics not in ("boson", "fermion"):
         raise ValueError("statistics must be 'boson' or 'fermion'")
-    if not (mean_energy > 0.0 and quantum > 0.0 and modes > 0.0):
-        raise ValueError("mean energy, quantum and mode count must be positive")
+    if not all(0.0 < x < math.inf for x in (mean_energy, quantum, modes)):
+        raise ValueError("mean energy, quantum and mode count must be "
+                         "positive and finite")
     if statistics == "boson":
         return quantum * mean_energy + mean_energy ** 2 / modes
     if mean_energy / modes > quantum * (1.0 + 1e-12):
@@ -110,13 +111,13 @@ def max_contrast_pump(mean_detected: float) -> float:
 
 def entropy_change(mean: float) -> float:
     """Entropy change (1+<n>)ln(1+<n>) - <n>ln<n> in units of k_B."""
-    if not mean > 0.0:
-        raise ValueError("entropy change requires a positive mean")
+    if not 0.0 < mean < math.inf:
+        raise ValueError("entropy change requires a positive finite mean")
     return (1.0 + mean) * math.log1p(mean) - mean * math.log(mean)
 
 
 def contrast_z(n_background: float, n_coincidence: float) -> float:
     """Relative dip size Z = N_bg / (N_bg - N_c); equals M (polarized) or 2M."""
-    if not n_background > n_coincidence >= 0.0:
-        raise ValueError("requires N_bg > N_c >= 0")
+    if not math.inf > n_background > n_coincidence >= 0.0:
+        raise ValueError("requires finite N_bg > N_c >= 0")
     return n_background / (n_background - n_coincidence)

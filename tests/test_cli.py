@@ -378,6 +378,18 @@ class TestOutputHandling:
         assert float(rows[0]["pgf"]) == pytest.approx(0.367879, rel=1e-5)
         assert float(rows[1]["pgf"]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("line", [
+        "source --kind thermal-boson --modes 100000 --nbar 0.1 --pgf 1.5",
+        "source --kind coherent --nbar 1000 --pgf 2",
+        "source --kind thermal-fermion --modes 100000 --nbar 0.5 --pgf 1e10",
+    ])
+    def test_source_pgf_past_float_range_is_domain_error(self, line, capsys):
+        code = cli.main(shlex.split(line))
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DOMAIN
+        assert captured.err.startswith("error: pgf overflows")
+        assert captured.out == ""
+
 
 def call(argv, capsys):
     """Exit code, stdout and stderr of one `cli.main` call, argparse's

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hbtcount import (
     DomainError,
@@ -474,6 +474,87 @@ class TestWithinGateStructure:
             rng, occupancy = _run_occupancy(cfg)
             for stage in (occupancy, _detected(rng, occupancy, law.s)):
                 assert _row_split(stage) == len(stage) - 1, src
+
+
+def _cost_argmin(histogram):
+    """The row split by the full search of `_row_split`'s docstring, in
+    Python ints: the first j of least cost among those whose cells fit."""
+    cost = []
+    for j in range(len(histogram)):
+        cells = sum(1 for gates in histogram[:j + 1] if gates) * (j + 1)
+        left = sum(histogram[j + 1:])
+        cost.append(cells + mc._GATE_COST * left + mc._START_COST * (left > 0)
+                    if cells <= mc._GROUP_COST else math.inf)
+    return cost.index(min(cost))
+
+
+# 1 to 32 cells, many of them empty, the last counting a gate; counts up
+# to 2**40 keep every float cost of 32 cells exact
+HISTOGRAMS = st.builds(
+    lambda cells, last: cells + [last],
+    st.lists(st.one_of(st.just(0), st.integers(1, 2 ** 40)), max_size=31),
+    st.integers(1, 2 ** 40))
+
+
+class TestRowSplit:
+    """A histogram whose top row costs no more than any split that leaves a
+    gate above it is thinned whole without the cost search, and a stage
+    without gates above its split never starts the per-gate tail."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(histogram=HISTOGRAMS)
+    @example(histogram=[1] * 16)  # the last length taken unsearched
+    @example(histogram=[1] * 17)  # the first searched
+    @example(histogram=[10 ** 6] * 15 + [1])
+    @example(histogram=[10 ** 6] * 16 + [1])
+    def test_early_split_matches_cost_search(self, histogram):
+        assert _row_split(np.array(histogram)) == _cost_argmin(histogram)
+
+    @settings(max_examples=300, deadline=None)
+    @given(histogram=HISTOGRAMS, start=st.integers(0, 2000),
+           gate=st.integers(1, 50))
+    @example(histogram=[1] * 16, start=255, gate=1)
+    # one past the bound, the top ties a lower split and the search takes
+    # the lower one
+    @example(histogram=[1, 1], start=1, gate=2)
+    @example(histogram=[1] * 17, start=283, gate=6)
+    @example(histogram=[10 ** 6] + [0] * 30 + [1], start=0, gate=1)
+    def test_early_split_matches_cost_search_at_any_costs(
+            self, histogram, start, gate):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "_START_COST", start)
+            patch.setattr(mc, "_GATE_COST", gate)
+            assert (_row_split(np.array(histogram))
+                    == _cost_argmin(histogram))
+
+    def test_pure_table_run_skips_the_tail(self, monkeypatch):
+        """Every stage of the grid at 10**6 gates and seed 1 keeps all its
+        gates in the table (`test_grid_thins_every_gate_in_tables`), so
+        none starts the per-gate tail."""
+        def no_tail(histogram, split):
+            raise AssertionError(f"tail above {split} of {len(histogram)}")
+
+        monkeypatch.setattr(mc, "_gates_above", no_tail)
+        for src, law in GRID:
+            simulate_series(
+                SimulationConfig(law=law, source=src, gates=10 ** 6, seed=1))
+
+    def test_split_run_thins_its_tail(self, monkeypatch):
+        """Thermal M = 1, nbar 10 at 10**4 gates leaves gates above the
+        split in both stages (164 and 52 at this seed, as in the z-scan's
+        split case), and each stage thins them in the tail."""
+        tails = []
+
+        def gates_above(histogram, split, inner=mc._gates_above):
+            tails.append(int(histogram[split + 1:].sum()))
+            return inner(histogram, split)
+
+        monkeypatch.setattr(mc, "_gates_above", gates_above)
+        cfg = SimulationConfig(
+            law=LAW, source=SourceLaw("boson-polarized", modes=1, nbar=10.0),
+            gates=10 ** 4, seed=1)
+        _simulate(cfg)
+        assert tails == [164, 52]
 
 
 class TestMemoryBound:

@@ -470,6 +470,19 @@ class TestPgf:
         with pytest.raises(DomainError):
             source_pgf(src, 1.5)
 
+    @pytest.mark.parametrize("src,z", [
+        # one component's ** or exp raises OverflowError
+        (SourceLaw("boson-polarized", modes=100000, nbar=0.1), 1.5),
+        (SourceLaw("coherent", modes=1, nbar=1000.0), 2.0),
+        (SourceLaw("fermion-polarized", modes=100000, nbar=0.5), 1e10),
+        # each component is finite (4.3e259 and 3.8e70), their product not
+        (SourceLaw("boson-partial", modes=1000, nbar=0.5, polarization=0.5),
+         2.2),
+    ])
+    def test_past_float_range_is_domain_error(self, src, z):
+        with pytest.raises(DomainError, match="pgf overflows"):
+            source_pgf(src, z)
+
     @pytest.mark.parametrize("src", [
         SourceLaw("coherent", modes=2, nbar=0.7),
         SourceLaw("boson-polarized", modes=3, nbar=0.8),

@@ -316,3 +316,31 @@ def test_nan_is_refused(func, args):
     with pytest.raises(ValueError) as info:
         func(*args)
     assert type(info.value) is ValueError
+
+
+INF = math.inf
+INF_CALLS = [
+    (energy_fluctuation, ("boson", INF, 1.0, INF)),
+    (energy_fluctuation, ("boson", INF, 1.0, 1.0)),
+    (energy_fluctuation, ("boson", 1.0, INF, 1.0)),
+    (energy_fluctuation, ("fermion", INF, 1.0, INF)),
+    (energy_fluctuation, ("fermion", 1.0, 1.0, INF)),
+    (entropy_change, (INF,)),
+    (contrast_z, (INF, 0.0)),
+    (contrast_z, (INF, 100.0)),
+    (anticorrelation.alpha_qm, (INF, 1.0)),
+    (anticorrelation.alpha_qm, (1.0, INF)),
+    (anticorrelation.alpha_mode_form, (INF, INF)),
+    (anticorrelation.alpha_mode_form, (INF, 1.0)),
+    (anticorrelation.alpha_mode_form, (1.0, INF)),
+]
+
+
+@pytest.mark.parametrize("func,args", INF_CALLS, ids=[
+    f"{func.__name__}{i}" for i, (func, _) in enumerate(INF_CALLS)])
+def test_inf_is_refused(func, args):
+    """An inf argument fails each helper's range test as nan does: a
+    ratio or difference of infinities would give nan."""
+    with pytest.raises(ValueError) as info:
+        func(*args)
+    assert type(info.value) is ValueError
