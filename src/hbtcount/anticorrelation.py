@@ -120,7 +120,13 @@ def alpha_mode_form(pump: float, f: float) -> tuple[float, float]:
     """Equivalent mode form: M = (f + Nw)^2 / f^2, alpha = 1 - 1/M."""
     if not (math.inf > pump >= 0.0 and math.inf > f > 0.0):
         raise ValueError("requires finite Nw >= 0 and f > 0")
-    m_bar = ((f + pump) / f) ** 2
+    try:
+        m_bar = (1.0 + pump / f) ** 2
+    except OverflowError:
+        m_bar = math.inf
+    if m_bar == math.inf:  # also when pump / f is inf
+        raise DomainError(f"alpha_mode_form: ((f + Nw) / f)**2 overflows at "
+                          f"f = {f!r}, Nw = {pump!r}")
     return 1.0 - 1.0 / m_bar, m_bar
 
 

@@ -46,11 +46,13 @@ def _render(rows: list[dict], fmt: str, precision: int) -> str:
             return v if math.isfinite(v) else None
         payload = [{k: conv(v) for k, v in row.items()} for row in rows]
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    # every handler's rows carry the first row's keys: each row's values are
+    # taken in that order, with no per-row key check
+    header = list(rows[0])
     buf = io.StringIO()
-    writer = _csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(v, precision) for k, v in row.items()})
+    writer = _csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([_fmt(row[k], precision) for k in header] for row in rows)
     return buf.getvalue()
 
 

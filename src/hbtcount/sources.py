@@ -13,7 +13,12 @@ convolution of two.  Every truncation is one `_cutoff_window`: W_0..W_n*
 for the first n* whose mass past it, summed from the components' terms
 and never taken as 1 minus a rounded sum, is at most a given room; for a
 Monte Carlo occupancy table, _TAIL_EPS (float resolution), a mass its
-draw gives to the table's most probable cell.
+draw gives to the table's most probable cell.  Each component's terms
+are read once, until they hold its mass past them to _TAIL_EPS of the
+room.  One component's n* is then the first count whose suffix sum over
+its terms is within the room (one reverse cumsum and one searchsorted);
+two components' n* is bisected on the pair sum of their terms, whose
+full array would take O(N**2).
 """
 
 from __future__ import annotations
@@ -35,11 +40,12 @@ KINDS = ("coherent", "boson-polarized", "boson-partial", "boson-unpolarized",
 
 TRUNCATION_MASS = 1.0 - 1e-10
 TRUNCATION_CAP = 10 ** 6
-# A component's terms past a window are summed until the mass left is below
-# this fraction of their sum: within its rounding.  A Monte Carlo occupancy
-# table leaves out at most this mass.
+# A component's terms are read until the mass past them is below this
+# fraction of the room: within the rounding of a mass compared with it.  A
+# Monte Carlo occupancy table leaves out at most this mass.
 _TAIL_EPS = 2.0 ** -53
-# _cutoff_window's first window, and the first chunk of terms past a window.
+# A component's first chunk of terms ends this many past a first window of
+# this many (or the cap), and the chunk that passes the cap this many past it.
 _FIRST_WINDOW = 64
 
 
@@ -293,74 +299,95 @@ def source_factorial_moments(src: SourceLaw) -> FactorialMoments:
                             fano=1.0 + q, mandel_q=q)
 
 
-def _component_terms(comp, hi: int, terms, limit, room):
-    """comp's terms from n = 0: `terms`, then on to hi and past it in chunks
-    of about doubling size until they hold its mass past hi (or reach the
-    end of its support).  Returns all terms at hand and the holding ones, or
-    None for these once comp needs `limit` terms (its mean lies past them)
-    or its mass past hi, which bounds the source's, exceeds `room`: without
+def _read_on(comp, terms, end: int):
+    """comp's `terms` from n = 0, read on to n = end - 1 (or the end of its
+    support)."""
+    if comp.max_count is not None:
+        end = min(end, comp.max_count + 1)
+    if end <= len(terms):
+        return terms
+    return np.append(terms, np.exp(comp.log_pmf(np.arange(len(terms), end))))
+
+
+def _component_terms(comp, top: int, room: float):
+    """comp's terms from n = 0, read in chunks of about doubling size until
+    they hold its mass past the last one within _TAIL_EPS of `room` (or
+    reach the end of its support).  Returns them and whether they hold:
+    not once comp's mass past `top`, which bounds the source's, exceeds
+    room, or comp needs 3 top terms (its mean lies past them); without
     reading a term when Cantelli's bound on that mass does."""
     bound = math.inf if comp.max_count is None else comp.max_count
     mean = comp.mean
     variance = mean * (1.0 + comp.mandel_q)
-    # P(n > hi) >= gap**2 / (variance + gap**2) for gap > 0, so it exceeds
+    # P(n > top) >= gap**2 / (variance + gap**2) for gap > 0, so it exceeds
     # room when gap * (1 - room) > room * variance / gap: no term overflows
-    gap = mean - hi
+    gap = mean - top
     if gap > 0 and gap * (1.0 - room) > room * (variance / gap):
-        return terms, None
-    end = hi + 1 + _FIRST_WINDOW
+        return np.empty(0), False
+    hi = min(_FIRST_WINDOW, top)
+    terms, end = np.empty(0), hi + 1 + _FIRST_WINDOW
     while True:
-        end = min(end, bound + 1)
-        if end > len(terms):
-            n = np.arange(len(terms), end)
-            terms = np.append(terms, np.exp(comp.log_pmf(n)))
+        terms = _read_on(comp, terms, end)
         if len(terms) > bound:
-            return terms, terms
+            return terms, True
         # Past the mean the ratio r = w_n / w_(n-1) of these log-concave laws
-        # is below 1 and does not grow, so the mass past n is at most
-        # w_n r / (1 - r) = w_n**2 / (w_(n-1) - w_n); mass sums past hi.
-        w = terms[hi + 1:]
-        mass = np.cumsum(w)
-        stop = ((np.arange(hi + 1, len(terms)) > mean)
-                & (w * w <= _TAIL_EPS * mass * (terms[hi:-1] - w)))
-        if stop.any():
-            return terms, terms[:hi + 2 + np.argmax(stop)]
-        if mass[-1] > room or max(len(terms), mean) >= limit:
-            return terms, None
-        end = min(2 * len(terms) - hi, limit)
+        # is below 1 and does not grow, so the mass past the last term w_L is
+        # at most w_L r / (1 - r) = w_L**2 / (w_(L-1) - w_L).
+        last, before = terms[-1], terms[-2]
+        if (len(terms) > mean + 1
+                and last * last <= _TAIL_EPS * room * (before - last)):
+            return terms, True
+        if (terms[top + 1:].sum() > room
+                or max(len(terms), mean) >= 3 * top):
+            return terms, False
+        # the chunk that passes top ends _FIRST_WINDOW past it: a mass past
+        # top is found before the chunks double again
+        end = min(2 * len(terms) - hi, 3 * top if len(terms) > top
+                  else top + 1 + _FIRST_WINDOW)
 
 
 def _cutoff_window(src: SourceLaw, room: float, cap: int):
     """W_0..W_n* for the smallest n* whose mass past it, summed from the
-    components' terms, is at most `room`.  The window 0..hi doubles up to
-    `cap` (or the end of a bounded support) until P(n > hi) <= room, each
-    tested in O(hi) from at most 3 hi terms a component; n* is then
-    bisected in 0..hi and only W_0..W_n* convolved.  Returns that window,
-    or None when no window up to cap passes, and the component terms read."""
+    components' terms, is at most `room`.  Each component's terms are read
+    once, until they hold its mass past them (`_component_terms`).  For one
+    component n* is then found among all its terms by one suffix sum; for
+    two, the mass past m is the pair sum over both components' terms, and
+    n* is bisected before only W_0..W_n* is convolved.  Returns that window,
+    or None when n* lies past `cap` (or the end of a bounded support), and
+    the component terms read."""
     comps = src._components
     top = cap if src.max_count is None else min(cap, src.max_count)
-    hi, terms = min(_FIRST_WINDOW, top), [np.empty(0)] * len(comps)
-    while True:
-        terms, held = zip(*(_component_terms(comp, hi, t, 3 * hi, room)
-                            for comp, t in zip(comps, terms)))
-        if all(h is not None for h in held):
-            first, second = held if len(held) == 2 else (held[0], np.ones(1))
-            # P(n > m) = sum_k first[k] P(second >= m + 1 - k): `rev` against
-            # pad[m + 2:], which holds P(second >= j) from j = 1 - len(first)
-            suffix = np.cumsum(second[::-1])[::-1]
-            pad = np.concatenate((np.full(len(first), suffix[0]), suffix,
-                                  np.zeros(hi + 2)))
-            rev = first[::-1].copy()
+    terms, held = zip(*(_component_terms(comp, top, room) for comp in comps))
+    if not all(held):
+        return None, terms
+    if len(terms) == 1:
+        # suffix[j] = P(n > L - 1 - j), L the last term: the mass of the
+        # terms L - j..L, which grows with j; P(n > L) is 0
+        suffix = np.cumsum(terms[0][:0:-1])
+        n_star = len(suffix) - int(np.searchsorted(suffix, room, "right"))
+    else:
+        first, second = terms
+        hi = min(top, len(first) + len(second) - 2)  # P(n > hi) = 0 past it
+        # P(n > m) = sum_k first[k] P(second >= m + 1 - k): `rev` against
+        # pad[m + 2:], which holds P(second >= j) from j = 1 - len(first)
+        suffix = np.cumsum(second[::-1])[::-1]
+        pad = np.concatenate((np.full(len(first), suffix[0]), suffix,
+                              np.zeros(hi + 2)))
+        rev = first[::-1].copy()
 
-            def within(m):  # P(n > m) <= room, monotone in m
-                return rev @ pad[m + 2:m + 2 + len(rev)] <= room
+        def within(m):  # P(n > m) <= room, monotone in m
+            return rev @ pad[m + 2:m + 2 + len(rev)] <= room
 
-            if within(hi):
-                n_star = bisect.bisect_left(range(hi), True, key=within)
-                return _window(src, n_star, held), terms
-        if hi == top:
+        if not within(hi):
             return None, terms
-        hi = min(2 * hi + 1, top)
+        n_star = bisect.bisect_left(range(hi), True, key=within)
+        # the convolution takes each component's terms to n*, which may lie
+        # past those that hold its own tail
+        terms = tuple(_read_on(comp, t, n_star + 1)
+                      for comp, t in zip(comps, terms))
+    if n_star > top:
+        return None, terms
+    return _window(src, n_star, terms), terms
 
 
 def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .elementary import TernaryLaw, sequence_r
+from .errors import DomainError
 from .sources import SourceLaw, source_factorial_moments
 
 
@@ -95,11 +96,18 @@ def energy_fluctuation(statistics: str, mean_energy: float, quantum: float,
     if not all(0.0 < x < math.inf for x in (mean_energy, quantum, modes)):
         raise ValueError("mean energy, quantum and mode count must be "
                          "positive and finite")
+    per_mode = mean_energy / modes
     if statistics == "boson":
-        return quantum * mean_energy + mean_energy ** 2 / modes
-    if mean_energy / modes > quantum * (1.0 + 1e-12):
+        value = quantum * mean_energy + mean_energy * per_mode
+    elif per_mode > quantum * (1.0 + 1e-12):
         raise ValueError("fermion occupancy bound violated: E/M exceeds h*nu")
-    return quantum * mean_energy - mean_energy ** 2 / modes
+    else:
+        value = quantum * mean_energy - mean_energy * per_mode
+    if not math.isfinite(value):
+        raise DomainError(f"energy fluctuation overflows float range at "
+                          f"E = {mean_energy!r}, h*nu = {quantum!r}, "
+                          f"M = {modes!r}")
+    return value
 
 
 def max_contrast_pump(mean_detected: float) -> float:
@@ -113,7 +121,11 @@ def entropy_change(mean: float) -> float:
     """Entropy change (1+<n>)ln(1+<n>) - <n>ln<n> in units of k_B."""
     if not 0.0 < mean < math.inf:
         raise ValueError("entropy change requires a positive finite mean")
-    return (1.0 + mean) * math.log1p(mean) - mean * math.log(mean)
+    if mean < 1.0:  # -<n> ln <n> > 0: a sum of two positive terms
+        return (1.0 + mean) * math.log1p(mean) - mean * math.log(mean)
+    # ln(1 + n) + n ln(1 + 1/n): no difference of two large terms, which
+    # loses digits from about n = 1e8 on and overflows near float range
+    return math.log1p(mean) + mean * math.log1p(1.0 / mean)
 
 
 def contrast_z(n_background: float, n_coincidence: float) -> float:

@@ -111,6 +111,13 @@ class TestAlphaAndK:
             assert direct == pytest.approx(via_modes, abs=1e-12)
             assert m_bar >= 1.0
 
+    @pytest.mark.parametrize("pump,f", [(1e200, 1.0), (1e300, 1e-10)])
+    def test_mode_form_overflow_is_domain_error(self, pump, f):
+        """M = ((f + Nw) / f)**2 past float range raises, as alpha_qm does:
+        not an OverflowError, and not alpha = 1 at M = inf."""
+        with pytest.raises(DomainError, match="overflows"):
+            alpha_mode_form(pump, f)
+
     def test_both_monotone_in_pump(self):
         pumps = np.linspace(0.0, 1.6, 500)
         alphas = [alpha_qm(x, DEFAULT_F) for x in pumps]

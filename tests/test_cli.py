@@ -391,6 +391,69 @@ class TestOutputHandling:
         assert captured.out == ""
 
 
+def _dict_writer_csv(rows, precision):
+    """The CSV that `csv.DictWriter` writes for `rows`, fields named by the
+    first row's keys: the reference for `cli._render`."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: cli._fmt(v, precision) for k, v in row.items()})
+    return buf.getvalue()
+
+
+RENDER_LAW = ["--p", ".3", "--q", ".2", "--r", ".5"]
+RENDER_CASES = [
+    ["moments"] + RENDER_LAW + ["--n", "3"],
+    ["moments"] + RENDER_LAW + ["--n", "0"],
+    ["source", "--kind", "thermal-boson", "--modes", "3", "--nbar", "1.5"],
+    ["source", "--kind", "coherent", "--pgf", "0,0.5,1"],
+    ["k", "--kind", "thermal-fermion", "--modes", "4", "--nbar", "0.5"],
+    ["k", "--kind", "thermal-boson"] + RENDER_LAW,
+    ["curve", "--statistics", "boson", "--sweep", "0:5:6"],
+    ["modes", "--x", "0.5,3.6"],
+    ["aspect-grangier"],
+    ["simulate", "--kind", "coherent", "--gates", "6400"] + RENDER_LAW,
+    ["simulate", "--kind", "coherent", "--gates", "6400", "--analytic"]
+    + RENDER_LAW,
+    ["verify", "--kind", "thermal-boson", "--gates", "6400"] + RENDER_LAW,
+]
+
+
+class TestRender:
+    """CSV rows are written by one csv.writer, each row's values taken in
+    the first row's key order, with no per-row key check: every handler's
+    rows carry the first row's keys, and the output is DictWriter's."""
+
+    @pytest.mark.parametrize("argv", RENDER_CASES, ids=" ".join)
+    def test_output_equals_a_dict_writer_reference(self, argv, capsys):
+        args = cli._build_parser().parse_args(argv)
+        rows = args.handler(args)
+        assert [list(row) for row in rows] == [list(rows[0])] * len(rows)
+        for precision in (1, 6, 15):
+            assert cli._render(rows, "csv", precision) == _dict_writer_csv(
+                rows, precision)
+        code, out = run(argv, capsys)
+        assert code == cli.EXIT_OK
+        reference = _dict_writer_csv(rows, 6)
+        assert out == reference
+        code, out = run(["--format", "json"] + argv, capsys)
+        assert code == cli.EXIT_OK
+        payload = json.loads(out, parse_constant=_refuse)
+        expected = read_csv(reference)
+        assert [list(row) for row in payload] == [
+            list(row) for row in expected]
+        for row, fields in zip(payload, expected):
+            for key, value in row.items():
+                field = fields[key]
+                if value is None:
+                    assert field in ("nan", "inf", "-inf")
+                elif isinstance(value, (bool, str)):
+                    assert field == str(value)
+                else:
+                    assert float(field) == value
+
+
 def call(argv, capsys):
     """Exit code, stdout and stderr of one `cli.main` call, argparse's
     own exits included."""

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hbtcount import (
     SourceLaw,
@@ -20,6 +21,7 @@ from hbtcount.sources import (
     TRUNCATION_CAP,
     TRUNCATION_MASS,
     NegBinomial,
+    Poisson,
     _cutoff_window,
     _lgamma,
     _window,
@@ -345,6 +347,95 @@ class TestCutoffWindow:
         assert len(_cutoff_window(src, room, n_star)[0]) == n_star + 1
         if n_star > 0:
             assert _cutoff_window(src, room, n_star - 1)[0] is None
+
+
+ONE_COMPONENT_KINDS = ["coherent", "boson-polarized", "boson-unpolarized",
+                       "fermion-polarized", "fermion-unpolarized"]
+
+
+@st.composite
+def one_component_laws(draw):
+    kind = draw(st.sampled_from(ONE_COMPONENT_KINDS))
+    top = 0.0 if kind.startswith("fermion") else 3.0
+    nbar = 10.0 ** draw(st.floats(-6.0, top))
+    return SourceLaw(kind, modes=draw(st.integers(1, 10 ** 4)), nbar=nbar)
+
+
+def _fsum_past(comp, m, end):
+    """P(n > m) by math.fsum over comp's terms m + 1..end."""
+    return math.fsum(np.exp(comp.log_pmf(np.arange(m + 1, end + 1))))
+
+
+class TestOneComponentCutoff:
+    """For one component, n* is the first count whose suffix sum over the
+    terms read is within the room, found among all of them at once."""
+
+    @pytest.mark.parametrize("src", [
+        SourceLaw("coherent", nbar=1e6),
+        SourceLaw("boson-polarized", modes=1, nbar=1e5)], ids=repr)
+    def test_mass_past_the_cap_reads_under_two_caps(self, src, monkeypatch):
+        """A law whose mass past the cap exceeds 1 - mass, and whose mean
+        Cantelli's bound cannot rule out, reads its terms in doubling chunks
+        to _FIRST_WINDOW past the cap, and the error's weight reuses them."""
+        evaluated = []
+        for law in (Poisson, NegBinomial):
+            monkeypatch.setattr(law, "log_pmf", lambda comp, n,
+                                f=law.log_pmf: (evaluated.append(len(n)),
+                                                f(comp, n))[1])
+        with pytest.raises(DomainError, match="short of"):
+            support_cutoff(src)
+        assert sum(evaluated) < 2.01 * TRUNCATION_CAP
+
+    def test_window_past_the_first_chunk_is_read_in_one_pass(
+            self, monkeypatch):
+        """85 cells at float resolution: n* lies past the first window of
+        64, so the mass past it exceeds the room, but n* is searched among
+        all terms read.  The first chunk of 129 terms and one more of 65
+        hold them; a second window of 129 would read a third chunk."""
+        evaluated = []
+        log_pmf = NegBinomial.log_pmf
+        monkeypatch.setattr(NegBinomial, "log_pmf", lambda comp, n: (
+            evaluated.append(len(n)), log_pmf(comp, n))[1])
+        src = SourceLaw("boson-polarized", modes=3, nbar=1.5)
+        window, terms = _cutoff_window(src, 2.0 ** -53, 2 ** 17 - 1)
+        assert len(window) == 85
+        assert evaluated == [129, 65]
+        assert [len(t) for t in terms] == [194]
+
+    @settings(max_examples=40, deadline=None)
+    # n* = 36716 past the cap, found from terms read; a window of 1e4 cells
+    @example(src=SourceLaw("boson-polarized", nbar=1000.0), room=2.0 ** -53,
+             cap=1919)
+    @example(src=SourceLaw("coherent", modes=10 ** 4, nbar=1.0), room=1e-10,
+             cap=TRUNCATION_CAP)
+    @given(src=one_component_laws(),
+           room=st.sampled_from([2.0 ** -53, 1e-10]),
+           cap=st.sampled_from([1919, 2 ** 17 - 1, TRUNCATION_CAP]))
+    def test_window_ends_at_the_first_count_within_room(self, src, room, cap):
+        (comp,) = src._components
+        window, _ = _cutoff_window(src, room, cap)
+        # the terms past 3 n* + 400 hold less than 1e-13 of room for these
+        # laws; the suffix sums round, fsum does not
+        slack = 1e-12
+        if window is None:
+            # Cantelli's bound, or the terms from the cap on, exceed room
+            gap = comp.mean - cap
+            var = comp.mean * (1.0 + comp.mandel_q)
+            assert (gap > 0 and gap * gap / (var + gap * gap) > room
+                    or _fsum_past(comp, cap, 3 * cap + 400)
+                    > room * (1.0 - slack))
+            return
+        n_star = len(window) - 1
+        assert n_star <= cap
+        sample = np.unique(np.linspace(0, n_star, 20).astype(int))
+        assert window[sample] == pytest.approx(
+            [source_pmf(src, n) for n in sample], rel=1e-12, abs=0.0)
+        end = min(3 * n_star + 400, src.max_count or math.inf)
+        assert _fsum_past(comp, n_star, end) <= room * (1.0 + slack)
+        if n_star > 0:
+            assert _fsum_past(comp, n_star - 1, end) > room * (1.0 - slack)
+            assert _cutoff_window(src, room, n_star - 1)[0] is None
+        assert len(_cutoff_window(src, room, n_star)[0]) == n_star + 1
 
 
 class TestBosonOccupancyLimit:

@@ -202,6 +202,15 @@ class TestEnergyFluctuation:
         with pytest.raises(ValueError):
             energy_fluctuation("boson", -1.0, 1.0, 1.0)
 
+    def test_overflow_is_domain_error(self):
+        # E**2 / M = 1e400 is past float range
+        with pytest.raises(DomainError, match="overflows float range"):
+            energy_fluctuation("boson", 1e200, 1.0, 1.0)
+
+    def test_full_fermion_band_past_the_square_of_e(self):
+        # E**2 would overflow, E * (E / M) does not: a full band, no noise
+        assert energy_fluctuation("fermion", 1e200, 1.0, 1e200) == 0.0
+
 
 class TestMaxContrast:
     def test_value(self):
@@ -241,6 +250,19 @@ class TestEntropyChange:
         with pytest.raises(ValueError) as info:
             entropy_change(0.0)
         assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("decade", range(-300, 309, 7))
+    def test_against_mpmath(self, decade):
+        """Within 2.2e-16 relative from 1e-300 to 1e308: no difference of
+        two terms that overflow or cancel at large means (1e16 gave 0.0,
+        1e308 nan), with enough digits in mpmath to hold n ln n to the
+        last bit."""
+        mp = pytest.importorskip("mpmath")
+        mean = 10.0 ** decade
+        with mp.workdps(30 + abs(decade)):
+            n = mp.mpf(mean)
+            exact = (1 + n) * mp.log1p(n) - n * mp.log(n)
+            assert abs(entropy_change(mean) - exact) <= 2.2e-16 * exact
 
 
 class TestContrastZ:
