@@ -25,6 +25,8 @@ DEFAULT_F = 0.9
 REFERENCE_PUMP = 0.06
 
 DATASET_NAME = "aspect_grangier_table1.csv"
+_TABLE1_COLUMNS = ("row", "Nw", "N1_per_s", "T_s", "n_2r", "n_2t",
+                   "measured_coincidences")
 
 
 @dataclass(frozen=True)
@@ -199,8 +201,14 @@ def load_table1(path: str | None = None) -> list[GateRecord]:
     else:
         with open(path, newline="") as fh:
             lines = fh.read().splitlines()
+    # a short row's missing fields read as "", which no field parses
+    reader = csv.DictReader(lines, restval="")
+    fields = reader.fieldnames or ()  # None for an empty file
+    missing = [c for c in _TABLE1_COLUMNS if c not in fields]
+    if missing:
+        raise ValueError(f"run table lacks column(s) {', '.join(missing)}")
     records = []
-    for row in csv.DictReader(lines):
+    for row in reader:
         records.append(GateRecord(
             row=int(row["row"]),
             pump=float(row["Nw"]),
@@ -210,6 +218,8 @@ def load_table1(path: str | None = None) -> list[GateRecord]:
             singles_t=int(row["n_2t"]),
             measured_coincidences=int(row["measured_coincidences"]),
         ))
+    if not records:
+        raise ValueError("run table has no rows")
     return records
 
 

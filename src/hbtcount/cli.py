@@ -1,21 +1,24 @@
 """Command-line frontend.
 
 Subcommands: moments, source, k, curve, modes, aspect-grangier, simulate,
-verify.  Output is CSV (default) or JSON, written to stdout or --out;
-JSON writes null for a float that is not finite.
-Exit codes: 0 success, 1 failed verification, 2 validation error,
-3 numeric domain error.
+verify.  Output is CSV (default) or JSON, written to stdout or --out, each
+float rounded to --precision significant digits.  JSON output is
+json.dumps(rows, indent=2) of the rounded rows, byte for byte, with null
+for a float that is not finite.
+Exit codes: 0 success, 1 failed verification, 2 validation error (an
+--out path that cannot be written or a --data path that cannot be read
+among them), 3 numeric domain error.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import csv as _csv
 import functools
-import json
-import math
+import io
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
+from math import isfinite
 
 from . import anticorrelation as ac
 from . import mc, modes, sources, stats
@@ -31,37 +34,39 @@ EXIT_DOMAIN = 3
 # -- output helpers --------------------------------------------------------
 
 
-def _fmt(value, precision: int):
-    if isinstance(value, float):
-        return format(value, f".{precision}g")
-    return value
-
-
 def _render(rows: list[dict], fmt: str, precision: int) -> str:
-    if fmt == "json":
-        def conv(v):  # RFC 8259 has no nan or inf: null for those
-            if not isinstance(v, float):
-                return v
-            v = float(_fmt(v, precision))
-            return v if math.isfinite(v) else None
-        payload = [{k: conv(v) for k, v in row.items()} for row in rows]
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    # every handler's rows carry the first row's keys: each row's values are
-    # taken in that order, with no per-row key check
+    """The rows as CSV or JSON text, each float rounded to `precision`
+    significant digits.
+
+    Every handler's rows carry the first row's keys, so each row's values
+    are taken in that order, with no per-row key check.  JSON is written
+    here in `json.dumps(rows, indent=2)`'s exact layout, which json itself
+    writes with its pure-Python encoder whenever `indent` is set: each key
+    is encoded once, and each value becomes text in one expression.  RFC
+    8259 has no nan or inf, so a float that is not finite once rounded is
+    null.
+    """
+    spec = f".{precision}g"
     header = list(rows[0])
+    if fmt == "json":
+        # one %-template a row; a key's own % signs are escaped
+        template = "  {\n" + ",\n".join(
+            f"    {_encode_str(k).replace('%', '%%')}: %s" for k in header
+        ) + "\n  }"
+        return "[\n" + ",\n".join([template % tuple([
+            (repr(x) if isfinite(x := float(format(v, spec))) else "null")
+            if isinstance(v, float) else
+            _encode_str(v) if isinstance(v, str) else
+            ("true" if v else "false") if isinstance(v, bool) else
+            "null" if v is None else
+            int.__repr__(v)
+            for v in map(row.__getitem__, header)]) for row in rows]) + "\n]\n"
     buf = io.StringIO()
     writer = _csv.writer(buf)
     writer.writerow(header)
-    writer.writerows([_fmt(row[k], precision) for k in header] for row in rows)
+    writer.writerows([[format(v, spec) if isinstance(v, float) else v
+                       for v in map(row.__getitem__, header)] for row in rows])
     return buf.getvalue()
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
 
 
 def _parse_sweep(spec: str) -> list[float]:
@@ -200,7 +205,14 @@ def _cmd_aspect_grangier(args) -> list[dict]:
         f = ac.gate_overlap(gate_ratio, 1.0, omega)
     else:
         f = ac.DEFAULT_F
-    records = ac.load_table1(args.data)
+    if args.data is None:
+        records = ac.load_table1()
+    else:
+        try:
+            records = ac.load_table1(args.data)
+        except OSError as exc:
+            raise ValueError(f"cannot read --data {args.data}: "
+                             f"{exc.strerror or exc}") from None
     return ac.table1_report(records, f=f, reference_pump=args.reference_pump)
 
 
@@ -216,7 +228,7 @@ def _analytic_values(cfg: mc.SimulationConfig) -> dict:
     sm = stats.series_moments(cfg.law, cfg.source)
     return {
         "k": sm.k_ratio,
-        "r": stats.exact_correlation(cfg.law, cfg.source),
+        "r": stats._pearson_r(cfg.law, sm),
         "f": sm.fano,
         "mean_xi": sm.mean_xi,
         "mean_eta": sm.mean_eta,
@@ -340,7 +352,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    _emit(text, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     if all(row.get("pass", True) for row in rows):
         return EXIT_OK
     return EXIT_CHECK_FAILED

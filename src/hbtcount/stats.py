@@ -60,7 +60,11 @@ def exact_correlation(law: TernaryLaw, src: SourceLaw) -> float:
     coincides with SeriesMoments.r_coeff only when the count variances
     reduce to their within-gate parts.
     """
-    sm = series_moments(law, src)
+    return _pearson_r(law, series_moments(law, src))
+
+
+def _pearson_r(law: TernaryLaw, sm: SeriesMoments) -> float:
+    """`exact_correlation` from the law's series moments `sm`."""
     cov = sm.mean_xi * law.q * sm.mandel_q
     return cov / math.sqrt(sm.var_xi * sm.var_eta)
 

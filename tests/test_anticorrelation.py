@@ -193,6 +193,30 @@ class TestTable:
         target.write_text(src)
         assert load_table1(str(target)) == load_table1()
 
+    @pytest.mark.parametrize("text, missing", [
+        ("", "row, Nw, N1_per_s, T_s, n_2r, n_2t, measured_coincidences"),
+        ("row,Nw,T_s,n_2r,n_2t,measured_coincidences\n"
+         "1,0.06,1200,2940,3876,6\n", "N1_per_s"),
+    ])
+    def test_missing_columns_are_named(self, tmp_path, text, missing):
+        target = tmp_path / "table.csv"
+        target.write_text(text)
+        with pytest.raises(ValueError, match=f"lacks column\\(s\\) {missing}$"):
+            load_table1(str(target))
+
+    @pytest.mark.parametrize("text", [
+        "row,Nw,N1_per_s,T_s,n_2r,n_2t,measured_coincidences\n",
+        # a short row: its last field is missing
+        "row,Nw,N1_per_s,T_s,n_2r,n_2t,measured_coincidences\n"
+        "1,0.06,4720,1200,2940,3876\n",
+    ])
+    def test_table_without_complete_rows_is_value_error(self, tmp_path,
+                                                          text):
+        target = tmp_path / "table.csv"
+        target.write_text(text)
+        with pytest.raises(ValueError):
+            load_table1(str(target))
+
 
 class TestGateRecord:
     REC = GateRecord(row=2, pump=0.12, trigger_rate=4770.0, duration=900.0,

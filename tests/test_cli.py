@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import math
 import shlex
 from pathlib import Path
 
 import pytest
 
-from hbtcount import cli, gaussian_mode_count, sources, thermal_k
+from hbtcount import (cli, exact_correlation, gaussian_mode_count, sources,
+                      thermal_k)
 
 
 def run(argv, capsys):
@@ -124,6 +126,24 @@ class TestAspectGrangier:
             assert row["T_obs"] + row["R_obs"] == pytest.approx(1.0, abs=1e-5)
             assert row["M_emp"] > 0.0
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "error: cannot read --data "),
+        ("row,Nw,T_s,n_2r,n_2t,measured_coincidences\n"
+         "1,0.06,1200,2940,3876,6\n", "error: run table lacks column(s) "
+         "N1_per_s\n"),
+        ("", "error: run table lacks column(s) row, "),
+    ], ids=["missing file", "missing column", "empty file"])
+    def test_bad_data_is_validation_error(self, text, message, tmp_path,
+                                          capsys):
+        target = tmp_path / "table.csv"
+        if text is not None:
+            target.write_text(text)
+        code = cli.main(["aspect-grangier", "--data", str(target)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.err.startswith(message)
+        assert captured.out == ""
+
     def test_f_override_changes_predictions(self, capsys):
         _, default = run(["aspect-grangier"], capsys)
         _, overridden = run(["aspect-grangier", "--f-override", "0.7"],
@@ -148,6 +168,20 @@ class TestSimulateAndVerify:
         assert code == cli.EXIT_OK
         assert {"k", "r", "f", "mean_xi", "mean_eta", "gates"} <= stats.keys()
         assert float(stats["k"]["analytic"]) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "coherent", "--nbar", "2.5"],
+        ["--kind", "thermal-boson", "--modes", "4", "--nbar", "1.5",
+         "--polarization", "0.4"],
+        ["--kind", "thermal-fermion", "--modes", "3", "--nbar", "0.6",
+         "--unpolarized"],
+    ])
+    def test_analytic_r_is_exact_correlation(self, flags):
+        args = cli._build_parser().parse_args(
+            ["simulate"] + flags + ["--p", "0.3", "--q", "0.2", "--r", "0.5"])
+        cfg = cli._simulation_config(args)
+        assert cli._analytic_values(cfg)["r"] == exact_correlation(
+            cfg.law, cfg.source)
 
     def test_global_seed_flag(self, capsys):
         base = ["--kind", "coherent", "--mean", "1.0", "--p", "0.3",
@@ -301,6 +335,16 @@ class TestOutputHandling:
         assert float(read_csv(target.read_text())[0]["K"]) == \
             pytest.approx(2.0)
 
+    @pytest.mark.parametrize("target", ["missing/table.csv", "."])
+    def test_unwritable_out_is_validation_error(self, target, tmp_path,
+                                                capsys):
+        path = str(tmp_path / target)
+        code = cli.main(["--out", path, "k", "--kind", "coherent"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.err.startswith(f"error: cannot write --out {path}: ")
+        assert captured.out == ""
+
     def test_precision_flag(self, capsys):
         _, out = run(["--precision", "3", "modes", "--x", "3.6"], capsys)
         value = read_csv(out)[0]["M"]
@@ -398,8 +442,40 @@ def _dict_writer_csv(rows, precision):
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: cli._fmt(v, precision) for k, v in row.items()})
+        writer.writerow({k: format(v, f".{precision}g")
+                         if isinstance(v, float) else v
+                         for k, v in row.items()})
     return buf.getvalue()
+
+
+def _json_dumps_reference(rows, precision):
+    """`json.dumps(rows, indent=2)` of the rows, each float rounded to
+    `precision` significant digits and `None` when that is not finite: the
+    JSON reference for `cli._render`."""
+    def rounded(v):
+        if not isinstance(v, float):
+            return v
+        v = float(format(v, f".{precision}g"))
+        return v if math.isfinite(v) else None
+    payload = [{k: rounded(v) for k, v in row.items()} for row in rows]
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+# Each column mixes value kinds; keys and strings need json's escapes.
+SYNTHETIC_ROWS = [
+    {"value": value, 'say "r\u00e9sum\u00e9"': text, "100%": flag}
+    for value, text, flag in [
+        (float("nan"), 'a "quoted" word', True),
+        (float("inf"), "back\\slash", False),
+        (float("-inf"), "two\nlines", None),
+        (-0.0, "na\u00efve \u2603 \U0001d11e", 0),
+        (5e-324, "", 2 ** 70),
+        (1.7976931348623157e308, "plain", -3),
+        (True, None, 0.1),
+        (2 ** 70, 7, float("nan")),
+        (None, False, "%s %d %%"),
+    ]
+]
 
 
 RENDER_LAW = ["--p", ".3", "--q", ".2", "--r", ".5"]
@@ -452,6 +528,21 @@ class TestRender:
                     assert field == str(value)
                 else:
                     assert float(field) == value
+
+    @pytest.mark.parametrize("argv", RENDER_CASES, ids=" ".join)
+    def test_json_equals_json_dumps(self, argv):
+        args = cli._build_parser().parse_args(argv)
+        rows = args.handler(args)
+        for precision in (1, 6, 15):
+            assert cli._render(rows, "json", precision) == \
+                _json_dumps_reference(rows, precision)
+
+    @pytest.mark.parametrize("precision", [1, 6, 15])
+    def test_mixed_and_extreme_values(self, precision):
+        assert cli._render(SYNTHETIC_ROWS, "csv", precision) == \
+            _dict_writer_csv(SYNTHETIC_ROWS, precision)
+        assert cli._render(SYNTHETIC_ROWS, "json", precision) == \
+            _json_dumps_reference(SYNTHETIC_ROWS, precision)
 
 
 def call(argv, capsys):
