@@ -8,6 +8,13 @@ for a float that is not finite.
 Exit codes: 0 success, 1 failed verification, 2 validation error (an
 --out path that cannot be written or a --data path that cannot be read
 among them), 3 numeric domain error.
+
+The global flags (--format, --out, --precision, --seed) go before the
+command; simulate and verify also take a --seed of their own, which wins.
+A command line of whole global flags and then a command is parsed once
+(`_parse`): the flags by a parser that holds them alone, the command's
+tokens by the command's parser alone.  Every other line, help and errors
+among them, goes through argparse's nested parse.
 """
 
 from __future__ import annotations
@@ -87,13 +94,23 @@ def _parse_sweep(spec: str) -> list[float]:
 
 
 def _source_from_args(args) -> sources.SourceLaw:
+    """The source the flags name; a flag that the kind would ignore, or
+    --polarization with --unpolarized, raises ValueError."""
     kind = args.kind
     if kind == "coherent":
+        if args.polarization is not None or not args.polarized:
+            raise ValueError("--polarization and --unpolarized are for the "
+                             "thermal kinds only")
         if args.mean is not None:
             return sources.SourceLaw("coherent", modes=1, nbar=args.mean)
         return sources.SourceLaw("coherent", modes=args.modes, nbar=args.nbar)
+    if args.mean is not None:
+        raise ValueError("--mean is for --kind coherent only")
     prefix = {"thermal-boson": "boson", "thermal-fermion": "fermion"}[kind]
     if args.polarization is not None:
+        if not args.polarized:
+            raise ValueError("--polarization and --unpolarized exclude each "
+                             "other")
         return sources.SourceLaw(f"{prefix}-partial", modes=args.modes,
                                  nbar=args.nbar,
                                  polarization=args.polarization)
@@ -262,17 +279,26 @@ def _cmd_verify(args) -> list[dict]:
 # -- argument parser -------------------------------------------------------
 
 
-# Built once per process, on the first `main` call: `parse_args` returns a
-# new namespace each time, and nothing changes the parser once it is built.
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hbtcount",
-        description="Two-detector counting statistics for bosons and fermions")
+_GLOBAL_FLAGS = ("--format", "--out", "--precision", "--seed")
+
+
+def _add_global_flags(parser):
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--precision", type=int, default=6)
     parser.add_argument("--seed", type=int, default=0)
+
+
+# Built once per process, on the first `main` call: `parse_args` returns a
+# new namespace each time, and nothing changes a parser once it is built.
+@functools.cache
+def _parsers():
+    """The top-level parser, a parser of the global flags alone with its
+    usage line, and each command's parser by name."""
+    parser = argparse.ArgumentParser(
+        prog="hbtcount",
+        description="Two-detector counting statistics for bosons and fermions")
+    _add_global_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moments", help="trinomial gate moments, K_n and R")
@@ -336,11 +362,56 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--z-max", type=float, default=mc.DEFAULT_Z_MAX)
 
-    return parser
+    # a flag it rejects raises ArgumentError, and `_parse` then takes the
+    # nested parse, which prints argparse's own error
+    flags = argparse.ArgumentParser(
+        prog=parser.prog, usage=parser.format_usage()[len("usage: "):-1],
+        add_help=False, exit_on_error=False)
+    _add_global_flags(flags)
+    return parser, flags, sub.choices
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with each command's parser under it."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """`_build_parser().parse_args(argv)`, reading each token once.
+
+    When argv is whole global flags, each with a value that does not start
+    with "-", then a command, the flags go to their own parser and the
+    command's tokens to its parser alone, whose namespace overrides the
+    flags' as argparse's subparsers do.  Any other argv takes the nested
+    parse, as does a global flag argparse rejects and a token "--=..."
+    (or, on some Pythons, "-=...") after the command, which the top-level
+    parser finds ambiguous among its own flags: every namespace, help text
+    and error stays argparse's own."""
+    if argv is None:
+        argv = sys.argv[1:]
+    top, flags, commands = _parsers()
+    i = 0
+    while (i + 1 < len(argv) and argv[i] in _GLOBAL_FLAGS
+           and not argv[i + 1].startswith("-")):
+        i += 2
+    rest = argv[i + 1:]
+    if i == len(argv) or argv[i] not in commands or any(
+            token.startswith(("--=", "-=")) for token in rest):
+        return top.parse_args(argv)
+    try:
+        args = flags.parse_known_args(argv[:i])[0]
+    except argparse.ArgumentError:
+        return top.parse_args(argv)
+    args.command = argv[i]
+    command, extras = commands[argv[i]].parse_known_args(rest)
+    vars(args).update(vars(command))
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         if not 1 <= args.precision <= 15:
             raise ValueError("precision must lie in [1, 15]")

@@ -152,7 +152,9 @@ class _Moments:
         self.comoment = np.zeros((width, width))
 
     def means(self):
-        return np.array([total / self.count for total in self.sums])
+        """The features' means as np.float64, whose 0/0 is nan under
+        np.errstate where a float's raises."""
+        return [np.float64(total / self.count) for total in self.sums]
 
     def add(self, features, gates):
         """Add gates[i] gates with the non-negative int64 features of column
@@ -169,8 +171,11 @@ class _Moments:
         dev, weighted = np.empty((2, *features.shape))
         np.subtract(features, mean[:, None], out=dev)
         np.multiply(dev, gates, out=weighted)
-        self.comoment += np.einsum("ij,kj->ik", weighted, dev)
-        if self.count:
+        comoment = np.einsum("ij,kj->ik", weighted, dev)
+        if not self.count:  # a table run's one batch: no merge
+            self.comoment = comoment
+        else:
+            self.comoment += comoment
             delta = mean - self.means()
             self.comoment += np.outer(delta, delta) * (
                 self.count * count / (self.count + count))
@@ -206,12 +211,14 @@ def _estimates(gates: int, counts: _Moments,
              -0.5 * r / var_xi, -0.5 * r / var_eta, 1.0 / scale],
             [1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]])
         f_grad = np.array([-n2 / (n * n) - 1.0, 1.0 / n])
-        errors = np.sqrt(np.append(
-            np.einsum("ij,jk,ik->i", grad, counts.comoment, grad),
-            f_grad @ occupancy.comoment @ f_grad) / (gates * (gates - 1.0)))
+        pairs = gates * (gates - 1.0)
+        k_err, r_err, xi_err, eta_err = np.sqrt(np.einsum(
+            "ij,jk,ik->i", grad, counts.comoment, grad) / pairs)
+        f_err = np.sqrt(f_grad @ occupancy.comoment @ f_grad / pairs)
         return EstimateReport(gates, *(  # K, R, F, then the mean counts
             Estimate(float(value), float(error)) for value, error in
-            zip((k, r, (n2 - n * n) / n, xi, eta), errors[[0, 1, 4, 2, 3]])))
+            ((k, k_err), (r, r_err), ((n2 - n * n) / n, f_err), (xi, xi_err),
+             (eta, eta_err))))
 
 
 def _binomial_table(rows, top: int, pi: float):
@@ -284,12 +291,15 @@ def _row_split(histogram) -> int:
     if every row counts a gate and the rows 0..j none, which cannot be): a
     histogram whose top costs no more (16 cells or fewer at these costs) is
     thinned whole, unsearched."""
-    if len(histogram) ** 2 <= _START_COST + _GATE_COST:
-        return len(histogram) - 1
-    cells = (histogram > 0).cumsum() * np.arange(1, len(histogram) + 1)
-    left = float(_GATE_COST) * (histogram.sum() - histogram.cumsum())
-    cost = np.where(cells <= _GROUP_COST,
-                    cells + left + _START_COST * (left > 0), np.inf)
+    rows = len(histogram)
+    if rows ** 2 <= _START_COST + _GATE_COST:
+        return rows - 1
+    cells = (histogram > 0).cumsum() * np.arange(1, rows + 1)
+    running = histogram.cumsum()
+    cost = cells + float(_GATE_COST) * (running[-1] - running)
+    cost[:-1] += _START_COST  # every row below the top leaves a gate above
+    if rows ** 2 > _GROUP_COST:
+        cost[cells > _GROUP_COST] = np.inf
     return int(cost.argmin())
 
 
@@ -414,12 +424,12 @@ def verify(report: EstimateReport, analytic: dict,
     estimate, z-score and pass flag.  A statistic the run cannot define,
     as K or R without counts at one detector or F without quanta, has a
     nan estimate: a DomainError names each such statistic asked for,
-    instead of a miss.
+    instead of a miss.  z_max must be positive and finite.
     """
     if not analytic:
         raise ValueError("no analytic values supplied")
-    if not math.isfinite(z_max):
-        raise ValueError(f"z_max must be finite, not {z_max}")
+    if not 0.0 < z_max < math.inf:
+        raise ValueError(f"z_max must be positive and finite, not {z_max}")
     undefined = [name for name in analytic
                  if math.isnan(report.estimate(name).value)]
     if undefined:

@@ -77,6 +77,23 @@ class TestK:
         row = read_csv(out)[0]
         assert float(row["R"]) > 0.0
 
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "thermal-boson", "--mean", "5"],
+        ["--kind", "thermal-fermion", "--mean", "0.5"],
+        ["--kind", "coherent", "--polarization", "0.5"],
+        ["--kind", "coherent", "--unpolarized"],
+        ["--kind", "thermal-boson", "--polarization", "0.5",
+         "--unpolarized"],
+    ])
+    @pytest.mark.parametrize("command", [["k"], ["source"]])
+    def test_ignored_source_flag_is_validation_error(self, command, flags,
+                                                     capsys):
+        code = cli.main(command + flags)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
 
 class TestCurveAndModes:
     def test_curve_endpoints(self, capsys):
@@ -323,6 +340,17 @@ class TestSimulateAndVerify:
                        "--r", "0.5", "--gates", "10000", "--seed", "4",
                        "--z-max", "0.001"], capsys)
         assert code == cli.EXIT_CHECK_FAILED
+
+    @pytest.mark.parametrize("z_max", ["0", "-0.5", "-1"])
+    def test_non_positive_z_max_is_validation_error(self, z_max, capsys):
+        code = cli.main(["verify", "--kind", "coherent", "--nbar", "1",
+                         "--p", "0.3", "--q", "0.2", "--r", "0.5",
+                         "--gates", "1000", "--z-max", z_max])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.err == (f"error: z_max must be positive and finite, "
+                                f"not {float(z_max)}\n")
+        assert captured.out == ""
 
 
 class TestOutputHandling:
@@ -574,7 +602,7 @@ class TestCachedParser:
         session = [call(argv, capsys) for argv in self.SESSION]
         fresh = []
         for argv in self.SESSION:
-            cli._build_parser.cache_clear()
+            cli._parsers.cache_clear()
             fresh.append(call(argv, capsys))
         assert session == fresh
 
@@ -726,3 +754,88 @@ class TestReadme:
         code, out = run(argv, capsys)
         assert code == cli.EXIT_OK
         assert out
+
+
+def cli_short_lines():
+    """Command lines of every shape the short-session benchmark runs, and
+    the simulate line whose own --seed overrides the global one."""
+    law = ["--p", "0.3", "--q", "0.2", "--r", "0.5"]
+    lines = []
+    for kind in (["--kind", "coherent"], ["--kind", "thermal-boson"],
+                 ["--kind", "thermal-fermion"]):
+        forms = [[]] if kind[1] == "coherent" else [
+            [], ["--unpolarized"], ["--polarization", "0.4"]]
+        for form in forms:
+            source = kind + ["--modes", "3", "--nbar", "0.6"] + form
+            run_flags = source + law + ["--gates", "10240"]
+            lines += [
+                ["--seed", "7", "verify"] + run_flags + ["--z-max", "5"],
+                ["simulate"] + run_flags + ["--seed", "7", "--analytic"],
+                ["simulate"] + run_flags + ["--seed", "7"],
+                ["k"] + source, ["k"] + source + law, ["source"] + source,
+                ["source"] + source + ["--pgf", "0.1,0.25,0.5"]]
+    lines += [
+        ["moments"] + law + ["--n", "3"],
+        ["curve", "--statistics", "boson", "--profile", "gaussian",
+         "--sweep", "0:20:40"],
+        ["modes", "--profile", "linear-approx", "--x", "0.5,2.25,17"],
+        ["aspect-grangier"],
+        ["verify", "--kind", "coherent", "--mean", "1e8"] + law
+        + ["--gates", "100000", "--seed", "5"],
+        ["--seed", "7", "simulate", "--kind", "coherent"] + law
+        + ["--seed", "9"]]
+    return lines + [["--format", "json"] + line for line in lines]
+
+
+K_LINE = ["k", "--kind", "coherent", "--nbar", "2"]
+MALFORMED_LINES = [
+    ["--precision", "x"] + K_LINE, ["--format", "xml"] + K_LINE,
+    ["--out", "-x"] + K_LINE, ["--out", "--=x"] + K_LINE,
+    ["--seed", "-1"] + K_LINE,
+    ["--form", "json"] + K_LINE, ["--format=json"] + K_LINE,
+    ["-h"], ["k", "-h"], ["--format", "json", "k", "-h"], [], ["nosuch"],
+    ["--seed", "3"], ["--seed"], K_LINE + ["--format", "json"],
+    K_LINE + ["extra"], K_LINE + ["--=x"], K_LINE + ["-=x"],
+    K_LINE + ["--", "--modes", "2"],
+    ["k", "--kind", "thermal-boson", "--polarized", "--unpolarized"],
+    ["k", "--nbar", "2"],
+    ["moments", "--p", "x", "--q", "0.2", "--r", "0.5"],
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """The namespace `parse(argv)` gives, as a dict, or its exit code,
+    stdout and stderr."""
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+class TestParse:
+    """`cli._parse` reads a command line as argparse's nested parse does,
+    and reads the common shapes without it."""
+
+    @pytest.mark.parametrize("argv", cli_short_lines() + readme_commands()
+                             + MALFORMED_LINES)
+    def test_matches_the_nested_parse(self, argv, capsys):
+        assert parse_outcome(cli._parse, argv, capsys) == parse_outcome(
+            cli._build_parser().parse_args, argv, capsys)
+
+    def test_common_shapes_skip_the_nested_parse(self, monkeypatch):
+        def nested(*args, **kwargs):
+            raise AssertionError("nested parse")
+        top = cli._build_parser()
+        monkeypatch.setattr(top, "parse_args", nested)
+        monkeypatch.setattr(top, "parse_known_args", nested)
+        for argv in cli_short_lines() + readme_commands():
+            assert cli._parse(argv).command in argv
+
+    def test_command_seed_overrides_the_global_seed(self):
+        args = cli._parse(["--seed", "7", "simulate", "--kind", "coherent",
+                           "--seed", "9"])
+        assert args.seed == 9
+        assert cli._parse(["--seed", "7", "verify", "--kind",
+                           "coherent"]).seed == 7
