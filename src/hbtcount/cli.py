@@ -7,7 +7,9 @@ json.dumps(rows, indent=2) of the rounded rows, byte for byte, with null
 for a float that is not finite.
 Exit codes: 0 success, 1 failed verification, 2 validation error (an
 --out path that cannot be written or a --data path that cannot be read
-among them), 3 numeric domain error.
+among them), 3 numeric domain error.  One rule holds for every flag: a
+flag the source kind or the command would ignore, or two flags that
+contradict each other, exits 2.
 
 The global flags (--format, --out, --precision, --seed) go before the
 command; simulate and verify also take a --seed of their own, which wins.
@@ -92,49 +94,42 @@ def _parse_sweep(spec: str) -> list[float]:
 
 # -- source construction from flags ---------------------------------------
 
+# The source flags each kind takes; a kind refuses the others when given.
+_SOURCE_FLAGS = ("modes", "nbar", "mean", "polarized", "polarization")
+_THERMAL_FLAGS = ("modes", "nbar", "polarized", "polarization")
+_KIND_FLAGS = {"coherent": ("modes", "nbar", "mean"),
+               "thermal-boson": _THERMAL_FLAGS,
+               "thermal-fermion": _THERMAL_FLAGS}
+# Pairs of flags that contradict each other: each command's parser holds
+# the pairs it takes both flags of, and `main` refuses both given.
+_EXCLUSIVE = (("mean", "modes"), ("mean", "nbar"),
+              ("polarized", "polarization"), ("x", "sweep"), ("pgf", "max_n"),
+              ("f_override", "gate_ratio"), ("f_override", "omega_ratio"))
+
+
+def _flag(args, dest: str) -> str:
+    """The flag that gave `dest` its value; only --unpolarized stores False."""
+    return ("--unpolarized" if getattr(args, dest) is False
+            else "--" + dest.replace("_", "-"))
+
 
 def _source_from_args(args) -> sources.SourceLaw:
-    """The source the flags name; a flag that the kind would ignore, or
-    --polarization with --unpolarized, raises ValueError."""
-    kind = args.kind
-    if kind == "coherent":
-        if args.polarization is not None or not args.polarized:
-            raise ValueError("--polarization and --unpolarized are for the "
-                             "thermal kinds only")
-        if args.mean is not None:
-            return sources.SourceLaw("coherent", modes=1, nbar=args.mean)
-        return sources.SourceLaw("coherent", modes=args.modes, nbar=args.nbar)
-    if args.mean is not None:
-        raise ValueError("--mean is for --kind coherent only")
-    prefix = {"thermal-boson": "boson", "thermal-fermion": "fermion"}[kind]
-    if args.polarization is not None:
-        if not args.polarized:
-            raise ValueError("--polarization and --unpolarized exclude each "
-                             "other")
-        return sources.SourceLaw(f"{prefix}-partial", modes=args.modes,
-                                 nbar=args.nbar,
-                                 polarization=args.polarization)
-    suffix = "polarized" if args.polarized else "unpolarized"
-    return sources.SourceLaw(f"{prefix}-{suffix}", modes=args.modes,
-                             nbar=args.nbar)
-
-
-def _add_source_flags(parser, with_law=False):
-    parser.add_argument("--kind", required=True,
-                        choices=["coherent", "thermal-boson", "thermal-fermion"])
-    parser.add_argument("--modes", type=int, default=1)
-    parser.add_argument("--nbar", type=float, default=1.0)
-    parser.add_argument("--mean", type=float, default=None,
-                        help="total mean occupancy (coherent shorthand)")
-    pol = parser.add_mutually_exclusive_group()
-    pol.add_argument("--polarized", action="store_true", default=True)
-    pol.add_argument("--unpolarized", dest="polarized", action="store_false")
-    parser.add_argument("--polarization", type=float, default=None,
-                        help="degree of polarization for partial kinds")
-    if with_law:
-        parser.add_argument("--p", type=float, default=None)
-        parser.add_argument("--q", type=float, default=None)
-        parser.add_argument("--r", type=float, default=None)
+    """The source the flags name; a given flag the kind does not take
+    raises ValueError.  `main` refuses --mean with --modes or --nbar, so
+    --mean is the nbar of one mode."""
+    taken = _KIND_FLAGS[args.kind]
+    for dest in _SOURCE_FLAGS:
+        if dest not in taken and getattr(args, dest) is not None:
+            raise ValueError(f"{_flag(args, dest)} does not apply to --kind "
+                             f"{args.kind}")
+    polarity = ("partial" if args.polarization is not None else
+                "unpolarized" if args.polarized is False else "polarized")
+    kind = ("coherent" if args.kind == "coherent" else
+            f"{args.kind.removeprefix('thermal-')}-{polarity}")
+    given = {"modes": args.modes, "polarization": args.polarization,
+             "nbar": args.nbar if args.mean is None else args.mean}
+    return sources.SourceLaw(kind, **{name: value for name, value
+                                      in given.items() if value is not None})
 
 
 def _law_from_args(args) -> TernaryLaw | None:
@@ -194,34 +189,31 @@ def _cmd_curve(args) -> list[dict]:
     profile = modes.ModeProfile(shape=args.profile,
                                 integer_part=args.integer_part)
     sweep = _parse_sweep(args.sweep)
-    curve = modes.coincidence_curve(args.statistics, args.polarized,
-                                    profile, sweep)
+    curve = modes.coincidence_curve(
+        args.statistics, args.polarized is not False, profile, sweep)
     return [{"x": x, "M": m, "K": k} for x, m, k in curve]
 
 
 def _cmd_modes(args) -> list[dict]:
-    if args.x is None and args.sweep is None:
-        raise ValueError("modes requires --x or --sweep")
     profile = modes.ModeProfile(shape=args.profile,
                                 integer_part=args.integer_part)
     if args.x is not None:
         xs = [float(v) for v in args.x.split(",")]
-    else:
+    elif args.sweep is not None:
         xs = _parse_sweep(args.sweep)
+    else:
+        raise ValueError("modes requires --x or --sweep")
     return [{"x": x, "M": profile.count(x)} for x in xs]
 
 
 def _cmd_aspect_grangier(args) -> list[dict]:
-    if args.f_override is not None:
-        f = args.f_override
-    elif args.gate_ratio is not None or args.omega_ratio is not None:
-        gate_ratio = args.gate_ratio if args.gate_ratio is not None \
-            else ac.DEFAULT_GATE_RATIO
-        omega = args.omega_ratio if args.omega_ratio is not None \
-            else ac.DEFAULT_OMEGA_RATIO
-        f = ac.gate_overlap(gate_ratio, 1.0, omega)
-    else:
-        f = ac.DEFAULT_F
+    gate_ratio, omega = args.gate_ratio, args.omega_ratio
+    if gate_ratio is None and omega is None:
+        f = ac.DEFAULT_F if args.f_override is None else args.f_override
+    else:  # `main` refuses --f-override with either ratio
+        f = ac.gate_overlap(
+            ac.DEFAULT_GATE_RATIO if gate_ratio is None else gate_ratio, 1.0,
+            ac.DEFAULT_OMEGA_RATIO if omega is None else omega)
     if args.data is None:
         records = ac.load_table1()
     else:
@@ -255,17 +247,14 @@ def _analytic_values(cfg: mc.SimulationConfig) -> dict:
 def _cmd_simulate(args) -> list[dict]:
     cfg = _simulation_config(args)
     report = mc.simulate_series(cfg)
-    rows = []
-    analytic = _analytic_values(cfg) if args.analytic else {}
-    for name in report.STATISTICS:
-        est = report.estimate(name)
-        row = {"statistic": name, "estimate": est.value, "stderr": est.stderr}
-        if args.analytic:
-            row["analytic"] = analytic[name]
-        rows.append(row)
-    rows.append({"statistic": "gates", "estimate": float(report.gates),
-                 "stderr": 0.0, **({"analytic": float(report.gates)}
-                                   if args.analytic else {})})
+    gates = float(report.gates)
+    rows = [{"statistic": name, "estimate": est.value, "stderr": est.stderr}
+            for name in report.STATISTICS for est in [report.estimate(name)]]
+    rows.append({"statistic": "gates", "estimate": gates, "stderr": 0.0})
+    if args.analytic:
+        analytic = {**_analytic_values(cfg), "gates": gates}
+        for row in rows:
+            row["analytic"] = analytic[row["statistic"]]
     return rows
 
 
@@ -278,15 +267,77 @@ def _cmd_verify(args) -> list[dict]:
 
 # -- argument parser -------------------------------------------------------
 
+# Each flag once, as (name, add_argument keywords); a tuple of flags in
+# place of one is a mutually exclusive group.  A flag `_KIND_FLAGS` or
+# `_EXCLUSIVE` names defaults to None, so a given one is visible.
+_GLOBAL = (("--format", dict(choices=["csv", "json"], default="csv")),
+           ("--out", dict(help="output path (default stdout)")),
+           ("--precision", dict(type=int, default=6)),
+           ("--seed", dict(type=int, default=0)))
+_GLOBAL_FLAGS = tuple(name for name, _ in _GLOBAL)
+_POLARITY = (("--polarized", dict(action="store_true", default=None)),
+             ("--unpolarized", dict(dest="polarized", action="store_false",
+                                    default=None)))
+_SOURCE = (("--kind", dict(required=True, choices=list(_KIND_FLAGS))),
+           ("--modes", dict(type=int)),
+           ("--nbar", dict(type=float)),
+           ("--mean", dict(type=float,
+                           help="total mean occupancy (coherent shorthand)")),
+           _POLARITY,
+           ("--polarization", dict(
+               type=float, help="degree of polarization for partial kinds")))
+_LAW = tuple((f"--{name}", dict(type=float)) for name in "pqr")
+_PROFILE = ("--profile", dict(choices=list(modes.PROFILE_SHAPES),
+                              default="lorentzian"))
+_SWEEP = ("--sweep", dict(help="x0:x1:steps"))
+_INTEGER_PART = ("--integer-part", dict(action="store_true"))
+# SUPPRESS keeps the global --seed unless this one is given
+_RUN = (("--gates", dict(type=int, default=10 ** 5)),
+        ("--seed", dict(type=int, default=argparse.SUPPRESS)))
 
-_GLOBAL_FLAGS = ("--format", "--out", "--precision", "--seed")
+
+def _required(*flags) -> tuple:
+    return tuple((name, {**kwargs, "required": True})
+                 for name, kwargs in flags)
 
 
-def _add_global_flags(parser):
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--precision", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=0)
+# Each command's help text, handler and flags, in their help order.
+_COMMANDS = {
+    "moments": ("trinomial gate moments, K_n and R", _cmd_moments, (
+        *_required(*_LAW), ("--n", dict(type=int, default=1)))),
+    "source": ("occupancy pmf / pgf tables", _cmd_source, (
+        *_SOURCE, ("--max-n", dict(type=int)),
+        ("--pgf", dict(help="comma-separated z values; prints a pgf table "
+                            "instead")))),
+    "k": ("coincidence ratio for a source", _cmd_k, (*_SOURCE, *_LAW)),
+    "curve": ("coincidence curve K(x) over a mode sweep", _cmd_curve, (
+        ("--statistics", dict(choices=["boson", "fermion"], required=True)),
+        _POLARITY, _PROFILE, *_required(_SWEEP), _INTEGER_PART)),
+    "modes": ("mode-count function M(x)", _cmd_modes, (
+        _PROFILE, ("--x", dict(help="comma-separated x values")), _SWEEP,
+        _INTEGER_PART)),
+    "aspect-grangier": ("single-photon anticorrelation run table",
+                        _cmd_aspect_grangier, (
+        ("--data", dict(help="CSV path (default embedded)")),
+        ("--f-override", dict(type=float)),
+        ("--gate-ratio", dict(type=float,
+                              help="gate duration over lifetime, w/tau_s")),
+        ("--omega-ratio", dict(type=float)),
+        ("--reference-pump", dict(type=float, default=ac.REFERENCE_PUMP)))),
+    "simulate": ("Monte Carlo estimate of K, R, F", _cmd_simulate, (
+        *_SOURCE, *_LAW, *_RUN, ("--analytic", dict(action="store_true")))),
+    "verify": ("Monte Carlo check against analytics", _cmd_verify, (
+        *_SOURCE, *_LAW, *_RUN,
+        ("--z-max", dict(type=float, default=mc.DEFAULT_Z_MAX)))),
+}
+
+
+def _add_flags(parser, flags: tuple) -> None:
+    for flag in flags:
+        if isinstance(flag[0], str):
+            parser.add_argument(flag[0], **flag[1])
+        else:
+            _add_flags(parser.add_mutually_exclusive_group(), flag)
 
 
 # Built once per process, on the first `main` call: `parse_args` returns a
@@ -298,76 +349,21 @@ def _parsers():
     parser = argparse.ArgumentParser(
         prog="hbtcount",
         description="Two-detector counting statistics for bosons and fermions")
-    _add_global_flags(parser)
+    _add_flags(parser, _GLOBAL)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("moments", help="trinomial gate moments, K_n and R")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.set_defaults(handler=_cmd_moments)
-
-    p = sub.add_parser("source", help="occupancy pmf / pgf tables")
-    _add_source_flags(p)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--pgf", default=None,
-                   help="comma-separated z values; prints a pgf table instead")
-    p.set_defaults(handler=_cmd_source)
-
-    p = sub.add_parser("k", help="coincidence ratio for a source")
-    _add_source_flags(p, with_law=True)
-    p.set_defaults(handler=_cmd_k)
-
-    p = sub.add_parser("curve", help="coincidence curve K(x) over a mode sweep")
-    p.add_argument("--statistics", choices=["boson", "fermion"], required=True)
-    pol = p.add_mutually_exclusive_group()
-    pol.add_argument("--polarized", action="store_true", default=True)
-    pol.add_argument("--unpolarized", dest="polarized", action="store_false")
-    p.add_argument("--profile", choices=list(modes.PROFILE_SHAPES),
-                   default="lorentzian")
-    p.add_argument("--sweep", required=True, help="x0:x1:steps")
-    p.add_argument("--integer-part", action="store_true")
-    p.set_defaults(handler=_cmd_curve)
-
-    p = sub.add_parser("modes", help="mode-count function M(x)")
-    p.add_argument("--profile", choices=list(modes.PROFILE_SHAPES),
-                   default="lorentzian")
-    p.add_argument("--x", default=None, help="comma-separated x values")
-    p.add_argument("--sweep", default=None, help="x0:x1:steps")
-    p.add_argument("--integer-part", action="store_true")
-    p.set_defaults(handler=_cmd_modes)
-
-    p = sub.add_parser("aspect-grangier",
-                       help="single-photon anticorrelation run table")
-    p.add_argument("--data", default=None, help="CSV path (default embedded)")
-    p.add_argument("--f-override", type=float, default=None)
-    p.add_argument("--gate-ratio", type=float, default=None,
-                   help="gate duration over lifetime, w/tau_s")
-    p.add_argument("--omega-ratio", type=float, default=None)
-    p.add_argument("--reference-pump", type=float, default=ac.REFERENCE_PUMP)
-    p.set_defaults(handler=_cmd_aspect_grangier)
-
-    for name, helptext, handler in (
-            ("simulate", "Monte Carlo estimate of K, R, F", _cmd_simulate),
-            ("verify", "Monte Carlo check against analytics", _cmd_verify)):
+    for name, (helptext, handler, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.set_defaults(handler=handler)
-        _add_source_flags(p, with_law=True)
-        p.add_argument("--gates", type=int, default=10 ** 5)
-        # SUPPRESS keeps the global --seed unless this one is given
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        if name == "simulate":
-            p.add_argument("--analytic", action="store_true")
-        else:
-            p.add_argument("--z-max", type=float, default=mc.DEFAULT_Z_MAX)
+        _add_flags(p, flags)
+        dests = {action.dest for action in p._actions}
+        p.set_defaults(handler=handler, exclusive=tuple(
+            pair for pair in _EXCLUSIVE if dests.issuperset(pair)))
 
     # a flag it rejects raises ArgumentError, and `_parse` then takes the
     # nested parse, which prints argparse's own error
     flags = argparse.ArgumentParser(
         prog=parser.prog, usage=parser.format_usage()[len("usage: "):-1],
         add_help=False, exit_on_error=False)
-    _add_global_flags(flags)
+    _add_flags(flags, _GLOBAL)
     return parser, flags, sub.choices
 
 
@@ -415,6 +411,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 1 <= args.precision <= 15:
             raise ValueError("precision must lie in [1, 15]")
+        for a, b in args.exclusive:
+            if getattr(args, a) is not None and getattr(args, b) is not None:
+                raise ValueError(f"{_flag(args, a)} and {_flag(args, b)} "
+                                 f"exclude each other")
         rows = args.handler(args)
         text = _render(rows, args.format, args.precision)
     except DomainError as exc:

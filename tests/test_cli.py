@@ -84,6 +84,10 @@ class TestK:
         ["--kind", "coherent", "--unpolarized"],
         ["--kind", "thermal-boson", "--polarization", "0.5",
          "--unpolarized"],
+        ["--kind", "thermal-boson", "--polarized", "--polarization", "0.5"],
+        ["--kind", "coherent", "--polarized"],
+        ["--kind", "coherent", "--mean", "2", "--nbar", "5", "--modes", "3"],
+        ["--kind", "coherent", "--mean", "2", "--modes", "3"],
     ])
     @pytest.mark.parametrize("command", [["k"], ["source"]])
     def test_ignored_source_flag_is_validation_error(self, command, flags,
@@ -123,6 +127,58 @@ class TestCurveAndModes:
         code, _ = run(["curve", "--statistics", "boson", "--sweep", "0..1"],
                       capsys)
         assert code == cli.EXIT_VALIDATION
+
+    def test_curve_without_polarity_flag_is_polarized(self, capsys):
+        line = ["curve", "--statistics", "boson", "--sweep", "0:8:5"]
+        default, polarized, unpolarized = [
+            run(line + flag, capsys)
+            for flag in ([], ["--polarized"], ["--unpolarized"])]
+        assert default == polarized != unpolarized
+        assert default[0] == unpolarized[0] == cli.EXIT_OK
+
+
+class TestFlagRule:
+    """A given flag the source kind or the command would ignore, and two
+    given flags that contradict each other, exit 2 with an error line that
+    names the flags."""
+
+    @pytest.mark.parametrize("line, message", [
+        ("modes --x 1,2 --sweep 0:10:3", "--x and --sweep exclude each other"),
+        ("source --kind coherent --pgf 0.5 --max-n 3",
+         "--pgf and --max-n exclude each other"),
+        ("aspect-grangier --f-override 0.5 --gate-ratio 3",
+         "--f-override and --gate-ratio exclude each other"),
+        ("aspect-grangier --f-override 0.5 --omega-ratio 3",
+         "--f-override and --omega-ratio exclude each other"),
+        ("k --kind thermal-boson --polarization 0.5 --unpolarized",
+         "--unpolarized and --polarization exclude each other"),
+        ("k --kind thermal-boson --polarized --polarization 0.5",
+         "--polarized and --polarization exclude each other"),
+        ("source --kind coherent --unpolarized",
+         "--unpolarized does not apply to --kind coherent"),
+        ("verify --kind thermal-fermion --mean 0.5 --p .3 --q .2 --r .5",
+         "--mean does not apply to --kind thermal-fermion"),
+    ])
+    def test_refused_flags_are_named(self, line, message, capsys):
+        code = cli.main(shlex.split(line))
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_tables_name_dests_that_default_to_none(self):
+        """A misspelled dest in a table would turn its check off."""
+        parsers = cli._parsers()[2].values()
+        dests = [{action.dest for action in p._actions} for p in parsers]
+        named = {dest for flags in cli._KIND_FLAGS.values() for dest in flags}
+        assert named == set(cli._SOURCE_FLAGS)
+        for pair in cli._EXCLUSIVE:
+            named.update(pair)
+            assert any(d.issuperset(pair) for d in dests), pair
+        for dest in named:
+            assert any(dest in d for d in dests), dest
+            for p, d in zip(parsers, dests):
+                assert dest not in d or p.get_default(dest) is None, dest
 
 
 class TestAspectGrangier:
