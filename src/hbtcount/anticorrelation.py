@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from .elementary import _count
 from .errors import DomainError
-from .modes import lorentzian_mode_count
+from .modes import SERIES_THRESHOLD, lorentzian_mode_count
 
 # experimental defaults: gate over lifetime w/tau_s, solid-angle ratio,
 # stated overlap factor, and reference pump level
@@ -25,8 +26,11 @@ DEFAULT_F = 0.9
 REFERENCE_PUMP = 0.06
 
 DATASET_NAME = "aspect_grangier_table1.csv"
-_TABLE1_COLUMNS = ("row", "Nw", "N1_per_s", "T_s", "n_2r", "n_2t",
-                   "measured_coincidences")
+# The run table's columns: (CSV column, GateRecord field, parse type)
+_TABLE1 = (("row", "row", int), ("Nw", "pump", float),
+           ("N1_per_s", "trigger_rate", float), ("T_s", "duration", float),
+           ("n_2r", "singles_r", int), ("n_2t", "singles_t", int),
+           ("measured_coincidences", "measured_coincidences", int))
 
 
 @dataclass(frozen=True)
@@ -40,11 +44,15 @@ class CascadeModel:
     gamma1: float               # upper-level decay rate, 1/s
 
     def __post_init__(self):
-        if not all(x > 0.0 for x in (self.pump_rate, self.gate, self.lifetime,
-                                     self.solid_angle_ratio, self.gamma1)):
-            raise ValueError("cascade parameters must be positive")
+        if not all(0.0 < x < math.inf for x in (
+                self.pump_rate, self.gate, self.lifetime,
+                self.solid_angle_ratio, self.gamma1)):
+            raise ValueError("cascade parameters must be positive and finite")
         if self.gamma2 <= self.gamma1:
             raise ValueError("requires gamma2 = 1/tau_s > gamma1")
+        if self.pump == math.inf:
+            raise DomainError(f"pump N*w overflows float range at N = "
+                              f"{self.pump_rate!r}, w = {self.gate!r}")
 
     @property
     def gamma2(self) -> float:
@@ -73,10 +81,10 @@ class GateRecord:
     measured_coincidences: int
 
     def __post_init__(self):
+        for name in ("row", "singles_r", "singles_t", "measured_coincidences"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.trigger_rate <= 0.0 or self.duration <= 0.0:
             raise ValueError("trigger rate and duration must be positive")
-        if min(self.singles_r, self.singles_t, self.measured_coincidences) < 0:
-            raise ValueError("counts must be non-negative")
         if max(self.singles_r, self.singles_t) > self.gates:
             raise ValueError("singles cannot exceed the number of gates")
 
@@ -92,8 +100,9 @@ def cascade_population(t: float, gamma1: float, gamma2: float) -> float:
     P2(t) = gamma1/(gamma2-gamma1) * (exp(-gamma1 t) - exp(-gamma2 t));
     the degenerate-rate limit gamma1 -> gamma2 uses gamma1*t*exp(-gamma1 t).
     """
-    if not (gamma1 > 0.0 and gamma2 > 0.0 and t >= 0.0):
-        raise ValueError("rates must be positive and t non-negative")
+    if not (math.inf > gamma1 > 0.0 and math.inf > gamma2 > 0.0
+            and math.inf > t >= 0.0):
+        raise ValueError("rates must be positive, t non-negative, all finite")
     if abs(gamma1 - gamma2) / gamma2 < 1e-12:
         return gamma1 * t * math.exp(-gamma1 * t)
     return (gamma1 / (gamma2 - gamma1)
@@ -102,8 +111,9 @@ def cascade_population(t: float, gamma1: float, gamma2: float) -> float:
 
 def gate_overlap(gate: float, lifetime: float, omega_ratio: float) -> float:
     """Overlap factor f(w) = (Omega2/Omega1) * (1 - exp(-w/tau_s))."""
-    if not all(x > 0.0 for x in (gate, lifetime, omega_ratio)):
-        raise ValueError("gate, lifetime and solid-angle ratio must be positive")
+    if not all(0.0 < x < math.inf for x in (gate, lifetime, omega_ratio)):
+        raise ValueError("gate, lifetime and solid-angle ratio must be "
+                         "positive and finite")
     return omega_ratio * -math.expm1(-gate / lifetime)
 
 
@@ -136,12 +146,28 @@ def k_anticorrelation(pump: float, f: float) -> tuple[float, float]:
     """Mode-based coincidence ratio via the Lorentzian mode count.
 
     The dimensionless overlap is x = 4 * Nw * f; returns (K, M) with
-    K = 1 - 1/M and M the Lorentzian mode count at x.
+    K = 1 - 1/M and M the Lorentzian mode count at x.  M = 1 + O(x), so
+    below SERIES_THRESHOLD K is x times the series `_k_over_x`.
     """
     if not (pump >= 0.0 and f > 0.0):
         raise ValueError("requires Nw >= 0 and f > 0")
-    m = lorentzian_mode_count(4.0 * pump * f)
-    return 1.0 - 1.0 / m, m
+    x = 4.0 * pump * f
+    m = lorentzian_mode_count(x)
+    return (x * _k_over_x(x) if x < SERIES_THRESHOLD else 1.0 - 1.0 / m), m
+
+
+def _k_over_x(x: float) -> float:
+    """(1 - 1/M) / x for the Lorentzian M near x = 0, from its series."""
+    return 2.0 / 3.0 - x / 3.0 + 2.0 * x * x / 15.0 - 2.0 * x ** 3 / 45.0
+
+
+def _relative_difference(pump: float, f: float, k: float) -> float:
+    """100 (alpha - K) / (alpha + K) at Nw = pump, from alpha/Nw and K/Nw,
+    which stay finite as Nw -> 0: the limit is 100 (3 - 4f^2)/(3 + 4f^2)."""
+    x = 4.0 * pump * f
+    alpha_slope = (2.0 * f + pump) / (f + pump) ** 2
+    k_slope = 4.0 * f * _k_over_x(x) if x < SERIES_THRESHOLD else k / pump
+    return 100.0 * (alpha_slope - k_slope) / (alpha_slope + k_slope)
 
 
 def accidental_coincidences(rec: GateRecord) -> float:
@@ -204,20 +230,12 @@ def load_table1(path: str | None = None) -> list[GateRecord]:
     # a short row's missing fields read as "", which no field parses
     reader = csv.DictReader(lines, restval="")
     fields = reader.fieldnames or ()  # None for an empty file
-    missing = [c for c in _TABLE1_COLUMNS if c not in fields]
+    missing = [column for column, _, _ in _TABLE1 if column not in fields]
     if missing:
         raise ValueError(f"run table lacks column(s) {', '.join(missing)}")
-    records = []
-    for row in reader:
-        records.append(GateRecord(
-            row=int(row["row"]),
-            pump=float(row["Nw"]),
-            trigger_rate=float(row["N1_per_s"]),
-            duration=float(row["T_s"]),
-            singles_r=int(row["n_2r"]),
-            singles_t=int(row["n_2t"]),
-            measured_coincidences=int(row["measured_coincidences"]),
-        ))
+    records = [GateRecord(**{field: parse(row[column])
+                             for column, field, parse in _TABLE1})
+               for row in reader]
     if not records:
         raise ValueError("run table has no rows")
     return records
@@ -257,8 +275,7 @@ def table1_report(records: list[GateRecord] | None = None,
             "T_obs": t_obs,
             "R_obs": r_obs,
             "M_emp": m_emp,
-            "relative_difference": (100.0 * (alpha - k) / (alpha + k)
-                                    if alpha + k > 0 else 0.0),
+            "relative_difference": _relative_difference(rec.pump, f, k),
             "anomalous": rec.measured_coincidences > acc,
         })
     return report

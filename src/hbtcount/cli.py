@@ -31,7 +31,8 @@ from math import isfinite
 
 from . import anticorrelation as ac
 from . import mc, modes, sources, stats
-from .elementary import TernaryLaw, sequence_k, sequence_moments, sequence_r
+from .elementary import (TernaryLaw, _count, sequence_k, sequence_moments,
+                         sequence_r)
 from .errors import DomainError
 
 EXIT_OK = 0
@@ -164,10 +165,9 @@ def _cmd_source(args) -> list[dict]:
         return [{"z": z, "pgf": sources.source_pgf(src, z)} for z in zs]
     if args.max_n is None:
         window = sources._support_window(src)
-    elif 0 <= args.max_n <= sources.TRUNCATION_CAP:
-        window = sources._window(src, args.max_n)
     else:
-        raise ValueError(f"max-n must lie in [0, {sources.TRUNCATION_CAP}]")
+        window = sources._window(src, _count(
+            args.max_n, "--max-n", 0, sources.TRUNCATION_CAP + 1))
     return [{"n": n, "pmf": w} for n, w in enumerate(window.tolist())]
 
 
@@ -357,32 +357,24 @@ def _parsers():
         dests = {action.dest for action in p._actions}
         p.set_defaults(handler=handler, exclusive=tuple(
             pair for pair in _EXCLUSIVE if dests.issuperset(pair)))
-
-    # a flag it rejects raises ArgumentError, and `_parse` then takes the
-    # nested parse, which prints argparse's own error
     flags = argparse.ArgumentParser(
         prog=parser.prog, usage=parser.format_usage()[len("usage: "):-1],
-        add_help=False, exit_on_error=False)
+        add_help=False)
     _add_flags(flags, _GLOBAL)
     return parser, flags, sub.choices
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, with each command's parser under it."""
-    return _parsers()[0]
-
-
 def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """`_build_parser().parse_args(argv)`, reading each token once.
+    """`_parsers()[0].parse_args(argv)`, reading each token once.
 
     When argv is whole global flags, each with a value that does not start
-    with "-", then a command, the flags go to their own parser and the
+    with "-", then a command, the flags go to their own parser, which has
+    the top-level prog and usage line for the errors it prints, and the
     command's tokens to its parser alone, whose namespace overrides the
     flags' as argparse's subparsers do.  Any other argv takes the nested
-    parse, as does a global flag argparse rejects and a token "--=..."
-    (or, on some Pythons, "-=...") after the command, which the top-level
-    parser finds ambiguous among its own flags: every namespace, help text
-    and error stays argparse's own."""
+    parse, as does a token "--=..." (or, on some Pythons, "-=...") after
+    the command, which the top-level parser finds ambiguous among its own
+    flags: every namespace, help text and error stays argparse's own."""
     if argv is None:
         argv = sys.argv[1:]
     top, flags, commands = _parsers()
@@ -394,10 +386,7 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     if i == len(argv) or argv[i] not in commands or any(
             token.startswith(("--=", "-=")) for token in rest):
         return top.parse_args(argv)
-    try:
-        args = flags.parse_known_args(argv[:i])[0]
-    except argparse.ArgumentError:
-        return top.parse_args(argv)
+    args = flags.parse_known_args(argv[:i])[0]
     args.command = argv[i]
     command, extras = commands[argv[i]].parse_known_args(rest)
     vars(args).update(vars(command))

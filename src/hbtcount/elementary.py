@@ -77,12 +77,18 @@ class SequenceMoments:
     cross: float
 
 
-def _check_counts(n: int, m: int, k: int) -> None:
-    for value in (n, m, k):
-        if value != int(value) or value < 0:
-            raise ValueError("counts must be non-negative integers")
-    if m + k > n:
-        raise ValueError("m + k must not exceed n")
+def _count(value, name: str, least: int = 0, below: int | None = None) -> int:
+    """The int of a whole number in [least, below), unbounded above when
+    below is None: a Python or numpy integer, or a float with no fractional
+    part.  Anything else, inf and nan among them, raises ValueError naming
+    `name`, so no count is ever truncated."""
+    if isinstance(value, (int, np.integer)) or isinstance(
+            value, (float, np.floating)) and float(value).is_integer():
+        count = int(value)
+        if count >= least and (below is None or count < below):
+            return count
+    span = f">= {least}" if below is None else f"in [{least}, {below})"
+    raise ValueError(f"{name} must be a whole number {span}, not {value}")
 
 
 def _xlogy(x, y: float, log=math.log):
@@ -96,8 +102,9 @@ def _xlogy(x, y: float, log=math.log):
 
 def trinomial_pmf(law: TernaryLaw, n: int, m: int, k: int) -> float:
     """P(xi = m, eta = k) in a gate of n acts, computed in log space."""
-    _check_counts(n, m, k)
-    n, m, k = int(n), int(m), int(k)
+    n = _count(n, "n")
+    m = _count(m, "m", 0, n + 1)
+    k = _count(k, "k", 0, n - m + 1)  # m + k <= n
     log_coef = (math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(k + 1)
                 - math.lgamma(n - m - k + 1))
     log_p = (_xlogy(m, law.p) + _xlogy(k, law.q)
@@ -109,18 +116,15 @@ def trinomial_pmf(law: TernaryLaw, n: int, m: int, k: int) -> float:
 
 def sequence_gf(law: TernaryLaw, n: int, x, y):
     """Generating function (p x + q y + r)^n; |x| <= 1, |y| <= 1."""
-    if n != int(n) or n < 0:
-        raise ValueError("n must be a non-negative integer")
+    n = _count(n, "n")
     if not (abs(x) <= 1.0 + 1e-15 and abs(y) <= 1.0 + 1e-15):
         raise ValueError("subsidiary variables must lie in the unit disk")
-    return (law.p * x + law.q * y + law.r) ** int(n)
+    return (law.p * x + law.q * y + law.r) ** n
 
 
 def sequence_moments(law: TernaryLaw, n: int) -> SequenceMoments:
     """Exact moments of (xi, eta) for a gate of n acts."""
-    if n != int(n) or n < 0:
-        raise ValueError("n must be a non-negative integer")
-    n = int(n)
+    n = _count(n, "n")
     p, q = law.p, law.q
     return SequenceMoments(
         n=n,
@@ -138,9 +142,7 @@ def sequence_k(n: int) -> float:
     Always below 1: within a gate the two detectors are anticorrelated,
     independent of (p, q, r).
     """
-    if n != int(n) or n < 1:
-        raise ValueError("K_n is undefined for an empty gate")
-    return 1.0 - 1.0 / int(n)
+    return 1.0 - 1.0 / _count(n, "n", 1)  # undefined for an empty gate
 
 
 def sequence_r(law: TernaryLaw) -> float:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elementary import TernaryLaw, _xlogy
+from .elementary import TernaryLaw, _count, _xlogy
 from .errors import DomainError
 from .sources import SourceLaw, _TAIL_EPS, _cutoff_window
 
@@ -81,13 +81,11 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gates < 2:
-            raise ValueError("insufficient data: need at least 2 gates")
-        if self.gates >= 2 ** 63:  # int64 in every draw and histogram
-            raise ValueError("gates must lie below 2**63")
-        # the seed is the run's Philox key
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must lie in [0, 2**64)")
+        # gates are int64 in every draw and histogram; the seed is the
+        # run's Philox key
+        object.__setattr__(self, "gates", _count(self.gates, "gates", 2,
+                                                 2 ** 63))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0, 2 ** 64))
 
 
 @dataclass(frozen=True)

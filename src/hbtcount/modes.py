@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import DomainError
 from .stats import thermal_k
 
 SERIES_THRESHOLD = 1e-4
-
-PROFILE_SHAPES = ("gaussian", "lorentzian", "linear-approx")
 
 
 def gaussian_mode_count(x: float) -> float:
@@ -63,6 +62,7 @@ _SHAPE_FUNCS = {
     "lorentzian": lorentzian_mode_count,
     "linear-approx": linear_mode_count,
 }
+PROFILE_SHAPES = tuple(_SHAPE_FUNCS)
 
 
 @dataclass(frozen=True)
@@ -88,16 +88,25 @@ class ModeProfile:
 
 def asymptotic_mode_count(gate: float, bandwidth: float) -> float:
     """Large-M asymptote for the longitudinal mode count, tau_D * delta_nu."""
-    if not (gate > 0.0 and bandwidth > 0.0):
-        raise ValueError("gate duration and bandwidth must be positive")
-    return gate * bandwidth
+    if not (math.inf > gate > 0.0 and math.inf > bandwidth > 0.0):
+        raise ValueError("gate duration and bandwidth must be positive and "
+                         "finite")
+    value = gate * bandwidth
+    if value == math.inf:
+        raise DomainError(f"mode count overflows float range at tau_D = "
+                          f"{gate!r}, delta_nu = {bandwidth!r}")
+    return value
 
 
 def cartesian_mode_count(m_x: float, m_y: float, m_t: float) -> float:
     """Factorized mode count M_x * M_y * M_t (valid under cross-spectral purity)."""
-    if not (m_x >= 1.0 and m_y >= 1.0 and m_t >= 1.0):
-        raise ValueError("each factor must be at least 1")
-    return m_x * m_y * m_t
+    if not all(1.0 <= m < math.inf for m in (m_x, m_y, m_t)):
+        raise ValueError("each factor must be finite and at least 1")
+    value = m_x * m_y * m_t
+    if value == math.inf:
+        raise DomainError(f"mode count overflows float range at M_x, M_y, "
+                          f"M_t = {m_x!r}, {m_y!r}, {m_t!r}")
+    return value
 
 
 def coincidence_curve(statistics: str, polarized: bool, profile: ModeProfile,

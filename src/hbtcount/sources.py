@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elementary import _xlogy
+from .elementary import _count, _xlogy
 from .errors import DomainError
 
 KINDS = ("coherent", "boson-polarized", "boson-partial", "boson-unpolarized",
@@ -175,9 +175,7 @@ class SourceLaw:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown source kind: {self.kind!r}")
-        if not 1 <= self.modes < math.inf or self.modes != int(self.modes):
-            raise ValueError("modes must be a positive integer")
-        object.__setattr__(self, "modes", int(self.modes))
+        object.__setattr__(self, "modes", _count(self.modes, "modes", 1))
         if self.modes > sys.float_info.max:  # the component means are floats
             raise DomainError(f"too many modes: M = 10**"
                               f"{math.log10(self.modes):.1f} is past float "
@@ -260,9 +258,7 @@ def _window(src: SourceLaw, hi: int, terms=None):
 
 def source_pmf(src: SourceLaw, n: int) -> float:
     """Weight W_n that exactly n quanta arrive in one gate."""
-    if n != int(n) or n < 0:
-        raise ValueError("n must be a non-negative integer")
-    n = int(n)
+    n = _count(n, "n")
     comps = src._components
     if len(comps) == 1:
         return float(np.exp(comps[0].log_pmf(np.array([n])))[0])

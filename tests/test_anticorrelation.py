@@ -131,6 +131,22 @@ class TestAlphaAndK:
         assert k == pytest.approx(0.0, abs=1e-14)
         assert m == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("pump", [0.0, 5e-324, 1e-20, 1e-16, 1e-12])
+    def test_relative_difference_near_vacuum_pump(self, pump):
+        """alpha ~ 2 Nw/f and K ~ 2x/3 = 8 Nw f/3, so the relative
+        difference tends to 100 (3 - 4f^2)/(3 + 4f^2), not to a placeholder
+        0 nor to cancellation noise."""
+        f = DEFAULT_F
+        limit = 100.0 * (3.0 - 4.0 * f * f) / (3.0 + 4.0 * f * f)
+        rec = GateRecord(row=1, pump=pump, trigger_rate=4720.0,
+                         duration=1200.0, singles_r=2940, singles_t=3876,
+                         measured_coincidences=6)
+        row, = table1_report([rec], f=f)
+        assert row["relative_difference"] == pytest.approx(limit, rel=1e-6)
+        k, _ = k_anticorrelation(pump, f)
+        # (to within the spacing of subnormals at Nw = 5e-324)
+        assert k == pytest.approx(8.0 * pump * f / 3.0, rel=1e-6, abs=1e-322)
+
     def test_gate_ratio_anchor(self):
         # the stated gate ratio reproduces the f = 0.9 convention closely
         f = gate_overlap(DEFAULT_GATE_RATIO, 1.0, DEFAULT_OMEGA_RATIO)
@@ -246,6 +262,20 @@ class TestGateRecord:
     def test_m_emp_overflow_is_domain_error(self):
         with pytest.raises(DomainError, match="reference pump 5e-324"):
             empirical_observables(self.REC, reference_pump=5e-324)
+
+    @pytest.mark.parametrize("field", ["row", "singles_r", "singles_t",
+                                       "measured_coincidences"])
+    def test_counts_follow_the_count_rule(self, field):
+        """A whole float count is stored as its int, a fractional or
+        negative one is refused."""
+        fields = dict(row=2, pump=0.12, trigger_rate=4770.0, duration=900.0,
+                      singles_r=345600, singles_t=614700,
+                      measured_coincidences=36)
+        whole = GateRecord(**{**fields, field: float(fields[field])})
+        assert whole == self.REC and type(getattr(whole, field)) is int
+        for bad in (fields[field] + 0.5, -1, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be a whole"):
+                GateRecord(**{**fields, field: bad})
 
     def test_rejects_excess_singles(self):
         with pytest.raises(ValueError):

@@ -250,7 +250,7 @@ class TestSimulateAndVerify:
          "--unpolarized"],
     ])
     def test_analytic_r_is_exact_correlation(self, flags):
-        args = cli._build_parser().parse_args(
+        args = cli._parsers()[0].parse_args(
             ["simulate"] + flags + ["--p", "0.3", "--q", "0.2", "--r", "0.5"])
         cfg = cli._simulation_config(args)
         assert cli._analytic_values(cfg)["r"] == exact_correlation(
@@ -479,7 +479,7 @@ class TestOutputHandling:
         assert code == cli.EXIT_OK
         rows = read_csv(out)
         src = cli._source_from_args(
-            cli._build_parser().parse_args(["source"] + flags))
+            cli._parsers()[0].parse_args(["source"] + flags))
         assert [int(r["n"]) for r in rows] == list(range(len(rows)))
         assert [float(r["pmf"]) for r in rows] == pytest.approx(
             [sources.source_pmf(src, n) for n in range(len(rows))],
@@ -587,7 +587,7 @@ class TestRender:
 
     @pytest.mark.parametrize("argv", RENDER_CASES, ids=" ".join)
     def test_output_equals_a_dict_writer_reference(self, argv, capsys):
-        args = cli._build_parser().parse_args(argv)
+        args = cli._parsers()[0].parse_args(argv)
         rows = args.handler(args)
         assert [list(row) for row in rows] == [list(rows[0])] * len(rows)
         for precision in (1, 6, 15):
@@ -615,7 +615,7 @@ class TestRender:
 
     @pytest.mark.parametrize("argv", RENDER_CASES, ids=" ".join)
     def test_json_equals_json_dumps(self, argv):
-        args = cli._build_parser().parse_args(argv)
+        args = cli._parsers()[0].parse_args(argv)
         rows = args.handler(args)
         for precision in (1, 6, 15):
             assert cli._render(rows, "json", precision) == \
@@ -652,7 +652,7 @@ class TestCachedParser:
                ["k", "--kind", "laser"], K]
 
     def test_parser_is_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
+        assert cli._parsers()[0] is cli._parsers()[0]
 
     def test_calls_match_a_fresh_parser(self, capsys):
         session = [call(argv, capsys) for argv in self.SESSION]
@@ -878,12 +878,12 @@ class TestParse:
                              + MALFORMED_LINES)
     def test_matches_the_nested_parse(self, argv, capsys):
         assert parse_outcome(cli._parse, argv, capsys) == parse_outcome(
-            cli._build_parser().parse_args, argv, capsys)
+            cli._parsers()[0].parse_args, argv, capsys)
 
     def test_common_shapes_skip_the_nested_parse(self, monkeypatch):
         def nested(*args, **kwargs):
             raise AssertionError("nested parse")
-        top = cli._build_parser()
+        top = cli._parsers()[0]
         monkeypatch.setattr(top, "parse_args", nested)
         monkeypatch.setattr(top, "parse_known_args", nested)
         for argv in cli_short_lines() + readme_commands():

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from hbtcount import (
     simulate_series,
     trinomial_pmf,
 )
+from hbtcount.elementary import _count
 
 LAW = TernaryLaw(0.3, 0.2, 0.5)
 
@@ -201,3 +204,31 @@ class TestSequenceR:
         target = sequence_r(law)
         z = report.r_hat.z_score(target)
         assert abs(z) <= 3.0
+
+
+class TestCountRule:
+    """`_count`, the one test of whether a value is a count."""
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3),
+                                       3.0, np.float32(3.0)])
+    def test_whole_numbers_give_their_int(self, value):
+        count = _count(value, "n")
+        assert count == 3 and type(count) is int
+
+    @pytest.mark.parametrize("value", [2.5, math.inf, -math.inf, math.nan,
+                                       "3", None, Fraction(3), np.array(3)])
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(ValueError, match="^n must be a whole number >= 0"):
+            _count(value, "n")
+
+    def test_range_is_half_open(self):
+        assert _count(2, "gates", 2, 4) == 2
+        assert _count(2 ** 64 - 1, "seed", 0, 2 ** 64) == 2 ** 64 - 1
+        for value in (1, 4, 2 ** 70):
+            with pytest.raises(ValueError,
+                               match=r"^gates must be a whole number in "
+                                     rf"\[2, 4\), not {value}$"):
+                _count(value, "gates", 2, 4)
+        # a float past 2**63 is whole and compared exactly, not truncated
+        with pytest.raises(ValueError):
+            _count(2.0 ** 64, "seed", 0, 2 ** 64)

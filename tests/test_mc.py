@@ -774,6 +774,31 @@ class TestConfig:
                 law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
                 seed=seed)
 
+    @pytest.mark.parametrize("field", [dict(gates=100000.5),
+                                       dict(seed=1.5)])
+    def test_rejects_non_whole_gates_and_seed(self, field):
+        """A fractional count is refused, never truncated."""
+        with pytest.raises(ValueError, match=f"{next(iter(field))} must be "
+                                             f"a whole number"):
+            SimulationConfig(
+                law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
+                **field)
+
+    def test_accepts_numpy_gates_and_seed(self):
+        cfg = SimulationConfig(
+            law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
+            gates=np.int64(6400), seed=np.uint64(2 ** 64 - 1))
+        assert (cfg.gates, cfg.seed) == (6400, 2 ** 64 - 1)
+        assert type(cfg.gates) is int and type(cfg.seed) is int
+
+    def test_whole_float_gates_give_the_int_report(self):
+        base = dict(law=LAW, source=SourceLaw("coherent", modes=1, nbar=1.0),
+                    seed=3)
+        report = simulate_series(SimulationConfig(gates=1e5, **base))
+        assert report.gates == 100000 and type(report.gates) is int
+        assert report == simulate_series(
+            SimulationConfig(gates=100000, **base))
+
     def test_extreme_seeds_give_distinct_runs(self):
         base = dict(law=LAW,
                     source=SourceLaw("coherent", modes=1, nbar=1.0),

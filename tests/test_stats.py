@@ -327,6 +327,12 @@ NAN_CALLS = [
       for i in range(len(CASCADE))),
     (elementary.sequence_gf, (LAW_A, 3, NAN, 0.5)),
     (elementary.sequence_gf, (LAW_A, 3, 0.5, NAN)),
+    # the n-taking helpers, whose counts `elementary._count` checks
+    (trinomial_pmf, (LAW_A, NAN, 0, 0)),
+    (elementary.sequence_gf, (LAW_A, NAN, 0.5, 0.5)),
+    (elementary.sequence_moments, (LAW_A, NAN)),
+    (elementary.sequence_k, (NAN,)),
+    (source_pmf, (SourceLaw("coherent"), NAN)),
 ]
 
 
@@ -355,6 +361,19 @@ INF_CALLS = [
     (anticorrelation.alpha_mode_form, (INF, INF)),
     (anticorrelation.alpha_mode_form, (INF, 1.0)),
     (anticorrelation.alpha_mode_form, (1.0, INF)),
+    (anticorrelation.cascade_population, (1.0, INF, 2.0)),
+    (anticorrelation.cascade_population, (INF, 1.0, 2.0)),
+    (anticorrelation.CascadeModel, (INF,) + CASCADE[1:]),
+    (anticorrelation.gate_overlap, (1.0, 1.0, INF)),
+    (modes.cartesian_mode_count, (INF, 1.0, 1.0)),
+    (modes.asymptotic_mode_count, (INF, 1.0)),
+    # the n-taking helpers: a count is never truncated, nor inf an
+    # OverflowError
+    (trinomial_pmf, (LAW_A, INF, 0, 0)),
+    (elementary.sequence_gf, (LAW_A, INF, 0.5, 0.5)),
+    (elementary.sequence_moments, (LAW_A, INF)),
+    (elementary.sequence_k, (INF,)),
+    (source_pmf, (SourceLaw("coherent"), INF)),
 ]
 
 
@@ -366,3 +385,15 @@ def test_inf_is_refused(func, args):
     with pytest.raises(ValueError) as info:
         func(*args)
     assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("func,args", [
+    (modes.cartesian_mode_count, (1e200, 1e200, 1.0)),
+    (modes.asymptotic_mode_count, (1e200, 1e200)),
+    (anticorrelation.CascadeModel, (1e200, 1e200, 1e-300, 1.0, 1.0)),
+])
+def test_overflow_of_finite_inputs_is_domain_error(func, args):
+    """Finite inputs whose product passes float range raise DomainError,
+    as `energy_fluctuation` does, never an inf result."""
+    with pytest.raises(DomainError, match="overflows float range"):
+        func(*args)
