@@ -16,7 +16,7 @@ from importlib import resources
 
 from .elementary import _count
 from .errors import DomainError
-from .modes import SERIES_THRESHOLD, lorentzian_mode_count
+from .modes import _lorentzian
 
 # experimental defaults: gate over lifetime w/tau_s, solid-angle ratio,
 # stated overlap factor, and reference pump level
@@ -83,8 +83,14 @@ class GateRecord:
     def __post_init__(self):
         for name in ("row", "singles_r", "singles_t", "measured_coincidences"):
             object.__setattr__(self, name, _count(getattr(self, name), name))
-        if self.trigger_rate <= 0.0 or self.duration <= 0.0:
-            raise ValueError("trigger rate and duration must be positive")
+        for name in ("trigger_rate", "duration"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, not "
+                                 f"{getattr(self, name)!r}")
+        if self.trigger_rate * self.duration == math.inf:
+            raise DomainError(f"gate count N1*T overflows float range at "
+                              f"N1 = {self.trigger_rate!r}, "
+                              f"T = {self.duration!r}")
         if max(self.singles_r, self.singles_t) > self.gates:
             raise ValueError("singles cannot exceed the number of gates")
 
@@ -97,16 +103,16 @@ class GateRecord:
 def cascade_population(t: float, gamma1: float, gamma2: float) -> float:
     """Occupation probability of the intermediate cascade level at time t.
 
-    P2(t) = gamma1/(gamma2-gamma1) * (exp(-gamma1 t) - exp(-gamma2 t));
-    the degenerate-rate limit gamma1 -> gamma2 uses gamma1*t*exp(-gamma1 t).
+    P2(t) = gamma1/(gamma2-gamma1) * (exp(-gamma1 t) - exp(-gamma2 t)), as
+    gamma1 exp(-min(gamma1, gamma2) t) (1 - exp(-g t))/g at g = |gamma2 -
+    gamma1|, whose last factor is t at equal rates.
     """
     if not (math.inf > gamma1 > 0.0 and math.inf > gamma2 > 0.0
             and math.inf > t >= 0.0):
         raise ValueError("rates must be positive, t non-negative, all finite")
-    if abs(gamma1 - gamma2) / gamma2 < 1e-12:
-        return gamma1 * t * math.exp(-gamma1 * t)
-    return (gamma1 / (gamma2 - gamma1)
-            * (math.exp(-gamma1 * t) - math.exp(-gamma2 * t)))
+    gap = abs(gamma2 - gamma1)
+    rise = -math.expm1(-gap * t) / gap if gap else t
+    return gamma1 * math.exp(-min(gamma1, gamma2) * t) * rise
 
 
 def gate_overlap(gate: float, lifetime: float, omega_ratio: float) -> float:
@@ -114,32 +120,37 @@ def gate_overlap(gate: float, lifetime: float, omega_ratio: float) -> float:
     if not all(0.0 < x < math.inf for x in (gate, lifetime, omega_ratio)):
         raise ValueError("gate, lifetime and solid-angle ratio must be "
                          "positive and finite")
-    return omega_ratio * -math.expm1(-gate / lifetime)
+    value = omega_ratio * -math.expm1(-gate / lifetime)
+    if value == 0.0:
+        raise DomainError(f"overlap f underflows to 0 at w = {gate!r}, "
+                          f"tau_s = {lifetime!r}, Omega2/Omega1 = "
+                          f"{omega_ratio!r}")
+    return value
 
 
 def alpha_qm(pump: float, f: float) -> float:
     """Quantum anticorrelation parameter (2 f Nw + Nw^2)/(f + Nw)^2 (< 1)."""
-    if not (math.inf > pump >= 0.0 and math.inf > f > 0.0):
-        raise ValueError("requires finite Nw >= 0 and f > 0")
-    try:
-        return (2.0 * f * pump + pump * pump) / (f + pump) ** 2
-    except OverflowError:
-        raise DomainError(f"alpha_qm: (f + Nw)**2 overflows at f = {f!r}, "
-                          f"Nw = {pump!r}") from None
+    return _alpha(pump, f)[0]
 
 
 def alpha_mode_form(pump: float, f: float) -> tuple[float, float]:
     """Equivalent mode form: M = (f + Nw)^2 / f^2, alpha = 1 - 1/M."""
-    if not (math.inf > pump >= 0.0 and math.inf > f > 0.0):
-        raise ValueError("requires finite Nw >= 0 and f > 0")
-    try:
-        m_bar = (1.0 + pump / f) ** 2
-    except OverflowError:
-        m_bar = math.inf
+    alpha, _ = _alpha(pump, f)
+    m_bar = (1.0 + pump / f) * (1.0 + pump / f)
     if m_bar == math.inf:  # also when pump / f is inf
         raise DomainError(f"alpha_mode_form: ((f + Nw) / f)**2 overflows at "
                           f"f = {f!r}, Nw = {pump!r}")
-    return 1.0 - 1.0 / m_bar, m_bar
+    return alpha, m_bar
+
+
+def _alpha(pump: float, f: float) -> tuple[float, float]:
+    """(alpha, alpha/a) = (a (a + 2b), a + 2b)/(a + b)^2 for a, b = Nw, f over
+    max(Nw, f): alpha = r (2 + r)/(1 + r)^2 at r = Nw/f = a/b, no overflow."""
+    if not (math.inf > pump >= 0.0 and math.inf > f > 0.0):
+        raise ValueError("requires finite Nw >= 0 and f > 0")
+    a, b = pump / max(pump, f), f / max(pump, f)
+    slope = (a + 2.0 * b) / (a + b) ** 2
+    return a * slope, slope
 
 
 def k_anticorrelation(pump: float, f: float) -> tuple[float, float]:
@@ -147,27 +158,25 @@ def k_anticorrelation(pump: float, f: float) -> tuple[float, float]:
 
     The dimensionless overlap is x = 4 * Nw * f; returns (K, M) with
     K = 1 - 1/M and M the Lorentzian mode count at x.  M = 1 + O(x), so
-    below SERIES_THRESHOLD K is x times the series `_k_over_x`.
+    below x = 1 K is x times the series of K/x, which keeps its digits.
     """
-    if not (pump >= 0.0 and f > 0.0):
-        raise ValueError("requires Nw >= 0 and f > 0")
+    if not (math.inf > pump >= 0.0 and math.inf > f > 0.0):
+        raise ValueError("requires finite Nw >= 0 and f > 0")
     x = 4.0 * pump * f
-    m = lorentzian_mode_count(x)
-    return (x * _k_over_x(x) if x < SERIES_THRESHOLD else 1.0 - 1.0 / m), m
+    if x == math.inf:
+        raise DomainError(f"overlap x = 4 Nw f overflows float range at "
+                          f"f = {f!r}, Nw = {pump!r}")
+    inv_m, k, _ = _lorentzian(x)
+    return k, 1.0 / inv_m
 
 
-def _k_over_x(x: float) -> float:
-    """(1 - 1/M) / x for the Lorentzian M near x = 0, from its series."""
-    return 2.0 / 3.0 - x / 3.0 + 2.0 * x * x / 15.0 - 2.0 * x ** 3 / 45.0
-
-
-def _relative_difference(pump: float, f: float, k: float) -> float:
-    """100 (alpha - K) / (alpha + K) at Nw = pump, from alpha/Nw and K/Nw,
-    which stay finite as Nw -> 0: the limit is 100 (3 - 4f^2)/(3 + 4f^2)."""
-    x = 4.0 * pump * f
-    alpha_slope = (2.0 * f + pump) / (f + pump) ** 2
-    k_slope = 4.0 * f * _k_over_x(x) if x < SERIES_THRESHOLD else k / pump
-    return 100.0 * (alpha_slope - k_slope) / (alpha_slope + k_slope)
+def _relative_difference(pump: float, f: float) -> float:
+    """100 (alpha - K)/(alpha + K) = 100 (2/(1 + rho) - 1), rho = K/alpha =
+    4 f max(Nw, f) (K/x)/(alpha/a) with Nw cancelled: rho -> 4f^2/3 as Nw -> 0,
+    and it passes float range only where the difference is -100."""
+    rho = (4.0 * (f * (max(pump, f) * _lorentzian(4.0 * pump * f)[2]))
+           / _alpha(pump, f)[1])
+    return 100.0 * (2.0 / (1.0 + rho) - 1.0)
 
 
 def accidental_coincidences(rec: GateRecord) -> float:
@@ -275,7 +284,7 @@ def table1_report(records: list[GateRecord] | None = None,
             "T_obs": t_obs,
             "R_obs": r_obs,
             "M_emp": m_emp,
-            "relative_difference": _relative_difference(rec.pump, f, k),
+            "relative_difference": _relative_difference(rec.pump, f),
             "anomalous": rec.measured_coincidences > acc,
         })
     return report

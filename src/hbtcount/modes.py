@@ -1,9 +1,6 @@
 """Mode-count functions M(x): the number of relevant degrees of freedom
 spanned by the detectors as a function of the dimensionless mismatch x,
 plus generation of coincidence curves K(x).
-
-Both closed forms have removable singularities at x = 0 and are switched
-to a Taylor expansion below SERIES_THRESHOLD to avoid cancellation.
 """
 
 from __future__ import annotations
@@ -14,7 +11,9 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .stats import thermal_k
 
-SERIES_THRESHOLD = 1e-4
+# (1 - 1/M)/x = sum_j (-2x)^j 4/(j+3)! for the Lorentzian M, j = 21 down to 0:
+# below x = 1 the first term left out is under a fiftieth of an ulp
+_K_SERIES = tuple(4.0 / math.factorial(j + 3) for j in range(21, -1, -1))
 
 
 def gaussian_mode_count(x: float) -> float:
@@ -25,10 +24,8 @@ def gaussian_mode_count(x: float) -> float:
     """
     if not 0.0 <= x < math.inf:
         raise ValueError("overlap x must be finite and non-negative")
-    if x < SERIES_THRESHOLD:
-        x2 = math.pi * x * x
-        inv = 1.0 - x2 / 6.0 + x2 * x2 / 30.0 - x2 ** 3 / 168.0
-        return 1.0 / inv
+    if x < 1e-8:  # M = 1 + pi x^2/6 rounds to 1
+        return 1.0
     inv = (math.erf(math.sqrt(math.pi) * x) / x
            + math.expm1(-math.pi * x * x) / (math.pi * x * x))
     return 1.0 / inv
@@ -42,12 +39,20 @@ def lorentzian_mode_count(x: float) -> float:
     """
     if not 0.0 <= x < math.inf:
         raise ValueError("overlap x must be finite and non-negative")
-    if x < SERIES_THRESHOLD:
-        inv = (1.0 - 2.0 * x / 3.0 + x * x / 3.0
-               - 2.0 * x ** 3 / 15.0 + 2.0 * x ** 4 / 45.0)
-        return 1.0 / inv
-    inv = 1.0 / x + math.expm1(-2.0 * x) / (2.0 * x * x)
-    return 1.0 / inv
+    return 1.0 / _lorentzian(x)[0]
+
+
+def _lorentzian(x: float) -> tuple[float, float, float]:
+    """(1/M, K, K/x) for the Lorentzian M and K = 1 - 1/M: from the series of
+    K/x below x = 1, then with K = (x - 1)/x + (1 - exp(-2x))/(2x^2)."""
+    if x < 1.0:
+        k_over_x = 0.0
+        for c in _K_SERIES:
+            k_over_x = k_over_x * (-2.0 * x) + c
+        return 1.0 - x * k_over_x, x * k_over_x, k_over_x
+    e = math.expm1(-2.0 * x) / (2.0 * x * x)
+    k = (x - 1.0) / x - e
+    return 1.0 / x + e, k, k / x
 
 
 def linear_mode_count(x: float) -> float:

@@ -82,6 +82,9 @@ def thermal_k(statistics: str, modes: float, polarized: bool) -> float:
         raise ValueError("mode count must be positive")
     order = modes if polarized else 2.0 * modes
     if statistics == "boson":
+        if 1.0 / order == math.inf:
+            raise DomainError(f"boson K overflows float range at M = "
+                              f"{modes!r}")
         return 1.0 + 1.0 / order
     if order < 1.0:
         raise ValueError("fermion K would be negative for this mode count")

@@ -24,6 +24,7 @@ from hbtcount.anticorrelation import (
     DEFAULT_OMEGA_RATIO,
     REFERENCE_PUMP,
 )
+from test_modes import lorentzian_reference, ulps
 
 PUMPS = [0.06, 0.12, 0.18, 0.30, 0.54, 0.75, 1.00]
 ALPHA_EXPECTED = [0.1211, 0.2215, 0.3056, 0.4375, 0.6094, 0.7025, 0.7756]
@@ -55,6 +56,14 @@ class TestCascadePopulation:
         g1 = 0.2 * g2
         t = 0.05 * tau_s
         assert cascade_population(t, g1, g2) == pytest.approx(g1 * t, rel=0.15)
+
+    def test_rates_past_float_range(self):
+        """gamma1 t passes float range: exp gives 0 before gamma1 multiplies
+        it, so the population is 0, not inf * 0 = nan."""
+        assert cascade_population(2.0, 1.7e308, 1.7e308) == 0.0
+        # the upper level empties at once; the lower one decays at gamma2
+        assert cascade_population(2.0, 1.7e308, 1.0) == pytest.approx(
+            math.exp(-2.0), rel=1e-15)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -146,6 +155,15 @@ class TestAlphaAndK:
         k, _ = k_anticorrelation(pump, f)
         # (to within the spacing of subnormals at Nw = 5e-324)
         assert k == pytest.approx(8.0 * pump * f / 3.0, rel=1e-6, abs=1e-322)
+
+    def test_alpha_edge_cases(self):
+        """Each gave ZeroDivisionError or nan before alpha was formed from
+        Nw, f over max(Nw, f); alpha is 1 once Nw/f passes float range."""
+        assert alpha_qm(0.0, 5e-324) == 0.0
+        assert alpha_qm(1e-200, 1e-200) == 0.75
+        assert alpha_qm(1e307, 1.7e308) == pytest.approx(
+            float(exact_alpha(1e307, 1.7e308)), rel=1e-15)
+        assert alpha_qm(1.0, 5e-324) == alpha_qm(1e300, 1e-300) == 1.0
 
     def test_gate_ratio_anchor(self):
         # the stated gate ratio reproduces the f = 0.9 convention closely
@@ -277,7 +295,98 @@ class TestGateRecord:
             with pytest.raises(ValueError, match=f"{field} must be a whole"):
                 GateRecord(**{**fields, field: bad})
 
+    @pytest.mark.parametrize("field", ["trigger_rate", "duration"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_rate_and_duration_are_positive_and_finite(self, field, bad):
+        fields = dict(row=2, pump=0.12, trigger_rate=4770.0, duration=900.0,
+                      singles_r=345600, singles_t=614700,
+                      measured_coincidences=36)
+        with pytest.raises(ValueError, match=f"^{field} must be positive and "
+                                             f"finite, not {bad!r}$"):
+            GateRecord(**{**fields, field: bad})
+
     def test_rejects_excess_singles(self):
         with pytest.raises(ValueError):
             GateRecord(row=1, pump=0.1, trigger_rate=10.0, duration=1.0,
                        singles_r=50, singles_t=0, measured_coincidences=0)
+
+
+def exact_alpha(pump, f):
+    """alpha = r (2 + r)/(1 + r)^2 at the ratio r of the floats, in mpmath
+    at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        r = mp.mpf(pump) / mp.mpf(f)
+        return r * (2 + r) / (1 + r) ** 2
+
+
+class TestAccuracy:
+    # (Nw, f) at r = Nw/f = 0 and from 1e-300 to 1e300, Nw within float range
+    ALPHA_ARGS = [(r * f, f) for f in (1.0, 0.9, 1e-200, 1e200)
+                  for r in [0.0, *map(float,
+                                      np.geomspace(1e-300, 1e300, 121))]
+                  if r == 0.0 or 0.0 < r * f < math.inf]
+
+    @pytest.mark.parametrize("pump, f", ALPHA_ARGS)
+    def test_alpha_against_mpmath(self, pump, f):
+        """alpha within 6 ulp from both functions: a (a + 2b)/(a + b)^2
+        takes six roundings of half an ulp, the square doubling one, after
+        a or b = Nw, f over max(Nw, f) took one; they seldom add up, and the
+        largest error here is 2.1 ulp."""
+        mp = pytest.importorskip("mpmath")
+        exact = exact_alpha(pump, f)
+        if exact == 0:
+            assert alpha_qm(pump, f) == 0.0
+            assert alpha_mode_form(pump, f) == (0.0, 1.0)
+            return
+        assert ulps(alpha_qm(pump, f), exact) <= 6
+        if (1 + mp.mpf(pump) / f) ** 2 < 2 ** 1024:
+            assert ulps(alpha_mode_form(pump, f)[0], exact) <= 6
+
+    @pytest.mark.parametrize("gap", [0.0, -1.0, -1e-8, -1e-16, 1e-16, 1e-12,
+                                     1e-8, 1e-4, 0.1, 1.0])
+    @pytest.mark.parametrize("gamma1", [1.0, 1e7, 2e8])
+    def test_cascade_population_against_mpmath(self, gap, gamma1):
+        """P2(t) within 1e-14 relative for gamma t <= 10 and relative gaps
+        0 and 1e-16 to 1 on either side: exp(-gamma t) and expm1 carry the
+        rounding of their argument times gamma t <= 10, so 10 ulp.  The
+        largest error here is 7e-16."""
+        mp = pytest.importorskip("mpmath")
+        gamma2 = gamma1 * (1.0 + gap) if gap >= 0 else gamma1 / (1.0 - gap)
+        g1, g2 = mp.mpf(gamma1), mp.mpf(gamma2)
+        for gt in (1e-12, 1e-6, 0.01, 0.5, 1.0, 3.0, 10.0):
+            t = gt / max(gamma1, gamma2)
+            tm = mp.mpf(t)
+            with mp.workdps(50):  # 16 digits cancel at a gap of 1e-16
+                exact = (g1 * tm * mp.exp(-g1 * tm) if g1 == g2 else
+                         g1 / (g2 - g1)
+                         * (mp.exp(-g1 * tm) - mp.exp(-g2 * tm)))
+            assert cascade_population(t, gamma1, gamma2) == pytest.approx(
+                float(exact), rel=1e-14, abs=0.0)
+        assert cascade_population(0.0, gamma1, gamma2) == 0.0
+
+    PUMPS = [0.0, 5e-324] + [float(n) for n in np.geomspace(1e-12, 1e3, 46)]
+
+    @pytest.mark.parametrize("f", [0.9, 0.3, 2.0])
+    def test_relative_difference_against_mpmath(self, f):
+        """relative_difference within 1e-12 of mpmath: rho = K/alpha carries
+        the errors of K/x and alpha/a, a few ulp each, and three roundings;
+        100 (2/(1 + rho) - 1) turns a relative error d of rho into at most
+        50 d and adds up to 100 ulp(1) = 2.2e-14, some 1e-13 in all.  The
+        largest error here is 3e-14.  At Nw = 0 and 5e-324 the exact value
+        is the limit 100 (3 - 4f^2)/(3 + 4f^2) to within 1e-300."""
+        mp = pytest.importorskip("mpmath")
+        records = [GateRecord(row=1, pump=pump, trigger_rate=4720.0,
+                              duration=1200.0, singles_r=2940,
+                              singles_t=3876, measured_coincidences=6)
+                   for pump in self.PUMPS]
+        for pump, row in zip(self.PUMPS, table1_report(records, f=f)):
+            with mp.workdps(40):
+                if pump < 1e-300:
+                    f2 = mp.mpf(f) ** 2
+                    exact = 100 * (3 - 4 * f2) / (3 + 4 * f2)
+                else:
+                    alpha = exact_alpha(pump, f)
+                    _, k, _ = lorentzian_reference(4 * mp.mpf(pump) * f)
+                    exact = 100 * (alpha - k) / (alpha + k)
+            assert abs(row["relative_difference"] - exact) <= 1e-12, pump

@@ -217,6 +217,42 @@ class TestAspectGrangier:
         assert captured.err.startswith(message)
         assert captured.out == ""
 
+    @pytest.mark.parametrize("f, difference", [("1e300", -100.0),
+                                               ("5e-324", 100.0)])
+    def test_extreme_overlap_factor(self, f, difference, capsys):
+        """alpha is about 2 Nw/f at f = 1e300 and 1 at f = 5e-324, where
+        Nw/f passes float range, while K is about 1 and 0: every value is
+        finite and the relative difference is -100 and 100."""
+        code, out = run(["aspect-grangier", "--f-override", f], capsys)
+        rows = read_csv(out)
+        assert code == cli.EXIT_OK and len(rows) == 7
+        assert all(math.isfinite(float(value)) for row in rows
+                   for key, value in row.items() if key != "anomalous")
+        assert {float(row["relative_difference"]) for row in rows} == {
+            difference}
+
+    @pytest.mark.parametrize("rate, duration, code, message", [
+        ("inf", "1200", cli.EXIT_VALIDATION,
+         "error: trigger_rate must be positive and finite, not inf\n"),
+        ("nan", "1200", cli.EXIT_VALIDATION,
+         "error: trigger_rate must be positive and finite, not nan\n"),
+        ("4720", "-inf", cli.EXIT_VALIDATION,
+         "error: duration must be positive and finite, not -inf\n"),
+        ("1e300", "1e10", cli.EXIT_DOMAIN,
+         "error: gate count N1*T overflows float range at N1 = 1e+300, "
+         "T = 10000000000.0\n"),
+    ])
+    def test_non_finite_rate_or_duration(self, rate, duration, code, message,
+                                         tmp_path, capsys):
+        """A row's N1 and T are positive and finite, and N1*T past float
+        range is a DomainError: not an OverflowError traceback, nor a
+        message that names no column."""
+        target = tmp_path / "table.csv"
+        target.write_text("row,Nw,N1_per_s,T_s,n_2r,n_2t,measured_coincidences"
+                          f"\n1,0.06,{rate},{duration},2940,3876,6\n")
+        assert call(["aspect-grangier", "--data", str(target)], capsys) == (
+            code, "", message)
+
     def test_f_override_changes_predictions(self, capsys):
         _, default = run(["aspect-grangier"], capsys)
         _, overridden = run(["aspect-grangier", "--f-override", "0.7"],
@@ -736,6 +772,13 @@ class TestExtremeInputs:
         (["k"] + LAW + ["--kind", "coherent", "--nbar", "1e300"], 3),
         # M_emp = T_obs * R_obs * Nw / (Nw)_0 overflows
         (["aspect-grangier", "--reference-pump", "5e-324"], 3),
+        # f at 1e300 and at the least subnormal: r = Nw/f near 0 and past
+        # float range, alpha near 0 and 1
+        (["aspect-grangier", "--f-override", "1e300"], 0),
+        (["aspect-grangier", "--f-override", "5e-324"], 0),
+        # f = (Omega2/Omega1) (1 - exp(-w/tau_s)) underflows to 0
+        (["aspect-grangier", "--gate-ratio", "5e-324",
+          "--omega-ratio", "5e-324"], 3),
         # a mode count of 201 digits, whose moments or draws overflow, and
         # one of 401 digits, past float range
         *((command + ["--kind", kind, "--modes", str(10 ** digits)], 3)

@@ -9,9 +9,11 @@ from hbtcount import (
     cartesian_mode_count,
     coincidence_curve,
     gaussian_mode_count,
+    k_anticorrelation,
     linear_mode_count,
     lorentzian_mode_count,
 )
+from hbtcount.modes import _lorentzian
 
 
 def gaussian_overlap_quadrature(x, points=10 ** 6):
@@ -156,3 +158,64 @@ class TestCoincidenceCurve:
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError):
             ModeProfile("triangular")
+
+
+def ulps(value, exact):
+    """|value - exact| in units of the last place of `exact` as a float."""
+    return float(abs(value - exact) / math.ulp(float(exact)))
+
+
+def lorentzian_reference(x):
+    """(M, K, K/x) for the Lorentzian at x (a float, or an mpf of at most 40
+    digits), K = 1 - 1/M, from the closed form in mpmath with 40 digits
+    beyond the three cancellations of about -log10(x) digits each that it
+    suffers as x -> 0."""
+    mp = pytest.importorskip("mpmath")
+    if x == 0.0:
+        return mp.mpf(1), mp.mpf(0), mp.mpf(2) / 3
+    with mp.workdps(40 + 3 * max(0, int(-math.log10(x)))):
+        xm = mp.mpf(x)
+        inv = 1 / xm - (1 - mp.exp(-2 * xm)) / (2 * xm * xm)
+        return +(1 / inv), +(1 - inv), +((1 - inv) / xm)
+
+
+class TestAccuracy:
+    # x from 0 to 1e6, one a decade, and dense on both sides of the series
+    # switch at x = 1
+    LORENTZIAN_XS = [0.0, 5e-324, 1 - 2 ** -53, 1.0, 1 + 2 ** -52] + [
+        float(x) for x in np.concatenate([np.geomspace(1e-300, 1e6, 307),
+                                          np.linspace(0.5, 2.0, 61)])]
+
+    @pytest.mark.parametrize("x", LORENTZIAN_XS)
+    def test_lorentzian_against_mpmath(self, x):
+        """M, K and K/x within 4 ulp.  Below x = 1 the series of K/x is
+        summed in 22 Horner steps that each damp the rounding before them
+        by 2x/(j + 4) < 1, and 1/M = 1 - xK/x adds two roundings; above it
+        K is the sum of two positive terms of up to three roundings each, and
+        1/M = 1/x + expm1(-2x)/(2x^2) loses under two bits to cancellation
+        near x = 1.  The largest error over 26000 random x was 2.9 ulp, in M
+        near x = 1.2."""
+        m, k, k_over_x = lorentzian_reference(x)
+        assert ulps(lorentzian_mode_count(x), m) <= 4
+        if x > 0.0:  # K and K/x are 0 and 2/3 exactly at x = 0
+            # 4 * pump * f is x exactly at f = 1/4
+            assert ulps(k_anticorrelation(x, 0.25)[0], k) <= 4
+            assert ulps(_lorentzian(x)[2], k_over_x) <= 4
+        else:
+            assert k_anticorrelation(0.0, 0.25)[0] == 0.0
+            assert _lorentzian(0.0)[2] == 2.0 / 3.0
+
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1e-160, 1e-9, 1e-8,
+                                   *np.geomspace(1e-7, 1e6, 27)])
+    def test_gaussian_against_mpmath(self, x):
+        """M within 6 ulp: the closed form adds erf(sqrt(pi) x)/x, near 2,
+        to expm1(-pi x^2)/(pi x^2), near -1, which doubles their rounding;
+        below x = 1e-8, M = 1 + pi x^2/6 rounds to 1.  The largest error
+        over 200 x from 1e-7 to 1e6, 1e-160, 1e-9 and 1e-8 was 2.8 ulp."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40 + 2 * max(0, int(-math.log10(x or 1.0)))):
+            xm = mp.mpf(float(x))
+            exact = 1 / (mp.erf(mp.sqrt(mp.pi) * xm) / xm
+                         - (1 - mp.exp(-mp.pi * xm * xm)) / (mp.pi * xm * xm)
+                         ) if xm else mp.mpf(1)
+            assert ulps(gaussian_mode_count(float(x)), exact) <= 6

@@ -300,6 +300,7 @@ class TestExactCorrelation:
 
 NAN = math.nan
 CASCADE = (1e4, 1e-8, 5e-9, 0.5, 1e7)  # CascadeModel's fields in order
+GATE_ROW = (2, 0.12, 4770.0, 900.0, 345600, 614700, 36)  # GateRecord's
 NAN_CALLS = [
     (thermal_k, ("boson", NAN, True)),
     (energy_fluctuation, ("boson", NAN, 1.0, 1.0)),
@@ -333,6 +334,9 @@ NAN_CALLS = [
     (elementary.sequence_moments, (LAW_A, NAN)),
     (elementary.sequence_k, (NAN,)),
     (source_pmf, (SourceLaw("coherent"), NAN)),
+    # a run-table row's rate and duration
+    *((anticorrelation.GateRecord, GATE_ROW[:i] + (NAN,) + GATE_ROW[i + 1:])
+      for i in (2, 3)),
 ]
 
 
@@ -374,6 +378,8 @@ INF_CALLS = [
     (elementary.sequence_moments, (LAW_A, INF)),
     (elementary.sequence_k, (INF,)),
     (source_pmf, (SourceLaw("coherent"), INF)),
+    *((anticorrelation.GateRecord, GATE_ROW[:i] + (INF,) + GATE_ROW[i + 1:])
+      for i in (2, 3)),
 ]
 
 
@@ -391,9 +397,22 @@ def test_inf_is_refused(func, args):
     (modes.cartesian_mode_count, (1e200, 1e200, 1.0)),
     (modes.asymptotic_mode_count, (1e200, 1e200)),
     (anticorrelation.CascadeModel, (1e200, 1e200, 1e-300, 1.0, 1.0)),
+    (anticorrelation.GateRecord, (2, 0.12, 1e300, 1e10, 0, 0, 0)),
+    (anticorrelation.k_anticorrelation, (1e308, 10.0)),
+    (thermal_k, ("boson", 5e-324, True)),
+    (thermal_k, ("boson", 5e-324, False)),
 ])
 def test_overflow_of_finite_inputs_is_domain_error(func, args):
     """Finite inputs whose product passes float range raise DomainError,
     as `energy_fluctuation` does, never an inf result."""
     with pytest.raises(DomainError, match="overflows float range"):
         func(*args)
+
+
+@pytest.mark.parametrize("args", [(5e-324, 1.0, 5e-324), (5e-324, 1.0, 0.4),
+                                  (1e-300, 1e10, 1e-30)])
+def test_underflow_of_positive_inputs_is_domain_error(args):
+    """A gate overlap f of positive inputs whose product underflows to 0
+    raises DomainError, not the invalid-argument error f = 0 meets later."""
+    with pytest.raises(DomainError, match="underflows to 0"):
+        anticorrelation.gate_overlap(*args)
