@@ -13,10 +13,10 @@ contradict each other, exits 2.
 
 The global flags (--format, --out, --precision, --seed) go before the
 command; simulate and verify also take a --seed of their own, which wins.
-A command line of whole global flags and then a command is parsed once
-(`_parse`): the flags by a parser that holds them alone, the command's
-tokens by the command's parser alone.  Every other line, help and errors
-among them, goes through argparse's nested parse.
+The reader `_parse` takes a command line straight from the flag tables
+when each flag is given by its exact name and its value as a token of its
+own; every other line falls back to argparse, which prints every help and
+error text and builds its parsers only then.
 """
 
 from __future__ import annotations
@@ -274,7 +274,6 @@ _GLOBAL = (("--format", dict(choices=["csv", "json"], default="csv")),
            ("--out", dict(help="output path (default stdout)")),
            ("--precision", dict(type=int, default=6)),
            ("--seed", dict(type=int, default=0)))
-_GLOBAL_FLAGS = tuple(name for name, _ in _GLOBAL)
 _POLARITY = (("--polarized", dict(action="store_true", default=None)),
              ("--unpolarized", dict(dest="polarized", action="store_false",
                                     default=None)))
@@ -340,59 +339,93 @@ def _add_flags(parser, flags: tuple) -> None:
             _add_flags(parser.add_mutually_exclusive_group(), flag)
 
 
-# Built once per process, on the first `main` call: `parse_args` returns a
-# new namespace each time, and nothing changes a parser once it is built.
+@functools.cache
+def _tables() -> dict:
+    """Each command's flag specs by name, defaults by dest (its `handler`
+    and `exclusive` pairs among them) and required dests, the global
+    flags' under None.  A spec is (dest, entry, type, choices, const): a
+    mutually exclusive group's flags share an entry, and a store_true or
+    store_false flag stores const."""
+    tables = {}
+    for command, (_, handler, flags) in [(None, (None, None, _GLOBAL)),
+                                         *_COMMANDS.items()]:
+        specs, defaults, required = tables[command] = {}, {}, set()
+        for entry, group in enumerate(flags):
+            for name, kw in [group] if isinstance(group[0], str) else group:
+                dest = kw.get("dest", name[2:].replace("-", "_"))
+                const = {"store_true": True,
+                         "store_false": False}.get(kw.get("action"))
+                specs[name] = (dest, entry, kw.get("type", str),
+                               kw.get("choices"), const)
+                default = kw.get("default", None if const is None
+                                 else not const)
+                if default is not argparse.SUPPRESS:  # first flag's wins
+                    defaults.setdefault(dest, default)
+                if kw.get("required"):
+                    required.add(dest)
+        if handler is not None:
+            dests = {spec[0] for spec in specs.values()}
+            defaults.update(handler=handler, exclusive=tuple(
+                pair for pair in _EXCLUSIVE if dests.issuperset(pair)))
+    return tables
+
+
+# Built once per process, on the first line `_parse` leaves to argparse:
+# each `parse_args` call returns a new namespace and changes no parser.
 @functools.cache
 def _parsers():
-    """The top-level parser, a parser of the global flags alone with its
-    usage line, and each command's parser by name."""
+    """The top-level parser, and each command's parser by name."""
     parser = argparse.ArgumentParser(
         prog="hbtcount",
         description="Two-detector counting statistics for bosons and fermions")
     _add_flags(parser, _GLOBAL)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (helptext, handler, flags) in _COMMANDS.items():
+    for name, (helptext, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         _add_flags(p, flags)
-        dests = {action.dest for action in p._actions}
-        p.set_defaults(handler=handler, exclusive=tuple(
-            pair for pair in _EXCLUSIVE if dests.issuperset(pair)))
-    flags = argparse.ArgumentParser(
-        prog=parser.prog, usage=parser.format_usage()[len("usage: "):-1],
-        add_help=False)
-    _add_flags(flags, _GLOBAL)
-    return parser, flags, sub.choices
+        p.set_defaults(**_tables()[name][1])
+    return parser, sub.choices
+
+
+def _read(argv: list[str], i: int, specs: dict, given: dict) -> int:
+    """Reads flags of `specs` from argv[i] on into `given`, and returns the
+    index of the first token it leaves: not a flag's exact name, a flag
+    without a valid value token, or a second flag of one group."""
+    entries = {}
+    while i < len(argv) and argv[i] in specs:
+        dest, entry, convert, choices, const = specs[argv[i]]
+        if entries.setdefault(entry, argv[i]) != argv[i]:
+            break
+        if const is not None:
+            given[dest], i = const, i + 1
+            continue
+        try:
+            value = convert(argv[i + 1])
+        except (IndexError, ValueError):
+            break
+        if argv[i + 1].startswith("-") or choices and value not in choices:
+            break
+        given[dest], i = value, i + 2
+    return i
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """`_parsers()[0].parse_args(argv)`, reading each token once.
-
-    When argv is whole global flags, each with a value that does not start
-    with "-", then a command, the flags go to their own parser, which has
-    the top-level prog and usage line for the errors it prints, and the
-    command's tokens to its parser alone, whose namespace overrides the
-    flags' as argparse's subparsers do.  Any other argv takes the nested
-    parse, as does a token "--=..." (or, on some Pythons, "-=...") after
-    the command, which the top-level parser finds ambiguous among its own
-    flags: every namespace, help text and error stays argparse's own."""
-    if argv is None:
-        argv = sys.argv[1:]
-    top, flags, commands = _parsers()
-    i = 0
-    while (i + 1 < len(argv) and argv[i] in _GLOBAL_FLAGS
-           and not argv[i + 1].startswith("-")):
-        i += 2
-    rest = argv[i + 1:]
-    if i == len(argv) or argv[i] not in commands or any(
-            token.startswith(("--=", "-=")) for token in rest):
-        return top.parse_args(argv)
-    args = flags.parse_known_args(argv[:i])[0]
-    args.command = argv[i]
-    command, extras = commands[argv[i]].parse_known_args(rest)
-    vars(args).update(vars(command))
-    if extras:
-        top.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    """`_parsers()[0].parse_args(argv)`, read from `_tables()` when argv
+    is global flags, a command and its flags that `_read` reads whole,
+    every required flag among them.  argparse reads every other line,
+    help and errors among them."""
+    argv = sys.argv[1:] if argv is None else argv
+    tables = _tables()
+    values = dict(tables[None][1])
+    i = _read(argv, 0, tables[None][0], values)
+    if i < len(argv) and argv[i] in tables:
+        specs, defaults, required = tables[argv[i]]
+        given = {}
+        if (_read(argv, i + 1, specs, given) == len(argv)
+                and required.issubset(given)):
+            return argparse.Namespace(
+                **{**values, "command": argv[i], **defaults, **given})
+    return _parsers()[0].parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 SUM_ABS_TOL = 1e-12     # tolerance on p + q + r = 1 after renormalization
 SUM_INPUT_TOL = 1e-9    # constructor renormalizes inputs within this of 1
 
@@ -105,13 +107,17 @@ def trinomial_pmf(law: TernaryLaw, n: int, m: int, k: int) -> float:
     n = _count(n, "n")
     m = _count(m, "m", 0, n + 1)
     k = _count(k, "k", 0, n - m + 1)  # m + k <= n
-    log_coef = (math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(k + 1)
-                - math.lgamma(n - m - k + 1))
-    log_p = (_xlogy(m, law.p) + _xlogy(k, law.q)
-             + _xlogy(n - m - k, law.r))
-    if log_p == -math.inf:
-        return 0.0
-    return min(1.0, math.exp(log_coef + log_p))
+    try:  # a count past float range, or a log coefficient lost to rounding
+        log_coef = (math.lgamma(n + 1) - math.lgamma(m + 1)
+                    - math.lgamma(k + 1) - math.lgamma(n - m - k + 1))
+        log_p = (_xlogy(m, law.p) + _xlogy(k, law.q)
+                 + _xlogy(n - m - k, law.r))
+        if log_p == -math.inf:
+            return 0.0
+        return min(1.0, math.exp(log_coef + log_p))
+    except OverflowError:
+        raise DomainError(f"trinomial pmf overflows float range at n = {n}"
+                          ) from None
 
 
 def sequence_gf(law: TernaryLaw, n: int, x, y):
@@ -119,20 +125,34 @@ def sequence_gf(law: TernaryLaw, n: int, x, y):
     n = _count(n, "n")
     if not (abs(x) <= 1.0 + 1e-15 and abs(y) <= 1.0 + 1e-15):
         raise ValueError("subsidiary variables must lie in the unit disk")
-    return (law.p * x + law.q * y + law.r) ** n
+    base = law.p * x + law.q * y + law.r
+    try:
+        return base ** n
+    except OverflowError:  # the power, or an n past float range
+        if abs(base) > 1.0:
+            raise DomainError(f"generating function overflows float range "
+                              f"at n = {n}") from None
+        # an n past float range: 1 or 0, with base's sign for an odd n
+        return math.copysign(float(abs(base) == 1.0), base if n % 2 else 1.0)
 
 
 def sequence_moments(law: TernaryLaw, n: int) -> SequenceMoments:
     """Exact moments of (xi, eta) for a gate of n acts."""
     n = _count(n, "n")
     p, q = law.p, law.q
+    try:  # max: an empty gate's cross is +0.0, not 0.0 * -1
+        cross = p * q * n * max(n - 1, 0)
+    except OverflowError:  # an n past float range
+        cross = math.inf
+    if cross == math.inf:
+        raise DomainError(f"cross moment overflows float range at n = {n}")
     return SequenceMoments(
         n=n,
         mean_xi=n * p,
         mean_eta=n * q,
         var_xi=n * p * (1.0 - p),
         var_eta=n * q * (1.0 - q),
-        cross=p * q * n * (n - 1),
+        cross=cross,
     )
 
 
@@ -142,7 +162,8 @@ def sequence_k(n: int) -> float:
     Always below 1: within a gate the two detectors are anticorrelated,
     independent of (p, q, r).
     """
-    return 1.0 - 1.0 / _count(n, "n", 1)  # undefined for an empty gate
+    # undefined for an empty gate; an int 1 / n is exact past float range
+    return 1 - 1 / _count(n, "n", 1)
 
 
 def sequence_r(law: TernaryLaw) -> float:

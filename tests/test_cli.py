@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbtcount import (cli, exact_correlation, gaussian_mode_count, sources,
                       thermal_k)
@@ -168,7 +170,7 @@ class TestFlagRule:
 
     def test_tables_name_dests_that_default_to_none(self):
         """A misspelled dest in a table would turn its check off."""
-        parsers = cli._parsers()[2].values()
+        parsers = cli._parsers()[1].values()
         dests = [{action.dest for action in p._actions} for p in parsers]
         named = {dest for flags in cli._KIND_FLAGS.values() for dest in flags}
         assert named == set(cli._SOURCE_FLAGS)
@@ -786,6 +788,10 @@ class TestExtremeInputs:
                           ["simulate", "--gates", "200"] + LAW)
           for kind in ("thermal-boson", "thermal-fermion", "coherent")
           for digits in (200, 400)),
+        # a gate whose cross moment passes float range, and one whose count
+        # does
+        (["moments"] + LAW + ["--n", str(10 ** 200)], 3),
+        (["moments"] + LAW + ["--n", str(10 ** 400)], 3),
         # nan and inf are refused where they enter
         (["modes", "--x", "inf"], 2),
         (["modes", "--x", "nan"], 2),
@@ -913,6 +919,76 @@ def parse_outcome(parse, argv, capsys):
     return outcome, captured.out, captured.err
 
 
+def redirected_outcome(parse, argv):
+    """`parse_outcome` without capsys, which hypothesis refuses as a
+    fixture shared by its examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = vars(parse(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
+
+
+# Value tokens by a flag's type: valid ones first, then a negative number,
+# a token argparse takes for a flag, and one its type refuses.  No nan,
+# which no namespace equals.
+VALUE_TOKENS = {int: ["3", "10240", "0", "-1", "--", "2.5"],
+                float: ["0.5", "1e-3", "inf", "-2", "-x", "x"],
+                str: ["0:2:5", "0.1,0.5", "a b", "-1", "--=x", "-x"]}
+
+
+@st.composite
+def command_lines(draw):
+    """A command line built from the flag tables: mostly global flags, a
+    command, its required flags and some more, each by its exact name
+    and a valid value, mixed with invalid values, abbreviations, "="
+    forms, flags without a value, repeats, group conflicts, misplaced
+    global flags, "--", help and stray tokens."""
+    tables = cli._tables()
+    everywhere = {name: spec for specs, _, _ in tables.values()
+                  for name, spec in specs.items()}
+
+    def flag(name, valid):
+        spec = everywhere.get(name)
+        if spec is None or spec[4] is not None:
+            return [name]
+        _, _, convert, choices, _ = spec
+        values = [*choices, "nosuch"] if choices else VALUE_TOKENS[convert]
+        value = values[0] if valid else draw(st.sampled_from(values))
+        form = "exact" if valid else draw(st.sampled_from(
+            ["exact"] * 4 + ["abbreviation", "equals", "bare"]))
+        if form == "abbreviation" and len(name) > 3:
+            return [name[:draw(st.integers(3, len(name) - 1))], value]
+        if form == "equals":
+            return [f"{name}={value}"]
+        return [name] if form == "bare" else [name, value]
+
+    def flags(specs, strays):
+        entries = [spec[1] for spec in specs.values()]
+        grouped = [name for name, spec in specs.items()
+                   if entries.count(spec[1]) > 1]
+        names = sorted(specs) + 4 * grouped + strays
+        return [token for _ in range(draw(st.integers(0, 4)))
+                for token in flag(draw(st.sampled_from(names)),
+                                  draw(st.integers(0, 3)) > 0)]
+
+    line = flags(tables[None][0], ["--kind", "nosuch"])
+    command = draw(st.sampled_from(
+        [name for name in tables if name is not None] + ["nosuch", None]))
+    if command is None:
+        return line
+    specs, _, required = tables.get(command, ({}, {}, set()))
+    line.append(command)
+    for name, spec in specs.items():
+        if spec[0] in required and draw(st.integers(0, 5)) > 0:
+            line += flag(name, True)
+    strays = ["--format", "--precision", "--", "-h", "extra"]
+    return line + flags(specs, strays if draw(st.booleans()) or not specs
+                        else [])
+
+
 class TestParse:
     """`cli._parse` reads a command line as argparse's nested parse does,
     and reads the common shapes without it."""
@@ -923,7 +999,7 @@ class TestParse:
         assert parse_outcome(cli._parse, argv, capsys) == parse_outcome(
             cli._parsers()[0].parse_args, argv, capsys)
 
-    def test_common_shapes_skip_the_nested_parse(self, monkeypatch):
+    def test_common_shapes_skip_the_nested_parse(self, monkeypatch, capsys):
         def nested(*args, **kwargs):
             raise AssertionError("nested parse")
         top = cli._parsers()[0]
@@ -931,6 +1007,21 @@ class TestParse:
         monkeypatch.setattr(top, "parse_known_args", nested)
         for argv in cli_short_lines() + readme_commands():
             assert cli._parse(argv).command in argv
+        # nor do they build the argparse parsers, which help builds
+        cli._parsers.cache_clear()
+        for argv in cli_short_lines() + readme_commands():
+            cli._parse(argv)
+        assert cli._parsers.cache_info().currsize == 0
+        with pytest.raises(SystemExit):
+            cli._parse(["k", "-h"])
+        assert capsys.readouterr().out.startswith("usage: hbtcount k")
+        assert cli._parsers.cache_info().currsize == 1
+
+    @given(line=command_lines())
+    @settings(max_examples=300, deadline=None)
+    def test_random_lines_match_argparse(self, line):
+        assert redirected_outcome(cli._parse, line) == redirected_outcome(
+            cli._parsers()[0].parse_args, line)
 
     def test_command_seed_overrides_the_global_seed(self):
         args = cli._parse(["--seed", "7", "simulate", "--kind", "coherent",

@@ -109,6 +109,14 @@ class TestGeneratingFunction:
     def test_empty_sequence(self):
         assert sequence_gf(LAW, 0, 0.3, -0.7) == 1.0
 
+    def test_gate_past_float_range(self):
+        n = 10 ** 400
+        assert sequence_gf(LAW, n, 1.0, 1.0) == 1.0
+        assert sequence_gf(LAW, n, 0.5, 0.5) == 0.0
+        assert sequence_gf(TernaryLaw(1.0, 0.0, 0.0), n + 1, -1.0, 0.5) == -1.0
+        assert math.copysign(1.0, sequence_gf(
+            TernaryLaw(1.0, 0.0, 0.0), n + 1, -0.5, 0.5)) == -1.0
+
     def test_rejects_outside_unit_disk(self):
         with pytest.raises(ValueError):
             sequence_gf(LAW, 2, 1.5, 0.0)
@@ -132,6 +140,7 @@ class TestSequenceMoments:
     def test_empty_sequence(self):
         sm = sequence_moments(LAW, 0)
         assert sm.mean_xi == sm.var_xi == sm.cross == 0.0
+        assert math.copysign(1.0, sm.cross) == 1.0
 
     def test_against_exhaustive_summation(self):
         n = 50
@@ -170,6 +179,9 @@ class TestSequenceK:
     def test_undefined_for_empty_gate(self):
         with pytest.raises(ValueError):
             sequence_k(0)
+
+    def test_gate_past_float_range(self):
+        assert sequence_k(10 ** 200) == sequence_k(10 ** 400) == 1.0
 
     @given(n=st.integers(min_value=1, max_value=10 ** 9))
     @settings(max_examples=30)

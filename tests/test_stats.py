@@ -401,6 +401,12 @@ def test_inf_is_refused(func, args):
     (anticorrelation.k_anticorrelation, (1e308, 10.0)),
     (thermal_k, ("boson", 5e-324, True)),
     (thermal_k, ("boson", 5e-324, False)),
+    # a gate of n acts: the cross moment, a power past 1 and lgamma(n + 1)
+    (elementary.sequence_moments, (LAW_A, 10 ** 200)),
+    (elementary.sequence_moments, (LAW_A, 10 ** 400)),
+    (elementary.sequence_gf, (LAW_A, 10 ** 200, 1 + 1e-15, 1 + 1e-15)),
+    (elementary.sequence_gf, (LAW_A, 10 ** 400, 1 + 1e-15, 1 + 1e-15)),
+    (trinomial_pmf, (LAW_A, 10 ** 400, 0, 0)),
 ])
 def test_overflow_of_finite_inputs_is_domain_error(func, args):
     """Finite inputs whose product passes float range raise DomainError,
