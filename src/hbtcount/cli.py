@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 failed verification, 2 validation error (an
 --out path that cannot be written or a --data path that cannot be read
 among them), 3 numeric domain error.  One rule holds for every flag: a
 flag the source kind or the command would ignore, or two flags that
-contradict each other, exits 2.
+contradict each other (a pair of `_EXCLUSIVE`, which `main` checks for
+every command), exits 2.
 
 The global flags (--format, --out, --precision, --seed) go before the
 command; simulate and verify also take a --seed of their own, which wins.
@@ -96,22 +97,23 @@ def _parse_sweep(spec: str) -> list[float]:
 # -- source construction from flags ---------------------------------------
 
 # The source flags each kind takes; a kind refuses the others when given.
-_SOURCE_FLAGS = ("modes", "nbar", "mean", "polarized", "polarization")
-_THERMAL_FLAGS = ("modes", "nbar", "polarized", "polarization")
+_THERMAL_FLAGS = ("modes", "nbar", "polarized", "unpolarized", "polarization")
+_SOURCE_FLAGS = ("mean", *_THERMAL_FLAGS)
 _KIND_FLAGS = {"coherent": ("modes", "nbar", "mean"),
                "thermal-boson": _THERMAL_FLAGS,
                "thermal-fermion": _THERMAL_FLAGS}
-# Pairs of flags that contradict each other: each command's parser holds
-# the pairs it takes both flags of, and `main` refuses both given.
+# Pairs of flags, by dest, that contradict each other: `main` refuses
+# both given, the one rule for every command, as a command's namespace
+# holds None for a flag it does not take.
 _EXCLUSIVE = (("mean", "modes"), ("mean", "nbar"),
-              ("polarized", "polarization"), ("x", "sweep"), ("pgf", "max_n"),
-              ("f_override", "gate_ratio"), ("f_override", "omega_ratio"))
+              ("polarized", "unpolarized"), ("polarized", "polarization"),
+              ("unpolarized", "polarization"), ("x", "sweep"),
+              ("pgf", "max_n"), ("f_override", "gate_ratio"),
+              ("f_override", "omega_ratio"))
 
 
-def _flag(args, dest: str) -> str:
-    """The flag that gave `dest` its value; only --unpolarized stores False."""
-    return ("--unpolarized" if getattr(args, dest) is False
-            else "--" + dest.replace("_", "-"))
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _source_from_args(args) -> sources.SourceLaw:
@@ -121,10 +123,10 @@ def _source_from_args(args) -> sources.SourceLaw:
     taken = _KIND_FLAGS[args.kind]
     for dest in _SOURCE_FLAGS:
         if dest not in taken and getattr(args, dest) is not None:
-            raise ValueError(f"{_flag(args, dest)} does not apply to --kind "
+            raise ValueError(f"{_flag(dest)} does not apply to --kind "
                              f"{args.kind}")
     polarity = ("partial" if args.polarization is not None else
-                "unpolarized" if args.polarized is False else "polarized")
+                "unpolarized" if args.unpolarized else "polarized")
     kind = ("coherent" if args.kind == "coherent" else
             f"{args.kind.removeprefix('thermal-')}-{polarity}")
     given = {"modes": args.modes, "polarization": args.polarization,
@@ -153,7 +155,7 @@ def _cmd_moments(args) -> list[dict]:
         "mean_xi": sm.mean_xi, "var_xi": sm.var_xi,
         "mean_eta": sm.mean_eta, "var_eta": sm.var_eta,
         "cross": sm.cross,
-        "k_n": sequence_k(args.n) if args.n >= 1 else float("nan"),
+        "k_n": sequence_k(args.n),
         "r_coeff": sequence_r(law),
     }]
 
@@ -190,7 +192,7 @@ def _cmd_curve(args) -> list[dict]:
                                 integer_part=args.integer_part)
     sweep = _parse_sweep(args.sweep)
     curve = modes.coincidence_curve(
-        args.statistics, args.polarized is not False, profile, sweep)
+        args.statistics, not args.unpolarized, profile, sweep)
     return [{"x": x, "M": m, "K": k} for x, m, k in curve]
 
 
@@ -267,22 +269,20 @@ def _cmd_verify(args) -> list[dict]:
 
 # -- argument parser -------------------------------------------------------
 
-# Each flag once, as (name, add_argument keywords); a tuple of flags in
-# place of one is a mutually exclusive group.  A flag `_KIND_FLAGS` or
-# `_EXCLUSIVE` names defaults to None, so a given one is visible.
+# Each flag once, as (name, add_argument keywords).  A flag `_KIND_FLAGS`
+# or `_EXCLUSIVE` names defaults to None, so a given one is visible.
 _GLOBAL = (("--format", dict(choices=["csv", "json"], default="csv")),
            ("--out", dict(help="output path (default stdout)")),
            ("--precision", dict(type=int, default=6)),
            ("--seed", dict(type=int, default=0)))
 _POLARITY = (("--polarized", dict(action="store_true", default=None)),
-             ("--unpolarized", dict(dest="polarized", action="store_false",
-                                    default=None)))
+             ("--unpolarized", dict(action="store_true", default=None)))
 _SOURCE = (("--kind", dict(required=True, choices=list(_KIND_FLAGS))),
            ("--modes", dict(type=int)),
            ("--nbar", dict(type=float)),
            ("--mean", dict(type=float,
                            help="total mean occupancy (coherent shorthand)")),
-           _POLARITY,
+           *_POLARITY,
            ("--polarization", dict(
                type=float, help="degree of polarization for partial kinds")))
 _LAW = tuple((f"--{name}", dict(type=float)) for name in "pqr")
@@ -311,7 +311,7 @@ _COMMANDS = {
     "k": ("coincidence ratio for a source", _cmd_k, (*_SOURCE, *_LAW)),
     "curve": ("coincidence curve K(x) over a mode sweep", _cmd_curve, (
         ("--statistics", dict(choices=["boson", "fermion"], required=True)),
-        _POLARITY, _PROFILE, *_required(_SWEEP), _INTEGER_PART)),
+        *_POLARITY, _PROFILE, *_required(_SWEEP), _INTEGER_PART)),
     "modes": ("mode-count function M(x)", _cmd_modes, (
         _PROFILE, ("--x", dict(help="comma-separated x values")), _SWEEP,
         _INTEGER_PART)),
@@ -331,42 +331,24 @@ _COMMANDS = {
 }
 
 
-def _add_flags(parser, flags: tuple) -> None:
-    for flag in flags:
-        if isinstance(flag[0], str):
-            parser.add_argument(flag[0], **flag[1])
-        else:
-            _add_flags(parser.add_mutually_exclusive_group(), flag)
-
-
 @functools.cache
 def _tables() -> dict:
-    """Each command's flag specs by name, defaults by dest (its `handler`
-    and `exclusive` pairs among them) and required dests, the global
-    flags' under None.  A spec is (dest, entry, type, choices, const): a
-    mutually exclusive group's flags share an entry, and a store_true or
-    store_false flag stores const."""
+    """Each command's flag specs by name, defaults by dest and required
+    dests, the global flags' under None.  A spec is (dest, type, choices,
+    const): a store_true flag stores const True, any other flag None."""
     tables = {}
-    for command, (_, handler, flags) in [(None, (None, None, _GLOBAL)),
-                                         *_COMMANDS.items()]:
+    for command, (_, _, flags) in [(None, (None, None, _GLOBAL)),
+                                   *_COMMANDS.items()]:
         specs, defaults, required = tables[command] = {}, {}, set()
-        for entry, group in enumerate(flags):
-            for name, kw in [group] if isinstance(group[0], str) else group:
-                dest = kw.get("dest", name[2:].replace("-", "_"))
-                const = {"store_true": True,
-                         "store_false": False}.get(kw.get("action"))
-                specs[name] = (dest, entry, kw.get("type", str),
-                               kw.get("choices"), const)
-                default = kw.get("default", None if const is None
-                                 else not const)
-                if default is not argparse.SUPPRESS:  # first flag's wins
-                    defaults.setdefault(dest, default)
-                if kw.get("required"):
-                    required.add(dest)
-        if handler is not None:
-            dests = {spec[0] for spec in specs.values()}
-            defaults.update(handler=handler, exclusive=tuple(
-                pair for pair in _EXCLUSIVE if dests.issuperset(pair)))
+        for name, kw in flags:
+            dest = name[2:].replace("-", "_")
+            const = True if kw.get("action") == "store_true" else None
+            specs[name] = (dest, kw.get("type", str), kw.get("choices"), const)
+            default = kw.get("default", None if const is None else False)
+            if default is not argparse.SUPPRESS:
+                defaults[dest] = default
+            if kw.get("required"):
+                required.add(dest)
     return tables
 
 
@@ -378,24 +360,22 @@ def _parsers():
     parser = argparse.ArgumentParser(
         prog="hbtcount",
         description="Two-detector counting statistics for bosons and fermions")
-    _add_flags(parser, _GLOBAL)
+    for name, kw in _GLOBAL:
+        parser.add_argument(name, **kw)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (helptext, _, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=helptext)
-        _add_flags(p, flags)
-        p.set_defaults(**_tables()[name][1])
+    for command, (helptext, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=helptext)
+        for name, kw in flags:
+            p.add_argument(name, **kw)
     return parser, sub.choices
 
 
 def _read(argv: list[str], i: int, specs: dict, given: dict) -> int:
     """Reads flags of `specs` from argv[i] on into `given`, and returns the
-    index of the first token it leaves: not a flag's exact name, a flag
-    without a valid value token, or a second flag of one group."""
-    entries = {}
+    index of the first token it leaves: not a flag's exact name, or a flag
+    without a valid value token."""
     while i < len(argv) and argv[i] in specs:
-        dest, entry, convert, choices, const = specs[argv[i]]
-        if entries.setdefault(entry, argv[i]) != argv[i]:
-            break
+        dest, convert, choices, const = specs[argv[i]]
         if const is not None:
             given[dest], i = const, i + 1
             continue
@@ -433,11 +413,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 1 <= args.precision <= 15:
             raise ValueError("precision must lie in [1, 15]")
-        for a, b in args.exclusive:
-            if getattr(args, a) is not None and getattr(args, b) is not None:
-                raise ValueError(f"{_flag(args, a)} and {_flag(args, b)} "
-                                 f"exclude each other")
-        rows = args.handler(args)
+        for pair in _EXCLUSIVE:
+            if None not in [getattr(args, dest, None) for dest in pair]:
+                raise ValueError(" and ".join(map(_flag, pair))
+                                 + " exclude each other")
+        rows = _COMMANDS[args.command][1](args)
         text = _render(rows, args.format, args.precision)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

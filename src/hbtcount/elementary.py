@@ -140,8 +140,10 @@ def sequence_moments(law: TernaryLaw, n: int) -> SequenceMoments:
     """Exact moments of (xi, eta) for a gate of n acts."""
     n = _count(n, "n")
     p, q = law.p, law.q
-    try:  # max: an empty gate's cross is +0.0, not 0.0 * -1
-        cross = p * q * n * max(n - 1, 0)
+    # (n p)(q (n - 1)): no p q product to underflow before n scales it;
+    # max: an empty gate's cross is +0.0, not 0.0 * -1
+    try:
+        cross = (n * p) * (q * max(n - 1, 0))
     except OverflowError:  # an n past float range
         cross = math.inf
     if cross == math.inf:

@@ -139,23 +139,52 @@ class TestCurveAndModes:
         assert default[0] == unpolarized[0] == cli.EXIT_OK
 
 
+# Valid tokens for the flags of an `_EXCLUSIVE` line, by name, else by type.
+VALID = {"--p": "0.3", "--q": "0.2", "--r": "0.5", "--gates": "1000",
+         "--x": "0.5", "--sweep": "0:1:3", "--pgf": "0.5", int: "3",
+         float: "0.5"}
+
+
+def valid_tokens(name, spec):
+    """`name` and a valid value: by name, else its first choice, else by
+    its type; a store_true flag alone."""
+    _, convert, choices, const = spec
+    if const:
+        return [name]
+    return [name, VALID.get(name) or (choices[0] if choices
+                                      else VALID[convert])]
+
+
+def exclusive_cases():
+    """Each command with each `_EXCLUSIVE` pair it takes both flags of, as
+    a valid line without the pair and the pair's two flags with values."""
+    cases = []
+    for command, (specs, _, required) in cli._tables().items():
+        names = {spec[0]: name for name, spec in specs.items()}
+        for pair in cli._EXCLUSIVE:
+            if command is None or not names.keys() >= set(pair):
+                continue
+            line = [command]
+            for name, spec in specs.items():
+                if name == "--kind":
+                    line += [name, "coherent" if "mean" in pair
+                             else "thermal-boson"]
+                elif spec[0] in required or name in ("--p", "--q", "--r",
+                                                     "--gates"):
+                    line += valid_tokens(name, spec)
+            a, b = (valid_tokens(names[dest], specs[names[dest]])
+                    for dest in pair)
+            cases.append(pytest.param(line, a, b,
+                                      id=" ".join([command, *pair])))
+    return cases
+
+
 class TestFlagRule:
     """A given flag the source kind or the command would ignore, and two
     given flags that contradict each other, exit 2 with an error line that
     names the flags."""
 
     @pytest.mark.parametrize("line, message", [
-        ("modes --x 1,2 --sweep 0:10:3", "--x and --sweep exclude each other"),
-        ("source --kind coherent --pgf 0.5 --max-n 3",
-         "--pgf and --max-n exclude each other"),
-        ("aspect-grangier --f-override 0.5 --gate-ratio 3",
-         "--f-override and --gate-ratio exclude each other"),
-        ("aspect-grangier --f-override 0.5 --omega-ratio 3",
-         "--f-override and --omega-ratio exclude each other"),
-        ("k --kind thermal-boson --polarization 0.5 --unpolarized",
-         "--unpolarized and --polarization exclude each other"),
-        ("k --kind thermal-boson --polarized --polarization 0.5",
-         "--polarized and --polarization exclude each other"),
         ("source --kind coherent --unpolarized",
          "--unpolarized does not apply to --kind coherent"),
         ("verify --kind thermal-fermion --mean 0.5 --p .3 --q .2 --r .5",
@@ -167,6 +196,28 @@ class TestFlagRule:
         assert code == cli.EXIT_VALIDATION
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("line, a, b", exclusive_cases())
+    def test_every_exclusive_pair_is_refused(self, line, a, b, capsys):
+        for flag in (a, b):
+            assert call(line + flag, capsys)[0] in (cli.EXIT_OK,
+                                                    cli.EXIT_CHECK_FAILED)
+        assert call(line + a + b, capsys) == (
+            cli.EXIT_VALIDATION, "",
+            f"error: {a[0]} and {b[0]} exclude each other\n")
+
+    def test_every_pair_has_a_case(self):
+        """Written out apart from `_EXCLUSIVE`, so that a pair dropped from
+        the table fails here rather than losing its case."""
+        per_kind = {"mean modes", "mean nbar", "polarized unpolarized",
+                    "polarized polarization", "unpolarized polarization"}
+        expected = {f"{command} {pair}" for command in ("k", "simulate",
+                                                        "verify", "source")
+                    for pair in per_kind}
+        expected |= {"source pgf max_n", "curve polarized unpolarized",
+                     "modes x sweep", "aspect-grangier f_override gate_ratio",
+                     "aspect-grangier f_override omega_ratio"}
+        assert {case.id for case in exclusive_cases()} == expected
 
     def test_tables_name_dests_that_default_to_none(self):
         """A misspelled dest in a table would turn its check off."""
@@ -477,8 +528,6 @@ class TestOutputHandling:
         assert code == cli.EXIT_VALIDATION
 
     @pytest.mark.parametrize("argv", [
-        # k_n is undefined at n = 0
-        ["moments", "--p", ".3", "--q", ".2", "--r", ".5", "--n", "0"],
         # no quanta: K, R and F are undefined
         ["simulate", "--kind", "coherent", "--nbar", "1e-20", "--p", ".3",
          "--q", ".2", "--r", ".5", "--gates", "200", "--analytic"],
@@ -603,7 +652,6 @@ SYNTHETIC_ROWS = [
 RENDER_LAW = ["--p", ".3", "--q", ".2", "--r", ".5"]
 RENDER_CASES = [
     ["moments"] + RENDER_LAW + ["--n", "3"],
-    ["moments"] + RENDER_LAW + ["--n", "0"],
     ["source", "--kind", "thermal-boson", "--modes", "3", "--nbar", "1.5"],
     ["source", "--kind", "coherent", "--pgf", "0,0.5,1"],
     ["k", "--kind", "thermal-fermion", "--modes", "4", "--nbar", "0.5"],
@@ -626,7 +674,7 @@ class TestRender:
     @pytest.mark.parametrize("argv", RENDER_CASES, ids=" ".join)
     def test_output_equals_a_dict_writer_reference(self, argv, capsys):
         args = cli._parsers()[0].parse_args(argv)
-        rows = args.handler(args)
+        rows = cli._COMMANDS[args.command][1](args)
         assert [list(row) for row in rows] == [list(rows[0])] * len(rows)
         for precision in (1, 6, 15):
             assert cli._render(rows, "csv", precision) == _dict_writer_csv(
@@ -654,7 +702,7 @@ class TestRender:
     @pytest.mark.parametrize("argv", RENDER_CASES, ids=" ".join)
     def test_json_equals_json_dumps(self, argv):
         args = cli._parsers()[0].parse_args(argv)
-        rows = args.handler(args)
+        rows = cli._COMMANDS[args.command][1](args)
         for precision in (1, 6, 15):
             assert cli._render(rows, "json", precision) == \
                 _json_dumps_reference(rows, precision)
@@ -792,6 +840,8 @@ class TestExtremeInputs:
         # does
         (["moments"] + LAW + ["--n", str(10 ** 200)], 3),
         (["moments"] + LAW + ["--n", str(10 ** 400)], 3),
+        # K_n = 1 - 1/n is undefined for an empty gate
+        (["moments"] + LAW + ["--n", "0"], 2),
         # nan and inf are refused where they enter
         (["modes", "--x", "inf"], 2),
         (["modes", "--x", "nan"], 2),
@@ -944,7 +994,7 @@ def command_lines(draw):
     """A command line built from the flag tables: mostly global flags, a
     command, its required flags and some more, each by its exact name
     and a valid value, mixed with invalid values, abbreviations, "="
-    forms, flags without a value, repeats, group conflicts, misplaced
+    forms, flags without a value, repeats, misplaced
     global flags, "--", help and stray tokens."""
     tables = cli._tables()
     everywhere = {name: spec for specs, _, _ in tables.values()
@@ -952,9 +1002,9 @@ def command_lines(draw):
 
     def flag(name, valid):
         spec = everywhere.get(name)
-        if spec is None or spec[4] is not None:
+        if spec is None or spec[3] is not None:
             return [name]
-        _, _, convert, choices, _ = spec
+        _, convert, choices, _ = spec
         values = [*choices, "nosuch"] if choices else VALUE_TOKENS[convert]
         value = values[0] if valid else draw(st.sampled_from(values))
         form = "exact" if valid else draw(st.sampled_from(
@@ -966,10 +1016,7 @@ def command_lines(draw):
         return [name] if form == "bare" else [name, value]
 
     def flags(specs, strays):
-        entries = [spec[1] for spec in specs.values()]
-        grouped = [name for name, spec in specs.items()
-                   if entries.count(spec[1]) > 1]
-        names = sorted(specs) + 4 * grouped + strays
+        names = sorted(specs) + strays
         return [token for _ in range(draw(st.integers(0, 4)))
                 for token in flag(draw(st.sampled_from(names)),
                                   draw(st.integers(0, 3)) > 0)]

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +142,20 @@ class TestSequenceMoments:
         sm = sequence_moments(LAW, 0)
         assert sm.mean_xi == sm.var_xi == sm.cross == 0.0
         assert math.copysign(1.0, sm.cross) == 1.0
+
+    def test_cross_within_4_ulp_of_exact(self):
+        rng = random.Random(3)
+        for _ in range(2000):
+            p, q = rng.random(), rng.random()
+            law = TernaryLaw(p, q * (1 - p), 1 - p - q * (1 - p))
+            n = int(10 ** rng.uniform(0, 30))
+            exact = float(Fraction(law.p) * Fraction(law.q) * n * (n - 1))
+            cross = sequence_moments(law, n).cross
+            assert abs(cross - exact) <= 4 * math.ulp(exact), (law, n)
+
+    def test_cross_does_not_underflow(self):
+        law = TernaryLaw(1e-200, 1e-200, 1 - 2e-200)
+        assert sequence_moments(law, 10 ** 200).cross == pytest.approx(1.0)
 
     def test_against_exhaustive_summation(self):
         n = 50
