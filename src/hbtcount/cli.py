@@ -239,7 +239,7 @@ def _analytic_values(cfg: mc.SimulationConfig) -> dict:
     sm = stats.series_moments(cfg.law, cfg.source)
     return {
         "k": sm.k_ratio,
-        "r": stats._pearson_r(cfg.law, sm),
+        "r": stats.exact_correlation(cfg.law, cfg.source),
         "f": sm.fano,
         "mean_xi": sm.mean_xi,
         "mean_eta": sm.mean_eta,

@@ -4,8 +4,11 @@ Each elementary act has three mutually exclusive outcomes: detector A fires
 (probability p), detector B fires (probability q), or neither fires
 (probability r).  A gate of n independent acts yields the pair of counts
 (xi, eta) whose joint law is trinomial.  This module provides the pmf, the
-two-variable generating function, the first and second moments, the
-coincidence ratio K_n and the correlation coefficient R of that pair.
+two-variable generating function, the coincidence ratio K_n and the
+correlation coefficient R of that pair, and the one second-order algebra
+of (xi, eta), `_pair_moments` and `_pair_r`: the (p, q) thinning of an
+occupancy of mean <n> and Mandel Q = var n / <n> - 1, for a whole series
+as for a gate of fixed n, which is <n> = n at Q = -1.
 """
 
 from __future__ import annotations
@@ -136,26 +139,40 @@ def sequence_gf(law: TernaryLaw, n: int, x, y):
         return math.copysign(float(abs(base) == 1.0), base if n % 2 else 1.0)
 
 
+def _pair_moments(law: TernaryLaw, mean, mandel_q) -> dict:
+    """mean_xi, var_xi, mean_eta, var_eta and cross = <xi eta> of the (p, q)
+    thinning of an occupancy of mean <n> and Mandel Q: var xi = p<n>(1 + pQ)
+    and cross = (p<n>)(q(<n> + Q)), so no p q product underflows before <n>
+    scales it.  A gate of fixed n is (n, -1): the int keeps n - 1 exact past
+    2**53, and max an empty gate's cross +0.0, not 0.0 * -1."""
+    p, q = law.p, law.q
+    mean_xi, mean_eta = p * mean, q * mean
+    return dict(mean_xi=mean_xi, var_xi=mean_xi * (1.0 + p * mandel_q),
+                mean_eta=mean_eta, var_eta=mean_eta * (1.0 + q * mandel_q),
+                cross=mean_xi * (q * max(mean + mandel_q, 0)))
+
+
+def _pair_r(law: TernaryLaw, mandel_q) -> float:
+    """Correlation coefficient of (xi, eta) for an occupancy of Mandel Q,
+    cov / (sigma_xi sigma_eta) = Q sqrt(p/(1 + pQ)) sqrt(q/(1 + qQ)), in
+    which <n> cancels and no p q product underflows."""
+    p, q = law.p, law.q
+    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
+        raise ValueError("R requires 0 < p < 1 and 0 < q < 1")
+    return (mandel_q * math.sqrt(p / (1.0 + p * mandel_q))
+            * math.sqrt(q / (1.0 + q * mandel_q)))
+
+
 def sequence_moments(law: TernaryLaw, n: int) -> SequenceMoments:
     """Exact moments of (xi, eta) for a gate of n acts."""
     n = _count(n, "n")
-    p, q = law.p, law.q
-    # (n p)(q (n - 1)): no p q product to underflow before n scales it;
-    # max: an empty gate's cross is +0.0, not 0.0 * -1
     try:
-        cross = (n * p) * (q * max(n - 1, 0))
+        moments = _pair_moments(law, n, -1)
     except OverflowError:  # an n past float range
-        cross = math.inf
-    if cross == math.inf:
+        moments = {"cross": math.inf}
+    if moments["cross"] == math.inf:
         raise DomainError(f"cross moment overflows float range at n = {n}")
-    return SequenceMoments(
-        n=n,
-        mean_xi=n * p,
-        mean_eta=n * q,
-        var_xi=n * p * (1.0 - p),
-        var_eta=n * q * (1.0 - q),
-        cross=cross,
-    )
+    return SequenceMoments(n=n, **moments)
 
 
 def sequence_k(n: int) -> float:
@@ -174,7 +191,4 @@ def sequence_r(law: TernaryLaw) -> float:
     R = -sqrt(pq / ((1-p)(1-q))), always in [-1, 0); it reaches -1 only
     in the binary limit r = 0, p = q = 1/2.
     """
-    p, q = law.p, law.q
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        raise ValueError("R requires 0 < p < 1 and 0 < q < 1")
-    return -math.sqrt(p * q / ((1.0 - p) * (1.0 - q)))
+    return _pair_r(law, -1)

@@ -234,12 +234,11 @@ class FactorialMoments:
 
     @property
     def k_ratio(self) -> float:
-        """Coincidence ratio K = <n(n-1)> / <n>^2."""
-        square = self.mean * self.mean
-        if square < sys.float_info.min:  # 0, or subnormal with digits lost
-            raise DomainError(f"occupancy too small: <n>**2 underflows at "
-                              f"mean <n> = {self.mean!r}")
-        return self.factorial2 / square
+        """Coincidence ratio K = <n(n-1)>/<n>^2 = 1 + Q/<n>, as sequence_k."""
+        if self.mean < sys.float_info.min:  # 0, or subnormal with digits lost
+            raise DomainError(f"occupancy too small: K = 1 + Q/<n> loses "
+                              f"digits at subnormal mean <n> = {self.mean!r}")
+        return 1.0 + self.mandel_q / self.mean
 
 
 def _window(src: SourceLaw, hi: int, terms=None):

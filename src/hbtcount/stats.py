@@ -4,7 +4,8 @@ forms, energy fluctuations, the maximum-contrast condition, entropy change
 and the dip-contrast ratio Z.
 
 A series mixes gates of random occupancy n (drawn from a SourceLaw) with
-the trinomial detection algebra of `elementary`.
+the trinomial detection algebra of `elementary`: its moments and correlation
+are that module's one pair algebra at the source's <n> and Q.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elementary import TernaryLaw, sequence_r
+from .elementary import TernaryLaw, _pair_moments, _pair_r, sequence_r
 from .errors import DomainError
 from .sources import SourceLaw, source_factorial_moments
 
@@ -21,11 +22,9 @@ from .sources import SourceLaw, source_factorial_moments
 class SeriesMoments:
     """Moments and normalized correlations of the per-gate counts (xi, eta).
 
-    r_coeff follows the convention R = sqrt(pq / ((1-p)(1-q))) * (F - 1):
-    the within-gate prefactor carrying the sign of the occupancy excess
-    noise.  The exact covariance-based correlation is exposed separately
-    by `exact_correlation`, since the two differ once the source variance
-    contributes to the count variances.
+    r_coeff is R = -R_seq Q = sqrt(pq / ((1-p)(1-q))) (F - 1), R_seq the
+    fixed-n gate's R; `exact_correlation`, the covariance-based one, differs
+    once the source variance enters the count variances.
     """
 
     mean_xi: float
@@ -41,32 +40,19 @@ class SeriesMoments:
 
 def series_moments(law: TernaryLaw, src: SourceLaw) -> SeriesMoments:
     """Analytic series observables for a detection law and a source law."""
-    fm = source_factorial_moments(src)  # a SourceLaw's mean is positive
-    p, q, nq = law.p, law.q, fm.mandel_q
-    mean_xi, mean_eta = p * fm.mean, q * fm.mean
-    # var xi = p(1-p)<n> + p^2 var n = p<n>(1 + pQ), and likewise for eta
-    return SeriesMoments(mean_xi=mean_xi, var_xi=mean_xi * (1.0 + p * nq),
-                         mean_eta=mean_eta, var_eta=mean_eta * (1.0 + q * nq),
-                         cross=p * q * fm.factorial2, k_ratio=fm.k_ratio,
-                         r_coeff=-sequence_r(law) * nq,
+    fm = source_factorial_moments(src)
+    nq = fm.mandel_q
+    return SeriesMoments(**_pair_moments(law, fm.mean, nq),
+                         k_ratio=fm.k_ratio, r_coeff=-sequence_r(law) * nq,
                          fano=fm.fano, mandel_q=nq)
 
 
 def exact_correlation(law: TernaryLaw, src: SourceLaw) -> float:
-    """Pearson correlation of (xi, eta), cov / (sigma_xi * sigma_eta), with
-    cov = pq<n>Q.
-
-    This is the quantity a sample correlation coefficient estimates; it
-    coincides with SeriesMoments.r_coeff only when the count variances
-    reduce to their within-gate parts.
-    """
-    return _pearson_r(law, series_moments(law, src))
-
-
-def _pearson_r(law: TernaryLaw, sm: SeriesMoments) -> float:
-    """`exact_correlation` from the law's series moments `sm`."""
-    cov = sm.mean_xi * law.q * sm.mandel_q
-    return cov / math.sqrt(sm.var_xi * sm.var_eta)
+    """Pearson correlation of (xi, eta), cov / (sigma_xi sigma_eta) with
+    cov = pq<n>Q, or Q sqrt(p/(1 + pQ)) sqrt(q/(1 + qQ)), which a sample
+    correlation coefficient estimates.  It is SeriesMoments.r_coeff only
+    when the count variances reduce to their within-gate parts."""
+    return _pair_r(law, source_factorial_moments(src).mandel_q)
 
 
 def thermal_k(statistics: str, modes: float, polarized: bool) -> float:

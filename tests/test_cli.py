@@ -43,6 +43,13 @@ class TestMoments:
         assert float(row["k_n"]) == pytest.approx(0.5)
         assert float(row["mean_xi"]) == pytest.approx(0.6)
 
+    def test_tiny_law_keeps_r(self, capsys):
+        # R = -sqrt(p/(1-p)) sqrt(q/(1-q)): no p q = 1e-400 to underflow
+        code, out = run(["moments", "--p", "1e-200", "--q", "1e-200",
+                         "--r", "1", "--n", "3"], capsys)
+        assert code == cli.EXIT_OK
+        assert read_csv(out)[0]["r_coeff"] == "-1e-200"
+
     def test_bad_sum_is_validation_error(self, capsys):
         code, _ = run(["moments", "--p", "0.5", "--q", "0.5", "--r", "0.5"],
                       capsys)
@@ -71,6 +78,14 @@ class TestK:
         code, out = run(["k", "--kind", "coherent", "--nbar", "3.3"], capsys)
         row = read_csv(out)[0]
         assert (row["fano"], row["K"], row["R"]) == ("1", "1", "0")
+
+    def test_tiny_law_keeps_r(self, capsys):
+        # R = sqrt(pq / ((1-p)(1-q))) Q with no p q product to underflow
+        code, out = run(["k", "--kind", "thermal-boson", "--modes", "1",
+                         "--nbar", "1", "--p", "1e-200", "--q", "1e-200",
+                         "--r", "1"], capsys)
+        assert code == cli.EXIT_OK
+        assert read_csv(out)[0]["R"] == "1e-200"
 
     def test_law_flags_add_r_column(self, capsys):
         code, out = run(["k", "--kind", "thermal-boson", "--modes", "2",
@@ -458,15 +473,39 @@ class TestSimulateAndVerify:
 
     @pytest.mark.parametrize("command", ["k", "verify"])
     def test_mean_square_underflow_is_domain_error(self, capsys, command):
+        """<n>**2 underflows at <n> = 1e-200, but K = 1 + Q/<n> does not:
+        `k` prints K = 1, and `verify`, whose run holds no quantum, names
+        the statistics it cannot define."""
         argv = [command, "--kind", "coherent", "--nbar", "1e-200"]
         if command == "verify":
             argv += ["--p", ".3", "--q", ".2", "--r", ".5", "--gates", "200"]
         code = cli.main(argv)
         captured = capsys.readouterr()
+        if command == "k":
+            assert code == cli.EXIT_OK
+            assert read_csv(captured.out)[0]["K"] == "1"
+        else:
+            assert code == cli.EXIT_DOMAIN
+            assert captured.err == "error: k, r, f undefined in 200 gates\n"
+            assert captured.out == ""
+
+    TINY = ["--kind", "thermal-boson", "--modes", "1", "--nbar", "1",
+            "--p", "1e-200", "--q", "1e-200", "--r", "1", "--gates", "200"]
+
+    def test_tiny_law_verify_names_undefined_statistics(self, capsys):
+        # p q = 1e-400 underflows, but the analytic R = 1e-200 does not
+        code = cli.main(["verify"] + self.TINY)
+        captured = capsys.readouterr()
         assert code == cli.EXIT_DOMAIN
-        assert captured.err.startswith("error:")
-        assert "mean <n> = 1e-200" in captured.err
+        assert captured.err == "error: k, r undefined in 200 gates\n"
         assert captured.out == ""
+
+    def test_tiny_law_simulate_prints_analytic_r(self, capsys):
+        code, out = run(["simulate", "--analytic"] + self.TINY, capsys)
+        analytic = {row["statistic"]: row["analytic"] for row in read_csv(out)}
+        assert code == cli.EXIT_OK
+        assert analytic["r"] == "1e-200"
+        assert (analytic["k"], analytic["f"]) == ("2", "2")
 
     def test_verify_without_quanta_is_domain_error(self, capsys):
         # no gate holds a quantum, so K, R and F are 0/0, not missed
@@ -817,6 +856,13 @@ class TestExtremeInputs:
           "--nbar", "0.5"], 3),
         (["source", "--kind", "thermal-fermion", "--modes", "1000000000",
           "--nbar", "1e-6"], 0),
+        # an analytic R of 1e-200 whose p q = 1e-400 underflows: verify
+        # names K and R, which a run without counts cannot define
+        (["verify", "--kind", "thermal-boson", "--modes", "1", "--nbar", "1",
+          "--p", "1e-200", "--q", "1e-200", "--r", "1", "--gates", "200"], 3),
+        (["simulate", "--analytic", "--kind", "thermal-boson", "--modes", "1",
+          "--nbar", "1", "--p", "1e-200", "--q", "1e-200", "--r", "1",
+          "--gates", "200"], 0),
         # <n(n-1)> = mean**2 overflows past a Poisson mean of about 1.3e154
         (["k", "--kind", "coherent", "--nbar", "1e300"], 3),
         (["k"] + LAW + ["--kind", "coherent", "--nbar", "1e300"], 3),

@@ -215,6 +215,28 @@ class TestSequenceR:
         with pytest.raises(ValueError):
             sequence_r(TernaryLaw(0.0, 0.4, 0.6))
 
+    def test_against_mpmath(self):
+        """-sqrt(p/(1-p)) sqrt(q/(1-q)) against 60 digits over seeded laws,
+        p and q log-uniform down to 1e-150.  With u = 2**-53: pQ = -p is
+        exact, and 1 - p rounds once; p/(1 - p) adds one, 2u; its square
+        root halves that and adds one, 2u, and likewise for q; the one
+        product adds u (-1 times the first root is exact).  The relative
+        error is 5u to first order, below 5 ulp, since an ulp exceeds
+        u|R|."""
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(5)
+        with mp.workdps(60):
+            for i in range(4000):
+                p = rng.random() if i % 2 else 10 ** rng.uniform(-150, 0)
+                q = (rng.random() if i % 3 else 10 ** rng.uniform(-150, 0))
+                law = TernaryLaw(p, q * (1 - p), max(0.0, 1 - p - q * (1 - p)))
+                if not 0.0 < law.q:
+                    continue
+                lp, lq = mp.mpf(law.p), mp.mpf(law.q)
+                exact = -mp.sqrt(lp * lq / ((1 - lp) * (1 - lq)))
+                err = float(abs(sequence_r(law) - exact))
+                assert err <= 5.001 * math.ulp(float(exact)), law
+
     @given(law=laws())
     @settings(max_examples=50)
     def test_range(self, law):

@@ -593,12 +593,18 @@ class TestPgf:
 class TestFactorialMoments:
     @pytest.mark.parametrize("kind,nbar", [
         ("coherent", 1e-200), ("boson-polarized", 5e-324),
-        # <n>**2 = 1e-320 is subnormal: K would keep 4 digits
+        # <n>**2 = 1e-320 is subnormal, but Q/<n> = -1 is exact
         ("fermion-polarized", 1e-160)])
     def test_k_ratio_underflow_is_domain_error(self, kind, nbar):
+        """K = 1 + Q/<n> holds wherever <n> is a normal float, <n>**2
+        underflowing or not: only a subnormal <n> raises."""
         fm = source_factorial_moments(SourceLaw(kind, modes=1, nbar=nbar))
-        with pytest.raises(DomainError, match=f"mean <n> = {nbar!r}"):
-            fm.k_ratio
+        if nbar < sys.float_info.min:
+            with pytest.raises(DomainError, match=f"mean <n> = {nbar!r}"):
+                fm.k_ratio
+        else:
+            exact = {"coherent": 1.0, "fermion-polarized": 0.0}[kind]
+            assert fm.k_ratio == exact
 
     @pytest.mark.parametrize("nbar", [1e155, 1e300])
     def test_second_moment_overflow_is_domain_error(self, nbar):

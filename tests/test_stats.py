@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from hbtcount import (
     entropy_change,
     exact_correlation,
     max_contrast_pump,
+    sequence_moments,
     series_moments,
+    source_factorial_moments,
     source_pmf,
     support_cutoff,
     thermal_k,
@@ -19,6 +23,7 @@ from hbtcount import (
 )
 from hbtcount import anticorrelation, elementary, modes
 from hbtcount.errors import DomainError
+from hbtcount.sources import KINDS, _window
 
 LAW_A = TernaryLaw(0.3, 0.2, 0.5)
 LAW_B = TernaryLaw(0.25, 0.25, 0.5)
@@ -51,6 +56,23 @@ def brute_force_k(src):
     return f2 / mean ** 2
 
 
+def random_pairs(seed, count):
+    """`count` seeded (law, source) pairs, the 7 kinds in turn: M = 1 or
+    log-uniform up to 1000, a fermion's nbar uniform on (0, 1] and any
+    other's log-uniform on [1e-3, 1e3], a partial kind's P uniform."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = KINDS[i % 7]
+        modes = int(10 ** rng.uniform(0, 3)) if i % 2 else 1
+        nbar = (1.0 - rng.random() if kind.startswith("fermion")
+                else 10 ** rng.uniform(-3, 3))
+        pol = rng.random() if kind.endswith("partial") else None
+        p = rng.random()
+        q = rng.random() * (1 - p)
+        yield (TernaryLaw(p, q, max(0.0, 1 - p - q)),
+               SourceLaw(kind, modes=modes, nbar=nbar, polarization=pol))
+
+
 class TestSeriesMoments:
     def test_coherent_source(self):
         sm = series_moments(LAW_A, SourceLaw("coherent", modes=1, nbar=1.0))
@@ -71,6 +93,74 @@ class TestSeriesMoments:
                 if got != (1.0, 0.0, 0.0, 0.0):
                     bad.append((modes, nbar, got))
         assert bad == []
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_weighted_sequence_moments(self, kind):
+        """The series moments are the fixed-n gate's averaged over W_n: the
+        means and the cross directly, the variances by the law of total
+        variance, E[var | n] + var E[. | n]."""
+        src = SourceLaw(kind, modes=3, nbar=0.7, polarization=0.4
+                        if kind.endswith("partial") else None)
+        weights = _window(src, 400)  # the mass past 400 is below 1e-100
+        gates = [sequence_moments(LAW_A, n) for n in range(len(weights))]
+
+        def average(moment):
+            return math.fsum(w * moment(g) for w, g in zip(weights, gates))
+
+        sm = series_moments(LAW_A, src)
+        for mean, var, got_mean, got_var in (
+                ("mean_xi", "var_xi", sm.mean_xi, sm.var_xi),
+                ("mean_eta", "var_eta", sm.mean_eta, sm.var_eta)):
+            first = average(lambda g: getattr(g, mean))
+            second = average(lambda g: getattr(g, var) + getattr(g, mean) ** 2)
+            assert got_mean == pytest.approx(first, rel=1e-10)
+            assert got_var == pytest.approx(second - first ** 2, rel=1e-10)
+        assert sm.cross == pytest.approx(average(lambda g: g.cross), rel=1e-10)
+
+    def test_cross_within_4_ulp_of_exact(self):
+        """cross = (p<n>)(q(<n> + Q)) within 4 ulp of pq<n>(<n> + Q) in
+        exact arithmetic on the law's and the source's floats: four
+        roundings of at most u = 2**-53 relative each, and an ulp exceeds
+        u|cross|."""
+        for law, src in random_pairs(3, 7 * 300):
+            fm = source_factorial_moments(src)
+            mean, nq = Fraction(fm.mean), Fraction(fm.mandel_q)
+            exact = float(Fraction(law.p) * Fraction(law.q)
+                          * mean * (mean + nq))
+            cross = series_moments(law, src).cross
+            assert abs(cross - exact) <= 4 * math.ulp(exact), (law, src)
+
+    @pytest.mark.parametrize("p", [1e-200, 1e-160])
+    def test_cross_does_not_underflow(self, p):
+        # p q is 1e-400, past float range, or 1e-320, a subnormal of 4 digits
+        law = TernaryLaw(p, p, 1 - 2 * p)
+        exact = float(Fraction(law.p) * Fraction(law.q) * Fraction(1e150) ** 2)
+        cross = series_moments(law, SourceLaw("coherent", nbar=1e150)).cross
+        assert abs(cross - exact) <= 4 * math.ulp(exact)
+
+    def test_k_ratio_against_mpmath(self):
+        """K = 1 + Q/<n> against 1 + sum_i <n>_i Q_i / <n>**2 at 60 digits,
+        from each component's float mean and Q.  With x = Q/<n>, |x| <= 1:
+        one component's x is one rounding (its Q is Q_1 exactly), at most
+        u|x| with u = 2**-53; two components' x takes six (their sum <n>,
+        which enters twice, each weight <n>_i/<n>, each product with Q_i,
+        the sum of two terms of one sign, and Q/<n>), at most 6u|x| to
+        first order.  1 + x adds half an ulp of K.  On these draws the
+        largest error is 1.45 * 2**-52 (2.23 for <n(n-1)> / <n>**2)."""
+        mp = pytest.importorskip("mpmath")
+        u, worst = 2.0 ** -53, 0.0
+        with mp.workdps(60):
+            for _, src in random_pairs(11, 7 * 400):
+                comps = src._components
+                mean = mp.fsum(mp.mpf(c.mean) for c in comps)
+                x = mp.fsum(mp.mpf(c.mean) * c.mandel_q
+                            for c in comps) / mean ** 2
+                k = source_factorial_moments(src).k_ratio
+                err = float(abs(k - (1 + x)))
+                rounds = 1.0 if len(comps) == 1 else 6.001
+                assert err <= rounds * u * abs(float(x)) + math.ulp(k) / 2, src
+                worst = max(worst, err)
+        assert worst <= 2 * 2.0 ** -52
 
     def test_coherent_count_variance_is_its_mean(self):
         sm = series_moments(LAW_A, SourceLaw("coherent", nbar=1e12))
@@ -292,6 +382,27 @@ class TestExactCorrelation:
         src = SourceLaw("fermion-polarized", modes=20, nbar=1.0)
         assert exact_correlation(LAW_A, src) == pytest.approx(
             sequence_r(LAW_A), rel=1e-12)
+
+    def test_against_mpmath(self):
+        """Q sqrt(p/(1 + pQ)) sqrt(q/(1 + qQ)) against 60 digits, from the
+        law's p and q and the source's float Q.  With u = 2**-53: pQ rounds
+        once, and 1 + pQ once more, the first weighed by c = |pQ|/(1 + pQ);
+        p/(1 + pQ) adds one, (c + 2)u; its square root halves that and adds
+        one, (c/2 + 2)u, and likewise for q; the two products add 2u.  The
+        relative error is (6 + (c_p + c_q)/2)u to first order, below as
+        many ulp, since an ulp exceeds u|R|."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            for law, src in random_pairs(11, 7 * 400):
+                nq = mp.mpf(source_factorial_moments(src).mandel_q)
+                p, q = mp.mpf(law.p), mp.mpf(law.q)
+                if nq == 0:
+                    continue
+                exact = nq * mp.sqrt(p * q / ((1 + p * nq) * (1 + q * nq)))
+                ulps = 6.001 + float(abs(p * nq) / (1 + p * nq)
+                                     + abs(q * nq) / (1 + q * nq)) / 2
+                err = float(abs(exact_correlation(law, src) - exact))
+                assert err <= ulps * math.ulp(float(exact)), (law, src)
 
     def test_bounded_by_one(self):
         for src, law in GRID:
