@@ -139,6 +139,15 @@ def sequence_gf(law: TernaryLaw, n: int, x, y):
         return math.copysign(float(abs(base) == 1.0), base if n % 2 else 1.0)
 
 
+def _one_plus(p: float, mandel_q) -> float:
+    """1 + pQ for a thinning probability p and Mandel Q >= -1.  For Q < 0
+    it is (1 - p) + p(1 + Q), a sum of two non-negative terms, where 1 + pQ
+    would cancel as p -> 1 and Q -> -1; at Q = -1 both forms are 1 - p."""
+    if mandel_q < 0:
+        return (1.0 - p) + p * (1.0 + mandel_q)
+    return 1.0 + p * mandel_q
+
+
 def _pair_moments(law: TernaryLaw, mean, mandel_q) -> dict:
     """mean_xi, var_xi, mean_eta, var_eta and cross = <xi eta> of the (p, q)
     thinning of an occupancy of mean <n> and Mandel Q: var xi = p<n>(1 + pQ)
@@ -147,8 +156,8 @@ def _pair_moments(law: TernaryLaw, mean, mandel_q) -> dict:
     2**53, and max an empty gate's cross +0.0, not 0.0 * -1."""
     p, q = law.p, law.q
     mean_xi, mean_eta = p * mean, q * mean
-    return dict(mean_xi=mean_xi, var_xi=mean_xi * (1.0 + p * mandel_q),
-                mean_eta=mean_eta, var_eta=mean_eta * (1.0 + q * mandel_q),
+    return dict(mean_xi=mean_xi, var_xi=mean_xi * _one_plus(p, mandel_q),
+                mean_eta=mean_eta, var_eta=mean_eta * _one_plus(q, mandel_q),
                 cross=mean_xi * (q * max(mean + mandel_q, 0)))
 
 
@@ -159,8 +168,8 @@ def _pair_r(law: TernaryLaw, mandel_q) -> float:
     p, q = law.p, law.q
     if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
         raise ValueError("R requires 0 < p < 1 and 0 < q < 1")
-    return (mandel_q * math.sqrt(p / (1.0 + p * mandel_q))
-            * math.sqrt(q / (1.0 + q * mandel_q)))
+    return (mandel_q * math.sqrt(p / _one_plus(p, mandel_q))
+            * math.sqrt(q / _one_plus(q, mandel_q)))
 
 
 def sequence_moments(law: TernaryLaw, n: int) -> SequenceMoments:

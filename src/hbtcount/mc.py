@@ -23,6 +23,7 @@ bit-identical report.  Each layer is one exact draw for the whole run:
   and any such gates at _START_COST more.  A histogram whose whole table
   costs no more than _START_COST + _GATE_COST cells is thinned whole, with
   no cost search, and a stage with no gate above its split draws no tail.
+  The first stage keeps exact int64 column sums of its draws (`_detected`).
 
 Point estimates come from exact integer sums of per-gate features: (xi,
 eta, xi**2, eta**2, xi*eta) for K, R and the mean counts, (n, n**2) for
@@ -44,23 +45,22 @@ from .errors import DomainError
 from .sources import SourceLaw, _TAIL_EPS, _cutoff_window
 
 DEFAULT_Z_MAX = 4.0
-# The cost of thinning one gate by one binomial, in multinomial table
-# cells: timeit puts it at 2 to 4, and pass times are flat from 2 to 12
-# (2-core Xeon, numpy 2.4).
+# Times below are timeit's, on a 2-core Xeon with numpy 2.4.
+# The cost of thinning one gate by one binomial, in table cells: a gate
+# takes 0.06-0.15 us, a cell 0.06-0.08 us; pass times are flat from 2 to 12.
 _GATE_COST = 6
 # The cost of starting to thin a stage's gates one by one, in table cells:
-# timeit puts it at 250-350 in the first stage and 650-850 in the second,
-# pass times are flat from 64 to 2048, and from 512 on a table run at 10**12
-# gates peaks at 1.7 times its memory at 10**9 (2-core Xeon, numpy 2.4).
+# 19 us (300 cells) in stage 1, 57 us (700) in stage 2; pass times are flat
+# from 64 to 2048, and from 512 on a table run at 10**12 gates peaks at
+# 1.5-1.6 times its memory at 10**9.
 _START_COST = 256
 # A thinning stage's binomial table holds this many cells at most, which
 # bounds its time, and a batch of its draws, or a chunk of gates drawn one
 # by one, _GROUP_COST // 64 gates or cells, which bounds the memory of a run.
 _GROUP_COST = 2 ** 20
-# An occupancy table has at most one cell for this many gates.  Built once
-# a run, it costs 0.1-1.2 us a cell for one component and 2-6 us a cell
-# for two (tables of 300 to 3e4 cells, convolved whole), against 0.3-0.4 us
-# for a gate drawn and thinned one by one (2-core Xeon, numpy 2.4).
+# An occupancy table has at most one cell for this many gates.  Built once a
+# run, it costs 0.04-1 us a cell for one component and 0.4-8 us for two (700
+# to 9e4 cells, convolved whole), against 0.2 us a gate drawn and thinned.
 _CELL_GATES = 16
 # The most cells in a one-component table, which bounds the memory of its
 # build, at most about 9 floats a cell (7.5 MiB for 110229 cells); a
@@ -150,9 +150,8 @@ class _Moments:
         self.comoment = np.zeros((width, width))
 
     def means(self):
-        """The features' means as np.float64, whose 0/0 is nan under
-        np.errstate where a float's raises."""
-        return [np.float64(total / self.count) for total in self.sums]
+        """The features' means as floats."""
+        return [total / self.count for total in self.sums]
 
     def add(self, features, gates):
         """Add gates[i] gates with the non-negative int64 features of column
@@ -164,21 +163,22 @@ class _Moments:
             sums = (features.astype(object) @ gates.astype(object)).tolist()
         mean = np.array([total / count for total in sums])
         # the deviations and their weighted copy in one block (as two arrays
-        # a fallback chunk faulted in about 500 more pages), and einsum, not
-        # a BLAS matmul, whose first call maps about 0.4 MB of buffers
+        # a fallback chunk faulted in 30 times the pages), the features copied
+        # in (a casting subtraction takes a buffer of their size), and einsum,
+        # not a BLAS matmul, whose first call maps about 0.4 MB of buffers
         dev, weighted = np.empty((2, *features.shape))
-        np.subtract(features, mean[:, None], out=dev)
+        np.copyto(dev, features)
+        dev -= mean[:, None]
         np.multiply(dev, gates, out=weighted)
         comoment = np.einsum("ij,kj->ik", weighted, dev)
-        if not self.count:  # a table run's one batch: no merge
-            self.comoment = comoment
-        else:
-            self.comoment += comoment
+        if self.count:  # merged; a table run has one batch
+            comoment += self.comoment
             delta = mean - self.means()
-            self.comoment += np.outer(delta, delta) * (
+            comoment += np.outer(delta, delta) * (
                 self.count * count / (self.count + count))
+            sums = [a + b for a, b in zip(self.sums, sums)]
         self.count += count
-        self.sums = [a + b for a, b in zip(self.sums, sums)]
+        self.sums, self.comoment = sums, comoment
 
 
 def _count_features(xi, eta):
@@ -191,15 +191,17 @@ def _occupancy_features(n):
     return np.array([n, n * n])
 
 
-def _estimates(gates: int, counts: _Moments,
-               occupancy: _Moments) -> EstimateReport:
+def _estimates(gates: int, counts: _Moments, occupancy: _Moments,
+               scalar=float) -> EstimateReport:
     """K, R, F and the mean counts at the sample means, each with its
-    delta-method error; an undefined ratio (0/0) and its error are nan."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi, eta, xi2, eta2, cross = counts.means()
-        n, n2 = occupancy.means()
+    delta-method error, in floats; a ratio undefined there (0/0) and its
+    error are nan in np.float64, whose x/0 and sqrt(-x) are inf or nan."""
+    sqrt = math.sqrt if scalar is float else np.sqrt
+    xi, eta, xi2, eta2, cross, n, n2 = map(
+        scalar, counts.means() + occupancy.means())
+    try:
         var_xi, var_eta = xi2 - xi * xi, eta2 - eta * eta
-        scale = np.sqrt(var_xi * var_eta)
+        scale = sqrt(var_xi * var_eta)
         k, r = cross / (xi * eta), (cross - xi * eta) / scale
         # the gradients of K, R and the mean counts in the count features,
         # one a row, and of F in the occupancy features
@@ -209,14 +211,17 @@ def _estimates(gates: int, counts: _Moments,
              -0.5 * r / var_xi, -0.5 * r / var_eta, 1.0 / scale],
             [1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]])
         f_grad = np.array([-n2 / (n * n) - 1.0, 1.0 / n])
+        k_err, r_err, xi_err, eta_err = np.einsum(
+            "ij,jk,ik->i", grad, counts.comoment, grad).tolist()
+        f_err = float(f_grad @ occupancy.comoment @ f_grad)
         pairs = gates * (gates - 1.0)
-        k_err, r_err, xi_err, eta_err = np.sqrt(np.einsum(
-            "ij,jk,ik->i", grad, counts.comoment, grad) / pairs)
-        f_err = np.sqrt(f_grad @ occupancy.comoment @ f_grad / pairs)
         return EstimateReport(gates, *(  # K, R, F, then the mean counts
-            Estimate(float(value), float(error)) for value, error in
-            ((k, k_err), (r, r_err), ((n2 - n * n) / n, f_err), (xi, xi_err),
-             (eta, eta_err))))
+            Estimate(float(value), float(sqrt(error / pairs))) for value,
+            error in ((k, k_err), (r, r_err), ((n2 - n * n) / n, f_err),
+                      (xi, xi_err), (eta, eta_err))))
+    except (ZeroDivisionError, ValueError):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _estimates(gates, counts, occupancy, np.float64)
 
 
 def _binomial_table(rows, top: int, pi: float):
@@ -225,17 +230,16 @@ def _binomial_table(rows, top: int, pi: float):
     a = np.arange(top + 1)
     k = np.asarray(rows)[:, None]
     rest = k - a
-    np.maximum(rest, 0, out=rest)
-    # log_fact[i] = log i! for i = 0..top: the row of log a! as it stands
-    log_fact = np.cumsum(np.log(np.maximum(a, 1)))
+    # log_fact[i] = log i! for i = 0..top, +inf at a rest < 0 (exp gives 0)
+    log_fact = np.full(2 * top + 1, np.inf)
+    log_fact[:top + 1] = np.log(np.maximum(a, 1)).cumsum()
     # in place in one array, in the order log k! - log a! - log rest!
     # + a log pi + rest log(1 - pi)
-    table = log_fact[k] - log_fact
+    table = log_fact[k] - log_fact[:top + 1]
     table -= log_fact[rest]
     table += _xlogy(a, pi)
     table += _xlogy(rest, -pi, math.log1p)
     np.exp(table, out=table)
-    table[a > k] = 0.0
     return table
 
 
@@ -259,11 +263,6 @@ def _multinomial(rng: np.random.Generator, n, pvals):
     return drawn.reshape(pvals.shape)
 
 
-def _trimmed(histogram):
-    """histogram without its trailing cells that count no gate."""
-    return histogram[:np.flatnonzero(histogram)[-1] + 1]
-
-
 def _occupancy_histogram(rng: np.random.Generator, cfg: SimulationConfig):
     """The run's gates per occupancy 0..top, with top the largest drawn,
     from one multinomial over the source's table W_0..W_N; None when that
@@ -272,8 +271,10 @@ def _occupancy_histogram(rng: np.random.Generator, cfg: SimulationConfig):
     cells = min(cfg.gates // _CELL_GATES, _TABLE_CELLS
                 if len(src._components) == 1 else _CONVOLVE_CELLS)
     window = _cutoff_window(src, _TAIL_EPS, cells - 1)[0]
-    return None if window is None else _trimmed(
-        _multinomial(rng, cfg.gates, window))
+    if window is None:
+        return None
+    drawn = _multinomial(rng, cfg.gates, window)
+    return drawn[:drawn.nonzero()[0][-1] + 1]
 
 
 def _row_split(histogram) -> int:
@@ -313,7 +314,7 @@ def _pooled(k, a):
     key = (k - k_low) * width
     key += a - a_low
     gates = np.bincount(key)
-    cell = np.flatnonzero(gates)
+    cell = gates.nonzero()[0]
     return k_low + cell // width, a_low + cell % width, gates[cell]
 
 
@@ -334,22 +335,23 @@ def _gates_above(histogram, split: int):
         yield np.repeat(values[rows], take)
 
 
+def _row_batches(histogram, split: int):
+    """Occupied rows k <= split, _GROUP_COST // 64 cells (or a row) a batch."""
+    occupied = histogram[:split + 1].nonzero()[0]
+    step = max(1, _GROUP_COST // 64 // (split + 1))
+    return (occupied[lo:lo + step] for lo in range(0, len(occupied), step))
+
+
 def _thin(rng: np.random.Generator, histogram, pi: float):
     """Thin the gates per count k in `histogram`, each unit kept with
     probability pi, so a gate keeps a ~ Binomial(k, pi).  Yields cells (k,
-    a, gates) as they are drawn: those of one multinomial per occupied row
-    k <= j, the row split (`_row_split`), over its `_binomial_table` row, at
-    most _GROUP_COST // 64 cells (or one row) a draw; then the gates above
-    j, one binomial each in the batches of `_gates_above`, by `_pooled`.
-    The draw is exact, and memory does not grow with a run's gates."""
+    a, gates) as drawn: a `_multinomial` per `_row_batches` batch up to the
+    row split j (`_row_split`), then a binomial per gate above j, pooled."""
     split = _row_split(histogram)
-    occupied = np.flatnonzero(histogram[:split + 1])
-    step = max(1, _GROUP_COST // 64 // (split + 1))
-    for lo in range(0, len(occupied), step):
-        rows = occupied[lo:lo + step]
+    for rows in _row_batches(histogram, split):
         kept = _multinomial(rng, histogram[rows],
                             _binomial_table(rows, split, pi))
-        row, a = np.nonzero(kept)
+        row, a = kept.nonzero()
         yield rows[row], a, kept[row, a]
     if split + 1 < len(histogram):  # a gate lies above the split
         for k in _gates_above(histogram, split):
@@ -357,11 +359,19 @@ def _thin(rng: np.random.Generator, histogram, pi: float):
 
 
 def _detected(rng: np.random.Generator, occupancy, s: float):
-    """First thinning stage: gates per detected count d ~ Binomial(n, s)."""
+    """First thinning stage: gates per detected count d ~ Binomial(n, s),
+    drawn as `_thin` draws them, summed in int64 at each sorted cell's d
+    without putting a table's `_multinomial` draw back in its cells."""
+    split = _row_split(occupancy)
     detected = np.zeros(len(occupancy), dtype=np.int64)
-    for _, d, gates in _thin(rng, occupancy, s):
-        np.add.at(detected, d, gates)
-    return _trimmed(detected)
+    for rows in _row_batches(occupancy, split):
+        table = _binomial_table(rows, split, s)
+        np.add.at(detected, table.argsort(kind="stable").ravel(),
+                  rng.multinomial(occupancy[rows], np.sort(table)).ravel())
+    if split + 1 < len(occupancy):  # a gate lies above the split
+        for n in _gates_above(occupancy, split):
+            np.add.at(detected, rng.binomial(n, s), 1)
+    return detected[:detected.nonzero()[0][-1] + 1]
 
 
 def _thin_counts(rng: np.random.Generator, law: TernaryLaw, occupancy,
@@ -402,7 +412,7 @@ def _simulate(cfg: SimulationConfig) -> tuple[_Moments, _Moments]:
             d, xi, gates = _pooled(d, rng.binomial(d, t))
             counts.add(_count_features(xi, d - xi), gates)
     else:
-        n = np.flatnonzero(histogram)
+        n = histogram.nonzero()[0]
         occupancy.add(_occupancy_features(n), histogram[n])
         _thin_counts(rng, cfg.law, histogram, counts)
     return counts, occupancy

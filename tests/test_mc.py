@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hbtcount import (
     DomainError,
     Estimate,
+    EstimateReport,
     SimulationConfig,
     SourceLaw,
     TernaryLaw,
@@ -37,6 +38,7 @@ from hbtcount.mc import (
     _thin,
     _thin_counts,
 )
+from hbtcount.sources import _TAIL_EPS, _cutoff_window
 from test_acceptance import GRID
 
 LAW = TernaryLaw(0.3, 0.2, 0.5)
@@ -188,6 +190,133 @@ class TestDeterminism:
         assert repr(simulate_series(cfg).as_dict()) == first
         assert repr(_estimates(cfg.gates, *_simulate(cfg)).as_dict()) \
             == first
+
+
+def _reference_table_stage(rng, histogram, pi):
+    """One thinning stage drawn row by row: a multinomial for each occupied
+    count k <= the row split, over the Binomial(k, pi) table row of a =
+    0..split with its cells sorted by probability, the draw put back in
+    their order; then the gates above the split, in order of count, one
+    binomial each.  Returns the cells (k, a, gates), in that order."""
+    split = mc._row_split(histogram)
+    cells = []
+    for k in range(split + 1):
+        if histogram[k]:
+            row = mc._binomial_table(np.array([k]), split, pi)[0]
+            order = row.argsort(kind="stable")
+            kept = np.empty(split + 1, dtype=np.int64)
+            kept[order] = rng.multinomial(histogram[k], row[order])
+            cells += [(k, a, gates) for a, gates in enumerate(kept.tolist())
+                      if gates]
+    above = np.repeat(np.arange(split + 1, len(histogram)),
+                      histogram[split + 1:])
+    cells += [(k, a, 1) for k, a in zip(above.tolist(),
+                                        rng.binomial(above, pi).tolist())]
+    return cells
+
+
+def _reference_report(gates, counts, occupancy):
+    """K, R, F and the mean counts with their delta-method errors, formed
+    in numpy scalars, whose 0/0 is nan, from `_Moments`; a dict of (value,
+    stderr) pairs keyed as EstimateReport.STATISTICS."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi, eta, xi2, eta2, cross = (np.float64(total / counts.count)
+                                     for total in counts.sums)
+        n, n2 = (np.float64(total / occupancy.count)
+                 for total in occupancy.sums)
+        var_xi, var_eta = xi2 - xi * xi, eta2 - eta * eta
+        scale = np.sqrt(var_xi * var_eta)
+        k, r = cross / (xi * eta), (cross - xi * eta) / scale
+        grads = [[-k / xi, -k / eta, 0.0, 0.0, 1.0 / (xi * eta)],
+                 [r * xi / var_xi - eta / scale,
+                  r * eta / var_eta - xi / scale, -0.5 * r / var_xi,
+                  -0.5 * r / var_eta, 1.0 / scale],
+                 [-n2 / (n * n) - 1.0, 1.0 / n],
+                 [1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]]
+        values = [k, r, (n2 - n * n) / n, xi, eta]
+        out = {}
+        for name, value, grad in zip(EstimateReport.STATISTICS, values,
+                                     grads):
+            comoment = (occupancy if len(grad) == 2 else counts).comoment
+            grad = np.array(grad)
+            out[name] = (float(value), float(np.sqrt(
+                grad @ comoment @ grad / (gates * (gates - 1.0)))))
+        return out
+
+
+def _reference_run(cfg):
+    """A table run drawn the straightforward way, on the run's stream: the
+    occupancy histogram by one multinomial over the source's table, its
+    cells sorted by probability and the draw put back in their order; then
+    two `_reference_table_stage`s, the detected histogram summed from the
+    first one's cells, and the features of the cells through `_Moments`.
+    Returns its `_reference_report`."""
+    rng = _rng(cfg.seed)
+    window = _cutoff_window(cfg.source, _TAIL_EPS,
+                            cfg.gates // mc._CELL_GATES - 1)[0]
+    order = window.argsort(kind="stable")
+    histogram = np.empty(len(window), dtype=np.int64)
+    histogram[order] = rng.multinomial(cfg.gates, window[order])
+    histogram = histogram[:histogram.nonzero()[0][-1] + 1]
+    detected = np.zeros(len(histogram), dtype=np.int64)
+    for _, d, gates in _reference_table_stage(rng, histogram, cfg.law.s):
+        detected[d] += gates
+    detected = detected[:detected.nonzero()[0][-1] + 1]
+    t = cfg.law.t_transmit if cfg.law.p + cfg.law.q > 0.0 else 0.0
+    d, xi, gates = map(np.array,
+                       zip(*_reference_table_stage(rng, detected, t)))
+    counts, occupancy = _Moments(5), _Moments(2)
+    counts.add(np.array([xi, d - xi, xi * xi, (d - xi) ** 2, xi * (d - xi)]),
+               gates)
+    n = histogram.nonzero()[0]
+    occupancy.add(np.array([n, n * n]), histogram[n])
+    return _reference_report(cfg.gates, counts, occupancy)
+
+
+def _assert_matches_reference(report, cfg):
+    """Every point estimate equal to the reference run's, every stderr
+    within 1e-12 relative."""
+    expected = _reference_run(cfg)
+    for name in EstimateReport.STATISTICS:
+        est, (value, stderr) = report.estimate(name), expected[name]
+        assert est.value == value, (name, est, value)
+        assert abs(est.stderr - stderr) <= 1e-12 * stderr, (name, est, stderr)
+
+
+class TestReferenceRun:
+    """A table run takes the draws of `_reference_run`, bit for bit: the
+    point estimates, exact functions of the draws' integer sums, are equal,
+    and the errors agree to rounding."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_grid(self, seed):
+        for src, law in GRID:
+            cfg = SimulationConfig(law=law, source=src, gates=20000,
+                                   seed=seed)
+            assert not _per_gate(cfg)
+            _assert_matches_reference(simulate_series(cfg), cfg)
+
+    @pytest.mark.parametrize("split", [0, 1])
+    def test_forced_split(self, split, monkeypatch):
+        """Both stages thin counts 0..split in the table and the gates
+        above it one by one."""
+        _force_split(monkeypatch, split)
+        for src, law in GRID:
+            cfg = SimulationConfig(law=law, source=src, gates=20000, seed=1)
+            _assert_matches_reference(simulate_series(cfg), cfg)
+
+    @pytest.mark.parametrize("gates", [2 ** 53 + 1, 2 ** 62 + 3, 2 ** 63 - 1])
+    @pytest.mark.parametrize("src", [
+        SourceLaw("fermion-polarized", modes=4, nbar=0.6),
+        SourceLaw("boson-polarized", modes=1, nbar=1.0)], ids=repr)
+    def test_huge_gates_stay_exact(self, src, gates):
+        """Past 2**53 gates a float64 sum of the draws can round, and near
+        2**63 round past the int64 range: every gate is counted, and the
+        report is the reference run's."""
+        cfg = SimulationConfig(law=LAW, source=src, gates=gates, seed=5)
+        counts, occupancy = _simulate(cfg)
+        assert counts.count == occupancy.count == gates
+        _assert_matches_reference(_estimates(gates, counts, occupancy), cfg)
 
 
 class TestSampleOccupancy:

@@ -404,6 +404,30 @@ class TestExactCorrelation:
                 err = float(abs(exact_correlation(law, src) - exact))
                 assert err <= ulps * math.ulp(float(exact)), (law, src)
 
+    @pytest.mark.parametrize("nbar", [0.9, 0.999, 0.99999])
+    def test_fermion_near_unit_occupancy_against_mpmath(self, nbar):
+        """Fermion-polarized at nbar = p, where pQ tends to -1: 1 + pQ,
+        formed as (1 - p) + p(1 + Q), sums two non-negative terms of at
+        most 2u error each, 3u in all (u = 2**-53).  So var_xi = (p<n>)(1 +
+        pQ) is within 5u, and R within 8u: each of p/(1 + pQ) and q/(1 + qQ)
+        4u, each square root 3u, and two products.  An ulp exceeds u|x|.
+        1 + pQ formed from a rounded p*Q would put R 64 ulp off at 0.999."""
+        mp = pytest.importorskip("mpmath")
+        src = SourceLaw("fermion-polarized", modes=1, nbar=nbar)
+        fm = source_factorial_moments(src)
+        for q in (0.5, 0.3, 1e-6):
+            law = TernaryLaw(nbar, q * (1.0 - nbar), (1.0 - q) * (1.0 - nbar))
+            with mp.workdps(60):
+                nq, mean = mp.mpf(fm.mandel_q), mp.mpf(fm.mean)
+                p, q = mp.mpf(law.p), mp.mpf(law.q)
+                r = nq * mp.sqrt(p * q / ((1 + p * nq) * (1 + q * nq)))
+                var_xi = p * mean * (1 + p * nq)
+            for got, exact, ulps in (
+                    (exact_correlation(law, src), r, 8),
+                    (series_moments(law, src).var_xi, var_xi, 5)):
+                err = float(abs(got - exact))
+                assert err <= ulps * math.ulp(float(exact)), (law, got)
+
     def test_bounded_by_one(self):
         for src, law in GRID:
             assert abs(exact_correlation(law, src)) <= 1.0 + 1e-12
