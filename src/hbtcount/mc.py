@@ -17,13 +17,15 @@ bit-identical report.  Each layer is one exact draw for the whole run:
   near-equal chunks of gates from `sample_occupancy` instead (_CHUNKS, or
   more so that none exceeds _GROUP_COST // 64 gates).
 * Counts, in two binomial-thinning stages (`_thin`): d ~ Binomial(n, s),
-  then xi ~ Binomial(d, p/(p + q)).  Every batch of gates is cells (k, a,
-  gates): gates[i] gates of count k[i] that keep a[i].  Each stage's row
-  split prices a table cell at 1, a gate thinned one by one at _GATE_COST
-  and any such gates at _START_COST more.  A histogram whose whole table
-  costs no more than _START_COST + _GATE_COST cells is thinned whole, with
-  no cost search, and a stage with no gate above its split draws no tail.
-  The first stage keeps exact int64 column sums of its draws (`_detected`).
+  then xi ~ Binomial(d, p/(p + q)).  Every batch of gates is rows k, each
+  with a row of cells (a, gates): gates[i, j] gates of count k[i] that
+  keep a[i, j].  Neither stage puts a table draw back in its cells: the
+  first sums them into its int64 histogram of d, the second keeps the
+  occupied ones.  Each stage's row split prices a table cell at 1, a gate
+  thinned one by one at _GATE_COST and any such gates at _START_COST
+  more.  A histogram whose whole table costs no more than _START_COST +
+  _GATE_COST cells is thinned whole, with no cost search, and a stage
+  with no gate above its split draws no tail.
 
 Point estimates come from exact integer sums of per-gate features: (xi,
 eta, xi**2, eta**2, xi*eta) for K, R and the mean counts, (n, n**2) for
@@ -131,7 +133,7 @@ def sample_occupancy(source: SourceLaw, rng: np.random.Generator,
     """Draw gate occupancies n ~ {W_n}, summing one draw per component
     of the source in component order.  A component whose parameters pass
     numpy's sampler range raises DomainError."""
-    shape = 1 if size is None else size
+    shape = 1 if size is None else _count(size, "size")
     try:
         total = sum(comp.sample(rng, shape) for comp in source._components)
     except (ValueError, OverflowError) as exc:
@@ -250,17 +252,12 @@ def _stage_probabilities(law: TernaryLaw):
     return law.s, (law.t_transmit if law.p + law.q > 0.0 else 0.0)
 
 
-def _multinomial(rng: np.random.Generator, n, pvals):
-    """Draw n gates over the cells of pvals, or n[i] over those of its row
-    i, sorted by their probability: a multinomial draw gives its last cell
-    whatever count is left, rounding residue included, so sorted cells send
-    it to the most probable cell, never to an impossible one."""
-    order = pvals.argsort(kind="stable")
-    if pvals.ndim == 2:  # flat indices: row i starts at i * its width
-        order += np.arange(0, pvals.size, pvals.shape[1])[:, None]
-    drawn = np.empty(pvals.size, dtype=np.int64)
-    drawn[order.ravel()] = rng.multinomial(n, np.sort(pvals)).ravel()
-    return drawn.reshape(pvals.shape)
+def _sorted_draw(rng: np.random.Generator, n, pvals):
+    """The argsort of pvals (along its rows) and a draw of n gates over its
+    cells in that order, or n[i] over row i's: a multinomial draw gives its
+    last cell whatever count is left, rounding residue included, so sorted
+    cells send it to the most probable cell, never to an impossible one."""
+    return pvals.argsort(kind="stable"), rng.multinomial(n, np.sort(pvals))
 
 
 def _occupancy_histogram(rng: np.random.Generator, cfg: SimulationConfig):
@@ -273,8 +270,10 @@ def _occupancy_histogram(rng: np.random.Generator, cfg: SimulationConfig):
     window = _cutoff_window(src, _TAIL_EPS, cells - 1)[0]
     if window is None:
         return None
-    drawn = _multinomial(rng, cfg.gates, window)
-    return drawn[:drawn.nonzero()[0][-1] + 1]
+    order, drawn = _sorted_draw(rng, cfg.gates, window)
+    histogram = np.empty_like(drawn)
+    histogram[order] = drawn
+    return histogram[:histogram.nonzero()[0][-1] + 1]
 
 
 def _row_split(histogram) -> int:
@@ -335,52 +334,47 @@ def _gates_above(histogram, split: int):
         yield np.repeat(values[rows], take)
 
 
-def _row_batches(histogram, split: int):
-    """Occupied rows k <= split, _GROUP_COST // 64 cells (or a row) a batch."""
-    occupied = histogram[:split + 1].nonzero()[0]
-    step = max(1, _GROUP_COST // 64 // (split + 1))
-    return (occupied[lo:lo + step] for lo in range(0, len(occupied), step))
-
-
 def _thin(rng: np.random.Generator, histogram, pi: float):
     """Thin the gates per count k in `histogram`, each unit kept with
-    probability pi, so a gate keeps a ~ Binomial(k, pi).  Yields cells (k,
-    a, gates) as drawn: a `_multinomial` per `_row_batches` batch up to the
-    row split j (`_row_split`), then a binomial per gate above j, pooled."""
+    probability pi, so a gate keeps a ~ Binomial(k, pi).  Yields batches
+    (k, a, gates) as drawn, gates[i, j] gates of count k[i] that keep
+    a[i, j]: up to the row split j (`_row_split`), a `_sorted_draw` over
+    the table rows of _GROUP_COST // 64 cells (or one row) of occupied
+    counts, empty cells included; then a binomial per gate above j, pooled
+    into rows of one cell."""
     split = _row_split(histogram)
-    for rows in _row_batches(histogram, split):
-        kept = _multinomial(rng, histogram[rows],
-                            _binomial_table(rows, split, pi))
-        row, a = kept.nonzero()
-        yield rows[row], a, kept[row, a]
+    occupied = histogram[:split + 1].nonzero()[0]
+    step = max(1, _GROUP_COST // 64 // (split + 1))
+    for lo in range(0, len(occupied), step):
+        rows = occupied[lo:lo + step]
+        yield rows, *_sorted_draw(rng, histogram[rows],
+                                  _binomial_table(rows, split, pi))
     if split + 1 < len(histogram):  # a gate lies above the split
         for k in _gates_above(histogram, split):
-            yield _pooled(k, rng.binomial(k, pi))
+            k, a, gates = _pooled(k, rng.binomial(k, pi))
+            yield k, a[:, None], gates[:, None]
 
 
 def _detected(rng: np.random.Generator, occupancy, s: float):
     """First thinning stage: gates per detected count d ~ Binomial(n, s),
-    drawn as `_thin` draws them, summed in int64 at each sorted cell's d
-    without putting a table's `_multinomial` draw back in its cells."""
-    split = _row_split(occupancy)
+    every cell of `_thin`'s batches summed in int64 at its d."""
     detected = np.zeros(len(occupancy), dtype=np.int64)
-    for rows in _row_batches(occupancy, split):
-        table = _binomial_table(rows, split, s)
-        np.add.at(detected, table.argsort(kind="stable").ravel(),
-                  rng.multinomial(occupancy[rows], np.sort(table)).ravel())
-    if split + 1 < len(occupancy):  # a gate lies above the split
-        for n in _gates_above(occupancy, split):
-            np.add.at(detected, rng.binomial(n, s), 1)
+    for _, d, gates in _thin(rng, occupancy, s):
+        # raveled: np.add.at takes 3-4 times as long over 2-D indices
+        np.add.at(detected, d.ravel(), gates.ravel())
     return detected[:detected.nonzero()[0][-1] + 1]
 
 
 def _thin_counts(rng: np.random.Generator, law: TernaryLaw, occupancy,
                  counts: _Moments):
     """Add to `counts` the count features of the gates per occupancy in
-    `occupancy`: detected counts d, their split xi, and eta = d - xi."""
+    `occupancy`: detected counts d, their split xi, and eta = d - xi, the
+    occupied cells of each of `_thin`'s batches."""
     s, t = _stage_probabilities(law)
     for d, xi, gates in _thin(rng, _detected(rng, occupancy, s), t):
-        counts.add(_count_features(xi, d - xi), gates)
+        row, cell = gates.nonzero()
+        xi = xi[row, cell]
+        counts.add(_count_features(xi, d[row] - xi), gates[row, cell])
 
 
 def _simulate(cfg: SimulationConfig) -> tuple[_Moments, _Moments]:

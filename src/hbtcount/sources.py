@@ -256,12 +256,25 @@ def _window(src: SourceLaw, hi: int, terms=None):
 
 
 def source_pmf(src: SourceLaw, n: int) -> float:
-    """Weight W_n that exactly n quanta arrive in one gate."""
+    """Weight W_n that exactly n quanta arrive in one gate: 0 past a bounded
+    support's end; DomainError where n + order + 1 (order 1 for a Poisson
+    law), which bounds the int64 counts of a `log_pmf`, passes int64, or a
+    two-component sum takes more terms than any window reads."""
     n = _count(n, "n")
     comps = src._components
+    if src.max_count is not None and n > src.max_count:
+        return 0.0
+    if n + max(getattr(comp, "order", 1) for comp in comps) >= 2 ** 63 - 1:
+        raise DomainError(f"count too large: n = {n} wraps int64 in the pmf")
     if len(comps) == 1:
         return float(np.exp(comps[0].log_pmf(np.array([n])))[0])
-    k = np.arange(n + 1)
+    # the k that both supports allow, n for an unbounded one
+    first, second = (comp.max_count or n for comp in comps)
+    lo, hi = max(0, n - second), min(n, first)
+    if hi - lo > 3 * TRUNCATION_CAP:
+        raise DomainError(f"count too large: W_{n} sums {hi - lo + 1} terms, "
+                          f"past the {3 * TRUNCATION_CAP + 1} of any window")
+    k = np.arange(lo, hi + 1)
     return float(np.exp(comps[0].log_pmf(k)) @ np.exp(comps[1].log_pmf(n - k)))
 
 
@@ -394,6 +407,8 @@ def support_cutoff(src: SourceLaw, mass: float = TRUNCATION_MASS) -> int:
 
 def _support_window(src: SourceLaw, mass: float = TRUNCATION_MASS):
     """W_0..W_n* for `support_cutoff`'s n*, with its checks and errors."""
+    if not 0.0 <= mass < 1.0:
+        raise ValueError(f"mass must lie in [0, 1), not {mass!r}")
     far = max(comp.mean for comp in src._components)
     if far > 3 * TRUNCATION_CAP:  # no window reads terms past this mean
         raise DomainError(f"support cutoff: a component mean {far!r} lies "

@@ -331,6 +331,16 @@ class TestSampleOccupancy:
         assert isinstance(value, int)
         assert value >= 0
 
+    @pytest.mark.parametrize("size", [-1, 2.5, math.nan, math.inf, "3"])
+    def test_size_is_a_count(self, size):
+        with pytest.raises(ValueError, match="size must be a whole number"):
+            sample_occupancy(SourceLaw("coherent"), _rng(2, 0), size)
+
+    def test_whole_float_size_draws_as_its_int(self):
+        src = SourceLaw("boson-partial", modes=3, nbar=2.0, polarization=0.5)
+        assert np.array_equal(sample_occupancy(src, _rng(2, 0), 5.0),
+                              sample_occupancy(src, _rng(2, 0), 5))
+
     def test_single_mode_boson_matches_geometric_pmf(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         src = SourceLaw("boson-polarized", modes=1, nbar=1.0)
@@ -502,26 +512,59 @@ class TestWithinGateStructure:
         for split in (0, top // 2, top):
             _force_split(monkeypatch, split)
             batches = list(_thin(_rng(9, 2), histogram, law.s))
-            # every gate comes once, and none keeps more than its count
-            k, a, gates = (np.concatenate([batch[i] for batch in batches])
-                           for i in (0, 1, 2))
+            # rows k, each with a row of cells (a, gates): a table row holds
+            # the cells 0..split in the order drawn, a tail row one cell
+            table = [np.all(k <= split) for k, _, _ in batches]
+            for (k, a, gates), drawn in zip(batches, table):
+                assert a.shape == gates.shape == (len(k), a.shape[1])
+                if drawn:
+                    assert np.array_equal(np.sort(a), np.broadcast_to(
+                        np.arange(split + 1), a.shape))
+                else:
+                    assert a.shape[1] == 1
+            # the occupied cells: every gate comes once, and none keeps
+            # more than its count
+            k, a, gates = (np.concatenate(cells) for cells in zip(*(
+                (k[row], a[row, cell], gates[row, cell])
+                for k, a, gates in batches
+                for row, cell in [gates.nonzero()])))
             assert np.array_equal(np.bincount(k, weights=gates,
                                               minlength=top + 1), histogram)
             assert np.all((a >= 0) & (a <= k)) and np.all(gates > 0)
             # counts 0..split from the table first, then the rest in order
-            table = [np.all(k <= split) for k, _, _ in batches]
             assert table == sorted(table, reverse=True)
             assert all(np.all(k > split) for (k, _, _), drawn
                        in zip(batches, table) if not drawn)
             assert np.all(np.diff(k[k > split]) >= 0)
-            assert all(len(batch[0]) <= max(1000 // 64, split + 1)
-                       for batch in batches)
+            assert all(gates.size <= max(1000 // 64, split + 1)
+                       for _, _, gates in batches)
             # both stages: each row's moment columns are its xi and eta's
             cells, counts = _gate_cells(_rng(9, 3), law, n)
             assert sum(cells.values()) == len(n)
             for xi, eta, xi2, eta2, cross in counts.cells():
                 assert min(xi, eta) >= 0 and xi + eta <= top
                 assert (xi2, eta2, cross) == (xi * xi, eta * eta, xi * eta)
+
+    @pytest.mark.parametrize("kind,nbar,gates", [
+        ("fermion-polarized", 0.6, 20000),  # every gate in both tables
+        ("boson-polarized", 10.0, 10 ** 4),  # a tail in both stages
+    ])
+    def test_table_run_thins_through_one_routine(self, kind, nbar, gates,
+                                                 monkeypatch):
+        """Each thinning stage of a table run is one `_thin` call, at its
+        keep probability, in stage order."""
+        calls = []
+
+        def thin(rng, histogram, pi, inner=mc._thin):
+            calls.append(pi)
+            return inner(rng, histogram, pi)
+
+        monkeypatch.setattr(mc, "_thin", thin)
+        cfg = SimulationConfig(law=LAW, source=SourceLaw(kind, nbar=nbar),
+                               gates=gates, seed=1)
+        assert not _per_gate(cfg)
+        _simulate(cfg)
+        assert calls == list(mc._stage_probabilities(LAW))
 
     @pytest.mark.parametrize("split", [None, 0, 1, 3])
     def test_joint_counts_match_mixture_pmf(self, split, monkeypatch):

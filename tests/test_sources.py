@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hbtcount import (
     SourceLaw,
+    sources,
     poisson_tv_distance,
     source_factorial_moments,
     source_pgf,
@@ -159,6 +160,63 @@ class TestPmf:
             support_cutoff(src)
 
 
+FERMION_PARTIAL = SourceLaw("fermion-partial", modes=4, nbar=0.6,
+                            polarization=0.5)
+BOSON_PARTIAL = SourceLaw("boson-partial", modes=4, nbar=0.6,
+                          polarization=0.5)
+
+
+class TestPmfAtHugeCounts:
+    """source_pmf gives a number or a DomainError at any count: 0 past a
+    bounded support's end, built without an array, and DomainError where
+    an int64 count in a component's log_pmf would wrap, or where two
+    components' sum would take more terms than any window reads."""
+
+    @pytest.mark.parametrize("src,n", [
+        (SourceLaw("fermion-polarized", modes=4, nbar=0.6), 2 ** 70),
+        (FERMION_PARTIAL, 10 ** 15), (FERMION_PARTIAL, 2 ** 63 - 1),
+        (FERMION_PARTIAL, 2 ** 70)])
+    def test_zero_past_a_bounded_support(self, src, n):
+        assert source_pmf(src, n) == 0.0
+
+    @pytest.mark.parametrize("src,n", [
+        (SourceLaw("coherent"), 2 ** 63 - 1),
+        (SourceLaw("coherent"), 2 ** 70),
+        (SourceLaw("boson-polarized", modes=4), 2 ** 63 - 5),
+        (SourceLaw("fermion-polarized", modes=2 ** 62, nbar=0.5), 2 ** 62),
+        (BOSON_PARTIAL, 10 ** 15), (BOSON_PARTIAL, 2 ** 70)], ids=repr)
+    def test_count_past_reach_is_domain_error(self, src, n):
+        with pytest.raises(DomainError, match="count too large"):
+            source_pmf(src, n)
+
+    @pytest.mark.parametrize("src,n", [
+        (SourceLaw("coherent"), 2 ** 63 - 3),
+        (SourceLaw("boson-polarized", modes=4), 2 ** 63 - 6)], ids=repr)
+    def test_largest_counts_in_reach_have_weights(self, src, n):
+        assert source_pmf(src, n) == 0.0  # exp of a log weight near -4e20
+
+    def test_two_component_sum_within_the_window_terms(self, monkeypatch):
+        # at a cap of 10 any window reads 31 terms at most: W_30 sums 31
+        monkeypatch.setattr(sources, "TRUNCATION_CAP", 10)
+        assert 0.0 < source_pmf(BOSON_PARTIAL, 30) < 1.0
+        with pytest.raises(DomainError, match="sums 32 terms, past the 31"):
+            source_pmf(BOSON_PARTIAL, 31)
+
+    def test_two_fermion_channels_sum_the_k_both_allow(self):
+        # channel occupancies 0.45 and 0.15, four modes each
+        channels = [(0.45, 4), (0.15, 4)]
+
+        def binomial(k, a, m):
+            return math.comb(m, k) * a ** k * (1 - a) ** (m - k)
+
+        for n in range(9):
+            expected = math.fsum(
+                binomial(k, *channels[0]) * binomial(n - k, *channels[1])
+                for k in range(max(0, n - 4), min(n, 4) + 1))
+            assert source_pmf(FERMION_PARTIAL, n) == pytest.approx(
+                expected, rel=1e-13)
+
+
 def _mp_window(src, hi):
     """W_0..W_hi from the source's definition in mpmath: one law per
     polarization channel, convolved term by term, no merged components."""
@@ -270,6 +328,20 @@ class TestCutoffAgainstMpmath:
         room = 1 - pytest.importorskip("mpmath").mpf(mass)
         assert _mp_tail(src, cutoff) <= room < _mp_tail(src, cutoff - 1)
         assert support_cutoff(src, mass) == cutoff
+
+
+class TestCutoffMass:
+    @pytest.mark.parametrize("mass", [1.0, 2.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("src", [
+        SourceLaw("coherent", nbar=2.0),
+        SourceLaw("boson-partial", modes=3, nbar=1.0, polarization=0.5),
+        SourceLaw("fermion-polarized", modes=4, nbar=0.5)], ids=repr)
+    def test_mass_outside_the_unit_interval_is_refused(self, src, mass):
+        with pytest.raises(ValueError, match=r"mass must lie in \[0, 1\)"):
+            support_cutoff(src, mass)
+
+    def test_zero_mass_is_the_vacuum(self):
+        assert support_cutoff(SourceLaw("coherent", nbar=2.0), 0.0) == 0
 
 
 class TestCutoffWork:
