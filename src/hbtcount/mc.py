@@ -66,8 +66,9 @@ _GROUP_COST = 2 ** 20
 _CELL_GATES = 16
 # The most cells in a one-component table, which bounds the memory of its
 # build, at most about 9 floats a cell (7.5 MiB for 110229 cells); a
-# two-component table is one direct convolution, cells**2 products:
-# 2**14 cells take 0.07 s, 2**15 0.22 s, 2**16 0.84 s.
+# two-component table is one direct convolution of the terms its cutoff
+# read, at most cells**2 products: 2**14 cells take 0.07 s, 2**15 0.22 s,
+# 2**16 0.84 s.
 _TABLE_CELLS = 2 ** 17
 _CONVOLVE_CELLS = 2 ** 15
 # Runs without an occupancy table draw their gates in this many chunks, or
@@ -426,7 +427,8 @@ def verify(report: EstimateReport, analytic: dict,
     estimate, z-score and pass flag.  A statistic the run cannot define,
     as K or R without counts at one detector or F without quanta, has a
     nan estimate: a DomainError names each such statistic asked for,
-    instead of a miss.  z_max must be positive and finite.
+    instead of a miss.  Each analytic value, and z_max, must be finite (a
+    ValueError names one that is not), and z_max positive.
     """
     if not analytic:
         raise ValueError("no analytic values supplied")
@@ -439,6 +441,8 @@ def verify(report: EstimateReport, analytic: dict,
                           f"{report.gates} gates")
     out = {}
     for name, target in analytic.items():
+        if not math.isfinite(target):
+            raise ValueError(f"analytic {name} must be finite, not {target}")
         est = report.estimate(name)  # raises on unknown names
         z = est.z_score(target)
         out[name] = {"estimate": est.value, "stderr": est.stderr,

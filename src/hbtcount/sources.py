@@ -15,10 +15,11 @@ and never taken as 1 minus a rounded sum, is at most a given room; for a
 Monte Carlo occupancy table, _TAIL_EPS (float resolution), a mass its
 draw gives to the table's most probable cell.  Each component's terms
 are read once, until they hold its mass past them to _TAIL_EPS of the
-room.  One component's n* is then the first count whose suffix sum over
-its terms is within the room (one reverse cumsum and one searchsorted);
-two components' n* is bisected on the pair sum of their terms, whose
-full array would take O(N**2).
+room, and the window is built from them alone.  One component's n* is
+the first count whose suffix sum over its terms is within the room (one
+reverse cumsum and one searchsorted); two components' n* is bisected on
+the pair sum of their terms, whose full array would take O(N**2), and
+their window convolves those terms, each cut at n* + 1.
 """
 
 from __future__ import annotations
@@ -242,14 +243,18 @@ class FactorialMoments:
 
 
 def _window(src: SourceLaw, hi: int, terms=None):
-    """W_0..W_hi: one component's terms, or one convolution of two; `terms`
-    are their terms from n = 0 to hi at least (or a support's end)."""
+    """W_0..W_hi: one component's terms, or one convolution of two; of the
+    `terms` `_cutoff_window` read, which reach hi, or else of the terms to
+    hi, two cut after their last nonzero one (an exact zero adds nothing)."""
     if terms is None:
         n = np.arange(hi + 1)
         terms = [np.exp(comp.log_pmf(n)) for comp in src._components]
+        if len(terms) == 2:
+            terms = [t[:np.flatnonzero(t).max(initial=0) + 1] for t in terms]
     if len(terms) == 1:
         return terms[0][:hi + 1]
-    return np.convolve(terms[0][:hi + 1], terms[1][:hi + 1])[:hi + 1]
+    window = np.convolve(terms[0][:hi + 1], terms[1][:hi + 1])[:hi + 1]
+    return np.concatenate((window, np.zeros(hi + 1 - len(window))))
 
 
 # -- public operations -----------------------------------------------------
@@ -307,16 +312,6 @@ def source_factorial_moments(src: SourceLaw) -> FactorialMoments:
                             fano=1.0 + q, mandel_q=q)
 
 
-def _read_on(comp, terms, end: int):
-    """comp's `terms` from n = 0, read on to n = end - 1 (or the end of its
-    support)."""
-    if comp.max_count is not None:
-        end = min(end, comp.max_count + 1)
-    if end <= len(terms):
-        return terms
-    return np.append(terms, np.exp(comp.log_pmf(np.arange(len(terms), end))))
-
-
 def _component_terms(comp, top: int, room: float):
     """comp's terms from n = 0, read in chunks of about doubling size until
     they hold its mass past the last one within _TAIL_EPS of `room` (or
@@ -335,7 +330,8 @@ def _component_terms(comp, top: int, room: float):
     hi = min(_FIRST_WINDOW, top)
     terms, end = np.empty(0), hi + 1 + _FIRST_WINDOW
     while True:
-        terms = _read_on(comp, terms, end)
+        n = np.arange(len(terms), min(end, bound + 1))
+        terms = np.append(terms, np.exp(comp.log_pmf(n)))
         if len(terms) > bound:
             return terms, True
         # Past the mean the ratio r = w_n / w_(n-1) of these log-concave laws
@@ -357,12 +353,12 @@ def _component_terms(comp, top: int, room: float):
 def _cutoff_window(src: SourceLaw, room: float, cap: int):
     """W_0..W_n* for the smallest n* whose mass past it, summed from the
     components' terms, is at most `room`.  Each component's terms are read
-    once, until they hold its mass past them (`_component_terms`).  For one
-    component n* is then found among all its terms by one suffix sum; for
-    two, the mass past m is the pair sum over both components' terms, and
-    n* is bisected before only W_0..W_n* is convolved.  Returns that window,
-    or None when n* lies past `cap` (or the end of a bounded support), and
-    the component terms read."""
+    once, until they hold its mass past them (`_component_terms`), and the
+    window is built from them alone: those past carry at most _TAIL_EPS of
+    the room.  For one component n* is found among all its terms by one
+    suffix sum; for two, n* is bisected on their pair sum, and W_0..W_n*
+    convolves them, each cut at n* + 1.  Returns that window, or None when
+    n* lies past `cap` (or a bounded support's end), and the terms read."""
     comps = src._components
     top = cap if src.max_count is None else min(cap, src.max_count)
     terms, held = zip(*(_component_terms(comp, top, room) for comp in comps))
@@ -375,7 +371,7 @@ def _cutoff_window(src: SourceLaw, room: float, cap: int):
         n_star = len(suffix) - int(np.searchsorted(suffix, room, "right"))
     else:
         first, second = terms
-        hi = min(top, len(first) + len(second) - 2)  # P(n > hi) = 0 past it
+        hi = min(top, len(first) + len(second) - 2)  # P(n > hi) = 0; n* <= hi
         # P(n > m) = sum_k first[k] P(second >= m + 1 - k): `rev` against
         # pad[m + 2:], which holds P(second >= j) from j = 1 - len(first)
         suffix = np.cumsum(second[::-1])[::-1]
@@ -389,10 +385,6 @@ def _cutoff_window(src: SourceLaw, room: float, cap: int):
         if not within(hi):
             return None, terms
         n_star = bisect.bisect_left(range(hi), True, key=within)
-        # the convolution takes each component's terms to n*, which may lie
-        # past those that hold its own tail
-        terms = tuple(_read_on(comp, t, n_star + 1)
-                      for comp, t in zip(comps, terms))
     if n_star > top:
         return None, terms
     return _window(src, n_star, terms), terms

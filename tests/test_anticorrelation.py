@@ -305,6 +305,17 @@ class TestGateRecord:
                                              f"finite, not {bad!r}$"):
             GateRecord(**{**fields, field: bad})
 
+    @pytest.mark.parametrize("observable, message", [
+        (accidental_coincidences, "no gates recorded"),
+        (empirical_observables, "no singles recorded")])
+    def test_empty_record_is_domain_error(self, observable, message):
+        """N1 T = 0.4 rounds to no gate, and so to no single."""
+        rec = GateRecord(row=1, pump=0.1, trigger_rate=0.4, duration=1.0,
+                         singles_r=0, singles_t=0, measured_coincidences=0)
+        assert rec.gates == 0
+        with pytest.raises(DomainError, match=message):
+            observable(rec)
+
     def test_rejects_excess_singles(self):
         with pytest.raises(ValueError):
             GateRecord(row=1, pump=0.1, trigger_rate=10.0, duration=1.0,

@@ -886,6 +886,9 @@ class TestExtremeInputs:
         # does
         (["moments"] + LAW + ["--n", str(10 ** 200)], 3),
         (["moments"] + LAW + ["--n", str(10 ** 400)], 3),
+        # a detection law given in part, and a polarization degree past 1
+        (["k", "--kind", "coherent", "--p", ".3"], 2),
+        (["k", "--kind", "thermal-boson", "--polarization", "1.5"], 2),
         # K_n = 1 - 1/n is undefined for an empty gate
         (["moments"] + LAW + ["--n", "0"], 2),
         # nan and inf are refused where they enter

@@ -699,6 +699,30 @@ class TestRowSplit:
             assert (_row_split(np.array(histogram))
                     == _cost_argmin(histogram))
 
+    def test_wide_table_leaves_out_splits_past_group_cost(self):
+        """Coherent nbar 3000 at 10**5 gates: each stage's histogram spans
+        over 1024 rows (3261 and 1675 at this seed), so its search leaves
+        out the splits whose table passes _GROUP_COST cells, in the first
+        stage the top row and the 129 below it.  Each split is the
+        brute-force argmin among those that fit, and the run is the
+        reference run's: equal point estimates, and errors to 1e-10
+        relative, as K's error at K = 1 (Q = 0) cancels about 6000-fold
+        from the co-moments, which the run pools over its per-gate chunks
+        (1.3e-12 relative apart at this seed)."""
+        cfg = SimulationConfig(law=LAW, source=SourceLaw("coherent",
+                                                         nbar=3000.0),
+                               gates=10 ** 5, seed=1)
+        rng, occupancy = _run_occupancy(cfg)
+        assert np.count_nonzero(occupancy) * len(occupancy) > mc._GROUP_COST
+        for stage in (occupancy, _detected(rng, occupancy, LAW.s)):
+            assert len(stage) ** 2 > mc._GROUP_COST
+            assert _row_split(stage) == _cost_argmin(stage.tolist())
+        report, expected = simulate_series(cfg), _reference_run(cfg)
+        for name in EstimateReport.STATISTICS:
+            est, (value, stderr) = report.estimate(name), expected[name]
+            assert est.value == value, name
+            assert est.stderr == pytest.approx(stderr, rel=1e-10), name
+
     def test_pure_table_run_skips_the_tail(self, monkeypatch):
         """Every stage of the grid at 10**6 gates and seed 1 keeps all its
         gates in the table (`test_grid_thins_every_gate_in_tables`), so
@@ -925,6 +949,14 @@ class TestVerify:
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
             verify(self._report(), {})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_analytic_value(self, value):
+        """A nan or infinite analytic value is a caller's error, not a
+        model miss with z = nan or inf."""
+        with pytest.raises(ValueError,
+                           match=f"analytic k must be finite, not {value}"):
+            verify(self._report(), {"f": 2.0, "k": value})
 
     def test_zero_stderr_scores(self):
         est = Estimate(value=1.0, stderr=0.0)

@@ -96,6 +96,15 @@ class TestSharedProperties:
         assert rel.max() <= 0.35
 
 
+    @pytest.mark.parametrize("x", [-0.1, math.inf, math.nan])
+    @pytest.mark.parametrize("func", [gaussian_mode_count,
+                                      lorentzian_mode_count,
+                                      linear_mode_count])
+    def test_rejects_x_outside_its_domain(self, func, x):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            func(x)
+
+
 class TestAsymptoticModeCount:
     def test_values(self):
         assert asymptotic_mode_count(10.0, 1.0) == pytest.approx(10.0)

@@ -510,6 +510,102 @@ class TestOneComponentCutoff:
         assert len(_cutoff_window(src, room, n_star)[0]) == n_star + 1
 
 
+@st.composite
+def two_component_laws(draw):
+    kind = draw(st.sampled_from(["boson-partial", "fermion-partial"]))
+    top = 0.0 if kind.startswith("fermion") else 1.5
+    return SourceLaw(kind, modes=draw(st.integers(1, 100)),
+                     nbar=10.0 ** draw(st.floats(-3.0, top)),
+                     polarization=draw(st.floats(0.05, 0.95)))
+
+
+class TestTwoComponentCutoff:
+    """For two components, n* is bisected on the pair sum of the terms
+    read, and W_0..W_n* is convolved from those terms, although n* may
+    pass one component's held range: both against a direct window."""
+
+    @settings(max_examples=25, deadline=None)
+    # n* = 6700 and 17023 pass the 4224 terms read of the lesser channel
+    @example(src=SourceLaw("boson-partial", modes=20, nbar=100.0,
+                           polarization=0.5), room=2.0 ** -53, cap=2 ** 15 - 1)
+    @example(src=SourceLaw("boson-partial", modes=100, nbar=100.0,
+                           polarization=0.8), room=1e-10, cap=TRUNCATION_CAP)
+    @given(src=two_component_laws(),
+           room=st.sampled_from([2.0 ** -53, 1e-10]),
+           cap=st.sampled_from([1919, 2 ** 15 - 1, TRUNCATION_CAP]))
+    def test_window_ends_at_the_first_count_within_room(self, src, room, cap):
+        """The reference is `_window(src, end)` at end = 2 n* + 400, by
+        math.fsum.  Its sum past m only drops terms, so it bounds the mass
+        past m from below.  W is log-concave, as a convolution of two
+        log-concave laws, so past its mode the mass past `end` is at most
+        W_end**2 / (W_(end-1) - W_end), 0 once W_end underflows; adding
+        that bounds the mass from above.  n*'s pair sums and the reference
+        both round each product once and sum in floats, within 1e-12 of
+        room (`slack`); the terms left out of the window hold 2**-53 of
+        it."""
+        assert len(src._components) == 2
+        window, _ = _cutoff_window(src, room, cap)
+        slack = 1e-12
+        if window is None:
+            past = _window(src, 2 * cap + 400)[cap + 1:]
+            assert math.fsum(past) > room * (1.0 - slack)
+            return
+        n_star = len(window) - 1
+        assert n_star <= cap
+        direct = _window(src, 2 * n_star + 400)
+        last, before = direct[-1], direct[-2]
+        assert last == 0.0 or last < before
+        beyond = last * last / (before - last) if last else 0.0
+        assert beyond <= 1e-13 * room
+        sample = np.unique(np.linspace(0, n_star, 20).astype(int))
+        assert window[sample] == pytest.approx(direct[sample], rel=1e-12,
+                                               abs=0.0)
+        assert math.fsum(direct[n_star + 1:]) + beyond <= room * (1.0 + slack)
+        if n_star > 0:
+            assert math.fsum(direct[n_star:]) > room * (1.0 - slack)
+            assert _cutoff_window(src, room, n_star - 1)[0] is None
+        assert len(_cutoff_window(src, room, n_star)[0]) == n_star + 1
+
+
+class TestDirectWindow:
+    """`_window(src, hi)` without terms convolves each component's terms to
+    hi, cut after the last nonzero one, and pads with exact zeros."""
+
+    @pytest.mark.parametrize("src,hi", [
+        (SourceLaw("boson-partial", modes=2, nbar=1.0, polarization=0.5),
+         20000),
+        (SourceLaw("boson-partial", modes=3, nbar=0.7, polarization=0.4),
+         3000),
+        # past the supports' ends, 8 and 2000
+        (SourceLaw("fermion-partial", modes=4, nbar=0.6, polarization=0.5),
+         50),
+        (SourceLaw("fermion-partial", modes=1000, nbar=0.02,
+                   polarization=0.4), 2500),
+    ], ids=repr)
+    def test_window_is_the_untrimmed_convolution(self, src, hi):
+        n = np.arange(hi + 1)
+        terms = [np.exp(comp.log_pmf(n)) for comp in src._components]
+        full = np.convolve(*terms)[:hi + 1]
+        window = _window(src, hi)
+        assert len(window) == hi + 1
+        assert np.all(np.abs(window - full) <= 4 * np.spacing(full))
+
+    def test_convolution_takes_the_nonzero_terms_only(self, monkeypatch):
+        """Of 2 x 160001 terms, those past 886 and 466 underflow to 0."""
+        sizes = []
+        convolve = np.convolve
+        monkeypatch.setattr(np, "convolve", lambda a, v: (
+            sizes.append(len(a) + len(v)), convolve(a, v))[1])
+        src = SourceLaw("boson-partial", modes=2, nbar=1.0, polarization=0.5)
+        window = _window(src, 160000)
+        n = np.arange(160001)
+        nonzero = sum(np.count_nonzero(np.exp(comp.log_pmf(n)))
+                      for comp in src._components)
+        assert sizes == [nonzero]
+        assert len(window) == 160001
+        assert not window[nonzero:].any()
+
+
 class TestBosonOccupancyLimit:
     @pytest.mark.parametrize("nbar", [1e17, 1e100])
     @pytest.mark.parametrize("kind,channels", [
