@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 from .elementary import _count
 from .errors import DomainError
@@ -229,13 +230,11 @@ def empirical_observables(rec: GateRecord,
 
 
 def load_table1(path: str | None = None) -> list[GateRecord]:
-    """Load the embedded run table (or a CSV with the same columns)."""
-    if path is None:
-        text = (resources.files("hbtcount.data") / DATASET_NAME).read_text()
-        lines = text.splitlines()
-    else:
-        with open(path, newline="") as fh:
-            lines = fh.read().splitlines()
+    """Load the embedded run table, or a CSV with the same columns at
+    `path`, either read as text and split by `str.splitlines`."""
+    table = (resources.files("hbtcount.data") / DATASET_NAME if path is None
+             else Path(path))
+    lines = table.read_text().splitlines()
     # a short row's missing fields read as "", which no field parses
     reader = csv.DictReader(lines, restval="")
     fields = reader.fieldnames or ()  # None for an empty file

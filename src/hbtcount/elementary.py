@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DomainError
 
-SUM_ABS_TOL = 1e-12     # tolerance on p + q + r = 1 after renormalization
 SUM_INPUT_TOL = 1e-9    # constructor renormalizes inputs within this of 1
 
 
@@ -46,7 +45,6 @@ class TernaryLaw:
         object.__setattr__(self, "p", p / total)
         object.__setattr__(self, "q", q / total)
         object.__setattr__(self, "r", r / total)
-        assert abs(self.p + self.q + self.r - 1.0) <= SUM_ABS_TOL
 
     @property
     def s(self) -> float:

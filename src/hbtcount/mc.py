@@ -146,11 +146,10 @@ class _Moments:
     """Per-gate features pooled batch by batch: their exact sums as Python
     ints, and the float sum of the products of their deviations from the
     mean, merged as in Chan, Golub & LeVeque (1983), so no raw fourth
-    moment is ever differenced."""
+    moment is ever differenced; `comoment` is set by the first `add`."""
 
     def __init__(self, width: int):
         self.count, self.sums = 0, [0] * width
-        self.comoment = np.zeros((width, width))
 
     def means(self):
         """The features' means as floats."""

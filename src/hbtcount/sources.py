@@ -47,6 +47,7 @@ TRUNCATION_CAP = 10 ** 6
 _TAIL_EPS = 2.0 ** -53
 # A component's first chunk of terms ends this many past a first window of
 # this many (or the cap), and the chunk that passes the cap this many past it.
+# A window to a given count reads this many terms first.
 _FIRST_WINDOW = 64
 
 
@@ -242,18 +243,34 @@ class FactorialMoments:
         return 1.0 + self.mandel_q / self.mean
 
 
+def _terms_to_zero(comp, hi: int):
+    """comp's terms from n = 0 up to hi (or its support's end), read in
+    chunks of doubling size until one ends in a 0.0 past the mean: these
+    log-concave laws only fall from there, so every term left unread is
+    0.0 too."""
+    top = hi if comp.max_count is None else min(hi, comp.max_count)
+    chunks, end = [], 0
+    while end <= top and not (end > comp.mean + 1 and chunks[-1][-1] == 0.0):
+        stop = min(2 * end + _FIRST_WINDOW, top + 1)
+        chunks.append(np.exp(comp.log_pmf(np.arange(end, stop))))
+        end = stop
+    return np.concatenate(chunks)
+
+
 def _window(src: SourceLaw, hi: int, terms=None):
     """W_0..W_hi: one component's terms, or one convolution of two; of the
     `terms` `_cutoff_window` read, which reach hi, or else of the terms to
-    hi, two cut after their last nonzero one (an exact zero adds nothing)."""
+    hi that `_terms_to_zero` reads, two cut after their last nonzero one (an
+    exact zero adds nothing), with zeros after them."""
     if terms is None:
-        n = np.arange(hi + 1)
-        terms = [np.exp(comp.log_pmf(n)) for comp in src._components]
+        terms = [_terms_to_zero(comp, hi) for comp in src._components]
         if len(terms) == 2:
             terms = [t[:np.flatnonzero(t).max(initial=0) + 1] for t in terms]
-    if len(terms) == 1:
-        return terms[0][:hi + 1]
-    window = np.convolve(terms[0][:hi + 1], terms[1][:hi + 1])[:hi + 1]
+    if len(terms) == 2:
+        terms = [np.convolve(terms[0][:hi + 1], terms[1][:hi + 1])]
+    window = terms[0][:hi + 1]
+    if len(window) > hi:
+        return window
     return np.concatenate((window, np.zeros(hi + 1 - len(window))))
 
 

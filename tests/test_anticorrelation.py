@@ -227,6 +227,17 @@ class TestTable:
         target.write_text(src)
         assert load_table1(str(target)) == load_table1()
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_any_line_end_gives_the_same_records(self, tmp_path, newline):
+        from importlib import resources
+        src = (resources.files("hbtcount.data")
+               / "aspect_grangier_table1.csv").read_text()
+        target = tmp_path / "table.csv"
+        target.write_bytes(src.replace("\n", newline).encode())
+        records = load_table1()
+        assert len(records) == 7
+        assert load_table1(str(target)) == records
+
     @pytest.mark.parametrize("text, missing", [
         ("", "row, Nw, N1_per_s, T_s, n_2r, n_2t, measured_coincidences"),
         ("row,Nw,T_s,n_2r,n_2t,measured_coincidences\n"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hbtcount import (
     SimulationConfig,
@@ -34,6 +34,15 @@ class TestTernaryLaw:
     def test_renormalizes_small_deviation(self):
         law = TernaryLaw(0.3 + 2e-10, 0.2, 0.5)
         assert abs(law.p + law.q + law.r - 1.0) <= 1e-12
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-1e-9, 1e-9))
+    def test_renormalized_sum_is_one_to_rounding(self, p, q, deviation):
+        """Three correctly rounded quotients of their float total sum to 1
+        within a few ulp, for any inputs the constructor accepts."""
+        r = 1.0 - p - q + deviation
+        assume(0.0 <= r <= 1.0 and abs(p + q + r - 1.0) <= 1e-9)
+        law = TernaryLaw(p, q, r)
+        assert abs(law.p + law.q + law.r - 1.0) <= 1e-15
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):

@@ -605,6 +605,55 @@ class TestDirectWindow:
         assert len(window) == 160001
         assert not window[nonzero:].any()
 
+    def test_each_component_is_read_to_its_first_zero_past_the_mean(
+            self, monkeypatch):
+        """Full evaluation takes 2 x 10**6 + 2 terms; each component's
+        doubling chunks end once one ends in a 0.0 past its mean, within
+        2 x its 887 or 467 nonzero terms + _FIRST_WINDOW."""
+        read = {}
+        log_pmf = NegBinomial.log_pmf
+
+        def counted(comp, n):
+            read[comp] = read.get(comp, 0) + len(n)
+            return log_pmf(comp, n)
+
+        monkeypatch.setattr(NegBinomial, "log_pmf", counted)
+        src = SourceLaw("boson-partial", modes=2, nbar=1.0, polarization=0.5)
+        window = _window(src, 10 ** 6)
+        n = np.arange(2000)
+        for comp in src._components:
+            nonzero = np.count_nonzero(np.exp(log_pmf(comp, n)))
+            assert nonzero < read[comp] <= 2 * nonzero + sources._FIRST_WINDOW
+        assert sum(read.values()) < 2 * 10 ** 6 + 2
+        assert len(window) == 10 ** 6 + 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("modes", [1, 2, 7, 100])
+    def test_rows_are_those_of_full_evaluation(self, kind, modes):
+        """Bit for bit the window of every term to hi: one component's
+        terms, or two cut after their last nonzero one and convolved."""
+        nbars = (0.05, 0.5, 1.0) if kind.startswith("fermion") else (
+            0.05, 1.0, 40.0)
+        pols = (0.0, 0.4, 1.0) if kind.endswith("partial") else (None,)
+        for nbar in nbars:
+            for pol in pols:
+                src = SourceLaw(kind, modes=modes, nbar=nbar,
+                                polarization=pol)
+                for hi in (0, 1, 10, 100, 3000, 20000):
+                    n = np.arange(hi + 1)
+                    terms = [np.exp(comp.log_pmf(n))
+                             for comp in src._components]
+                    if len(terms) == 2:
+                        terms = [t[:np.flatnonzero(t).max(initial=0) + 1]
+                                 for t in terms]
+                        full = np.zeros(hi + 1)
+                        product = np.convolve(*terms)[:hi + 1]
+                        full[:len(product)] = product
+                    else:
+                        full = terms[0]
+                    assert _window(src, hi).tobytes() == full.tobytes(), (
+                        src, hi)
+
 
 class TestBosonOccupancyLimit:
     @pytest.mark.parametrize("nbar", [1e17, 1e100])

@@ -271,6 +271,11 @@ class TestThermalK:
         with pytest.raises(ValueError):
             thermal_k("fermion", 0.4, polarized=False)
 
+    @pytest.mark.parametrize("statistics", ["coherent", "Boson", ""])
+    def test_rejects_other_statistics(self, statistics):
+        with pytest.raises(ValueError, match="'boson' or 'fermion'"):
+            thermal_k(statistics, 2.0, polarized=True)
+
 
 class TestEnergyFluctuation:
     def test_boson_single_mode(self):
@@ -291,6 +296,11 @@ class TestEnergyFluctuation:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             energy_fluctuation("boson", -1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("statistics", ["coherent", "Fermion", ""])
+    def test_rejects_other_statistics(self, statistics):
+        with pytest.raises(ValueError, match="'boson' or 'fermion'"):
+            energy_fluctuation(statistics, 1.0, 1.0, 1.0)
 
     def test_overflow_is_domain_error(self):
         # E**2 / M = 1e400 is past float range
